@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import operator
 import os
 import sys
+from contextlib import contextmanager
+from functools import reduce
 from pathlib import Path
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -42,7 +45,6 @@ DEFAULT_CONFIG = {
         "channels": 1,
         "min_speed": 1,
         "max_speed": 3,
-        "stride": 1,
         "crop": False,
         "crop_scale": [0.5, 1.0],
         "flip": False,
@@ -73,7 +75,6 @@ DEFAULT_CONFIG = {
         "total_steps": 200,
         "batch_size": 8,
         "loss_kind": "mse",
-        "precision": "single",
         "log_interval": 10,
         "checkpoint_interval": 0,
         "finetune_steps": None,
@@ -134,48 +135,24 @@ def _merge_strict(defaults: dict, user: dict, prefix: str = "") -> dict:
 
 
 def _validate(cfg: dict) -> None:
-    mask, tgt, model, train, data = (cfg["mask"], cfg["targets"], cfg["model"],
-                                     cfg["train"], cfg["data"])
-    if not 0.0 <= mask["ratio"] < 1.0:
-        raise ConfigError("mask.ratio must lie in [0, 1)")
-    if mask["strategy"] not in ("random", "tube", "time_only"):
-        raise ConfigError(f"mask.strategy {mask['strategy']!r} is not one of "
-                          "random, tube, time_only")
-    if tgt["kind"] not in ("frame", "motion", "both"):
-        raise ConfigError(f"targets.kind {tgt['kind']!r} is not one of "
-                          "frame, motion, both")
-    if tgt["gap"] < 1:
-        raise ConfigError("targets.gap must be >= 1")
-    if tgt["lambda"] < 0:
-        raise ConfigError("targets.lambda must be >= 0")
-    if train["loss_kind"] not in ("mse", "l1", "smooth_l1"):
-        raise ConfigError(f"train.loss_kind {train['loss_kind']!r} is not one "
-                          "of mse, l1, smooth_l1")
-    if train["precision"] not in ("single", "double"):
-        raise ConfigError("train.precision must be 'single' or 'double'")
-    if train["warmup_steps"] > train["total_steps"]:
-        raise ConfigError("train.warmup_steps must not exceed train.total_steps")
-    if train["batch_size"] < 1:
-        raise ConfigError("train.batch_size must be >= 1")
-    if model["arch"] not in ("parallel", "shared"):
-        raise ConfigError("model.arch must be 'parallel' or 'shared'")
-    if model["preset"] is not None and model["preset"] not in ("tiny", "desk", "base"):
-        raise ConfigError(f"model.preset {model['preset']!r} is not one of "
-                          "tiny, desk, base")
+    """The rules no config type owns. Every other field is checked by the
+    type or function that uses it, when `_resolve` builds it."""
+    model, data = cfg["model"], cfg["data"]
+    if cfg["train"]["total_steps"] < 1:  # finetune_steps may be 0
+        raise ConfigError("train.total_steps must be >= 1")
     if model["preset"] is None:
         for key in ("enc_depth", "enc_dim", "enc_heads", "enc_mlp",
                     "dec_depth", "dec_dim", "dec_heads", "dec_mlp"):
             if model[key] is None:
                 raise ConfigError(f"model.{key} is required when model.preset is null")
-        if model["enc_depth"] < 1 or model["dec_depth"] < 1:
-            raise ConfigError("model depths must be >= 1")
+        # DecoderConfig admits depth 0 for scatter-only stubs; a run cannot
+        if model["dec_depth"] < 1:
+            raise ConfigError("model.dec_depth must be >= 1")
     if model["cube_t"] < 1 or model["cube_p"] < 1:
         raise ConfigError("model cube dims must be >= 1")
     for key in ("T", "H", "W", "channels", "num_clips"):
         if data[key] < 1:
             raise ConfigError(f"data.{key} must be >= 1")
-    if data["stride"] < 1:
-        raise ConfigError("data.stride must be >= 1")
     if not (1 <= data["min_speed"] <= data["max_speed"]):
         raise ConfigError("data speeds must satisfy 1 <= min_speed <= max_speed")
     lo, hi = data["crop_scale"]
@@ -184,6 +161,8 @@ def _validate(cfg: dict) -> None:
 
 
 def load_config(path: str | None) -> dict:
+    """Parse and fully check a run config: every object a command builds
+    from it has been built once, so no later step rejects it."""
     if path is None:
         cfg = copy.deepcopy(DEFAULT_CONFIG)
     else:
@@ -198,7 +177,7 @@ def load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge_strict(DEFAULT_CONFIG, user)
-    _validate(cfg)
+    _resolve(cfg)
     return cfg
 
 
@@ -207,16 +186,30 @@ def load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _build_grid(cfg: dict):
-    from .tokenizer import TokenGrid
+@contextmanager
+def _field_errors(paths: dict[str, str]):
+    """Re-raise a config type's ValueError as a ConfigError that names the
+    config field; the types start each message with the attribute they
+    reject, and `paths` maps that attribute to its config path."""
+    try:
+        yield
+    except ValueError as e:
+        name = str(e).split()[0]
+        raise ConfigError(f"{paths.get(name, name)}: {e}") from e
 
-    data, model = cfg["data"], cfg["model"]
-    ct, cp = model["cube_t"], model["cube_p"]
-    T, H, W, C = data["T"], data["H"], data["W"], data["channels"]
-    if T % ct or H % cp or W % cp:
-        raise ConfigError(f"clip dims {T}x{H}x{W} not divisible by cube "
-                          f"{ct}x{cp}x{cp}")
-    return TokenGrid(T // ct, H // cp, W // cp, ct, cp, C)
+
+# TrainConfig field -> the config path it is read from
+_TRAIN_FIELDS = {
+    "lr": "train.lr", "beta1": "train.beta1", "beta2": "train.beta2",
+    "eps": "train.eps", "weight_decay": "train.weight_decay",
+    "warmup_steps": "train.warmup_steps", "total_steps": "train.total_steps",
+    "batch_size": "train.batch_size", "loss_kind": "train.loss_kind",
+    "log_interval": "train.log_interval",
+    "checkpoint_interval": "train.checkpoint_interval",
+    "target_kind": "targets.kind", "lam": "targets.lambda",
+    "gap": "targets.gap", "normalize_space": "targets.normalize",
+    "mask_ratio": "mask.ratio", "mask_strategy": "mask.strategy", "seed": "seed",
+}
 
 
 def _build_model_cfgs(cfg: dict, grid):
@@ -224,37 +217,69 @@ def _build_model_cfgs(cfg: dict, grid):
 
     model = cfg["model"]
     if model["preset"] is not None:
-        return preset_configs(model["preset"], grid, arch=model["arch"])
-    enc = EncoderConfig(depth=model["enc_depth"], embed_dim=model["enc_dim"],
-                        heads=model["enc_heads"], mlp_ratio=model["enc_mlp"],
-                        token_dim=grid.token_dim)
-    dec = DecoderConfig(depth=model["dec_depth"], embed_dim=model["dec_dim"],
-                        heads=model["dec_heads"], mlp_ratio=model["dec_mlp"],
-                        space_dim=grid.token_dim, time_dim=grid.motion_dim,
-                        arch=model["arch"])
+        with _field_errors({"preset": "model.preset", "arch": "model.arch"}):
+            return preset_configs(model["preset"], grid, arch=model["arch"])
+    with _field_errors({"depth": "model.enc_depth", "heads": "model.enc_heads"}):
+        enc = EncoderConfig(depth=model["enc_depth"], embed_dim=model["enc_dim"],
+                            heads=model["enc_heads"], mlp_ratio=model["enc_mlp"],
+                            token_dim=grid.token_dim)
+    with _field_errors({"heads": "model.dec_heads", "arch": "model.arch"}):
+        dec = DecoderConfig(depth=model["dec_depth"], embed_dim=model["dec_dim"],
+                            heads=model["dec_heads"], mlp_ratio=model["dec_mlp"],
+                            space_dim=grid.token_dim, time_dim=grid.motion_dim,
+                            arch=model["arch"])
     return enc, dec
 
 
 def _build_train_cfg(cfg: dict, finetune: bool = False):
     from .training import TrainConfig
 
-    t, m, g = cfg["train"], cfg["mask"], cfg["targets"]
-    steps = t["total_steps"]
-    lr = t["lr"]
+    paths = dict(_TRAIN_FIELDS)
     if finetune:
-        steps = t["finetune_steps"] if t["finetune_steps"] is not None else steps
-        lr = t["finetune_lr"] if t["finetune_lr"] is not None else lr
-    warmup = min(t["warmup_steps"], steps)
-    return TrainConfig(
-        lr=lr, beta1=t["beta1"], beta2=t["beta2"], eps=t["eps"],
-        weight_decay=t["weight_decay"], warmup_steps=warmup,
-        total_steps=steps, batch_size=t["batch_size"],
-        target_kind=g["kind"], lam=g["lambda"], loss_kind=t["loss_kind"],
-        mask_ratio=m["ratio"], mask_strategy=m["strategy"], gap=g["gap"],
-        normalize_space=g["normalize"], seed=cfg["seed"],
-        precision=t["precision"], log_interval=t["log_interval"],
-        checkpoint_interval=t["checkpoint_interval"],
-    )
+        for field, key in (("total_steps", "finetune_steps"), ("lr", "finetune_lr")):
+            if cfg["train"][key] is not None:
+                paths[field] = f"train.{key}"
+    kwargs = {field: reduce(operator.getitem, path.split("."), cfg)
+              for field, path in paths.items()}
+    if finetune:
+        kwargs["warmup_steps"] = min(kwargs["warmup_steps"], kwargs["total_steps"])
+    with _field_errors(paths):
+        return TrainConfig(**kwargs)
+
+
+def _resolve(cfg: dict):
+    """Build what the commands run from a parsed config: (grid, encoder
+    config, decoder config, pretrain TrainConfig, finetune TrainConfig).
+
+    Raises ConfigError, naming the field, for any config that could not
+    pretrain to the end.
+    """
+    import numpy as np
+
+    from .targets import make_targets
+    from .tokenizer import patchify, sample_mask
+
+    _validate(cfg)
+    data, model = cfg["data"], cfg["model"]
+    blank = np.zeros((data["T"], data["H"], data["W"], data["channels"]), np.float32)
+    with _field_errors({"clip": "model.cube_t/cube_p"}):
+        _, grid = patchify(blank, model["cube_t"], model["cube_p"])
+    enc, dec = _build_model_cfgs(cfg, grid)
+    pretrain = _build_train_cfg(cfg)
+    finetune = _build_train_cfg(cfg, finetune=True)
+    # One mask and one target draw check the mask and target fields where
+    # they are used. Every mask of a strategy hides the same count whatever
+    # its seed, so a mask that hides nothing here would hide nothing at
+    # every step.
+    with _field_errors({"ratio": "mask.ratio", "strategy": "mask.strategy",
+                        "kind": "targets.kind", "gap": "targets.gap"}):
+        mask = sample_mask(grid, pretrain.mask_ratio, pretrain.mask_strategy, seed=0)
+        make_targets(blank, mask, grid, pretrain.target_config())
+    if mask.num_masked == 0:
+        raise ConfigError(f"mask.ratio {pretrain.mask_ratio} hides no token of the "
+                          f"{grid.num_tokens}-token grid with strategy "
+                          f"{pretrain.mask_strategy!r}")
+    return grid, enc, dec, pretrain, finetune
 
 
 def _load_dataset(root, cfg: dict):
@@ -330,45 +355,55 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config)
+def _pretrain(cfg: dict, clips, out_dir: Path) -> Path:
+    """Pretrain under a loaded config; returns the final checkpoint path."""
     from .training import run_pretrain
 
+    grid, enc, dec, train_cfg, _ = _resolve(cfg)
+    _, _, final = run_pretrain(clips, grid, enc, dec, train_cfg, out_dir,
+                               augment=_make_augment(cfg))
+    return final
+
+
+def _finetune_data(cfg: dict) -> tuple:
+    """(train clips, train labels, val clips, val labels); the val set
+    defaults to the train set."""
+    train = _load_dataset(cfg["data"]["dir"], cfg)
+    val = _load_dataset(cfg["data"]["val_dir"] or cfg["data"]["dir"], cfg)
+    return (*train, *val)
+
+
+def _finetune(cfg: dict, data: tuple, init_from) -> dict:
+    """Finetune under a loaded config on `_finetune_data`; returns the
+    run_finetune report."""
+    from .training import run_finetune
+    from .videodata import DIRECTIONS
+
+    grid, enc, _, _, train_cfg = _resolve(cfg)
+    report, _ = run_finetune(*data, grid, enc, train_cfg,
+                             num_classes=len(DIRECTIONS), init_from=init_from)
+    return report
+
+
+def cmd_pretrain(args) -> int:
+    cfg = load_config(args.config)
     clips, _ = _load_dataset(cfg["data"]["dir"], cfg)
-    grid = _build_grid(cfg)
-    enc, dec = _build_model_cfgs(cfg, grid)
-    train_cfg = _build_train_cfg(cfg)
     out_dir = Path(cfg["out_dir"])
-    run_pretrain(clips, grid, enc, dec, train_cfg, out_dir,
-                 augment=_make_augment(cfg))
+    final = _pretrain(cfg, clips, out_dir)
     last = (out_dir / "loss.csv").read_text().strip().splitlines()[-1]
     print(f"final_loss={last.split(',')[1]}")
-    print(f"checkpoint={out_dir / 'checkpoint_final.mmck'}")
+    print(f"checkpoint={final}")
     return 0
 
 
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     from .evalviz import metrics_report
-    from .model import classify
-    from .training import run_finetune
-    from .videodata import DIRECTIONS
 
-    train_clips, train_labels = _load_dataset(cfg["data"]["dir"], cfg)
-    val_dir = cfg["data"]["val_dir"] or cfg["data"]["dir"]
-    val_clips, val_labels = _load_dataset(val_dir, cfg)
-    grid = _build_grid(cfg)
-    enc, _ = _build_model_cfgs(cfg, grid)
-    train_cfg = _build_train_cfg(cfg, finetune=True)
+    data = _finetune_data(cfg)
     init_from = None if args.init in (None, "none") else args.init
-
-    report, params = run_finetune(train_clips, train_labels, val_clips,
-                                  val_labels, grid, enc, train_cfg,
-                                  num_classes=len(DIRECTIONS),
-                                  init_from=init_from)
-    logits = [classify(c, grid, enc, params, len(DIRECTIONS)).data[0]
-              for c in val_clips]
-    out = metrics_report(logits, val_labels)
+    report = _finetune(cfg, data, init_from)
+    out = metrics_report(report["val_logits"], data[3])
     out["train_top1"] = report["train_top1"]
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,15 +422,15 @@ def cmd_reconstruct(args) -> int:
     from .training import load_checkpoint, params_from_arrays
     from .videodata import SyntheticSpec, generate_moving_square
 
+    grid, enc, dec, _, _ = _resolve(cfg)
     try:
         ratios = [float(r) for r in args.ratio.split(",") if r]
+        masks = [sample_mask(grid, r, cfg["mask"]["strategy"], seed=cfg["seed"] + 2)
+                 for r in ratios]
     except ValueError as e:
-        raise ConfigError(f"--ratio must be a comma-separated float list: {e}") from e
+        raise ConfigError(f"--ratio: {e}") from e
     if not ratios:
         raise ConfigError("--ratio list is empty")
-    for r in ratios:
-        if not 0.0 <= r < 1.0:
-            raise ConfigError(f"reconstruction ratio {r} must lie in [0, 1)")
 
     data = cfg["data"]
     if data["dir"] is not None:
@@ -409,8 +444,6 @@ def cmd_reconstruct(args) -> int:
         clip, _ = generate_moving_square(spec, data["T"], data["H"], data["W"],
                                          seed=int(rng.integers(2 ** 31)),
                                          channels=data["channels"])
-    grid = _build_grid(cfg)
-    enc, dec = _build_model_cfgs(cfg, grid)
     kind = cfg["targets"]["kind"]
     if args.init in (None, "none"):
         params = init_params(enc, dec, seed=cfg["seed"] + 3, target_kind=kind)
@@ -420,8 +453,7 @@ def cmd_reconstruct(args) -> int:
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for r in ratios:
-        mask = sample_mask(grid, r, cfg["mask"]["strategy"], seed=cfg["seed"] + 2)
+    for r, mask in zip(ratios, masks):
         ps, pt = forward_pretrain(clip, mask, grid, enc, dec, params, kind)
         path = out_dir / f"recon_{int(round(r * 100)):02d}.ppm"
         render_reconstruction(clip, mask,
@@ -547,29 +579,22 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-_ABLATION_AXES = ("target_kind", "gap", "loss_kind", "ratio", "decoder")
+# ablation axis -> the config field it sweeps
+_ABLATION_FIELDS = {"target_kind": ("targets", "kind"), "gap": ("targets", "gap"),
+                    "loss_kind": ("train", "loss_kind"), "ratio": ("mask", "ratio"),
+                    "decoder": ("model", "arch")}
+_ABLATION_AXES = tuple(_ABLATION_FIELDS)
 
 
 def _apply_setting(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
-    if axis == "target_kind":
-        out["targets"]["kind"] = value
-    elif axis == "gap":
-        out["targets"]["gap"] = value
-    elif axis == "loss_kind":
-        out["train"]["loss_kind"] = value
-    elif axis == "ratio":
-        out["mask"]["ratio"] = value
-    else:
-        out["model"]["arch"] = value
+    section, key = _ABLATION_FIELDS[axis]
+    out[section][key] = value
     return out
 
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    from .training import run_finetune, run_pretrain
-    from .videodata import DIRECTIONS
-
     if args.axis not in _ABLATION_AXES:
         raise ConfigError(f"--axis must be one of {', '.join(_ABLATION_AXES)}")
     values = {
@@ -579,29 +604,19 @@ def cmd_ablate(args) -> int:
         "ratio": cfg["ablate"]["ratio"],
         "decoder": cfg["ablate"]["decoder"],
     }[args.axis]
+    settings = [_apply_setting(cfg, args.axis, value) for value in values]
+    for sub in settings:  # reject any setting before the first run
+        _resolve(sub)
 
-    train_clips, train_labels = _load_dataset(cfg["data"]["dir"], cfg)
-    val_dir = cfg["data"]["val_dir"] or cfg["data"]["dir"]
-    val_clips, val_labels = _load_dataset(val_dir, cfg)
-
+    data = _finetune_data(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        sub = _apply_setting(cfg, args.axis, value)
-        _validate(sub)
-        grid = _build_grid(sub)
-        enc, dec = _build_model_cfgs(sub, grid)
-        run_dir = out_dir / f"{args.axis}_{value}"
-        _, _, ckpt = run_pretrain(train_clips, grid, enc, dec,
-                                  _build_train_cfg(sub), run_dir,
-                                  augment=_make_augment(sub))
-        report, _ = run_finetune(train_clips, train_labels, val_clips,
-                                 val_labels, grid, enc,
-                                 _build_train_cfg(sub, finetune=True),
-                                 num_classes=len(DIRECTIONS), init_from=ckpt)
-        rows.append((value, report["val_top1"]))
-        print(f"{args.axis}={value}: top1={report['val_top1']:.4f}")
+    for value, sub in zip(values, settings):
+        ckpt = _pretrain(sub, data[0], out_dir / f"{args.axis}_{value}")
+        top1 = _finetune(sub, data, ckpt)["val_top1"]
+        rows.append((value, top1))
+        print(f"{args.axis}={value}: top1={top1:.4f}")
 
     csv_path = out_dir / f"ablate_{args.axis}.csv"
     with open(csv_path, "w") as fh:

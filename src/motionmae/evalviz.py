@@ -1,4 +1,4 @@
-"""Reconstruction image grids, multi-view inference, and accuracy metrics.
+"""Reconstruction image grids and accuracy metrics.
 
 The reconstruction grid stacks four rows of frames: the original clip, the
 masked clip (hidden cubes painted 0.5 gray), the reconstruction (visible
@@ -13,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EncoderConfig, classify
 from .tokenizer import Mask, TokenGrid, patchify, unpatchify
-from .videodata import bilinear_resize, sample_clip
 
 MOTION_RENDER_GAIN = 3.0  # raw temporal differences are faint; amplify for display
 
@@ -138,59 +136,6 @@ def render_reconstruction(
 ) -> None:
     """Write the reconstruction grid for one clip as a P6 PPM file."""
     write_ppm(build_recon_grid(clip, mask, pred_space, pred_time, grid), path)
-
-
-# ---------------------------------------------------------------------------
-# Multi-view inference
-# ---------------------------------------------------------------------------
-
-
-def spatial_three_crop(frames: np.ndarray, out_h: int, out_w: int) -> list[np.ndarray]:
-    """Three square windows tiling the longer spatial axis (start, center,
-    end), each resized to the model's input size."""
-    _, h, w, _ = frames.shape
-    side = min(h, w)
-    crops = []
-    for frac in (0.0, 0.5, 1.0):
-        y0 = int(round((h - side) * frac))
-        x0 = int(round((w - side) * frac))
-        window = frames[:, y0 : y0 + side, x0 : x0 + side, :]
-        if side == out_h == out_w:
-            crops.append(np.ascontiguousarray(window))
-        else:
-            crops.append(bilinear_resize(window, out_h, out_w))
-    return crops
-
-
-def multiview_logits(
-    video: np.ndarray,
-    grid: TokenGrid,
-    enc_cfg: EncoderConfig,
-    params,
-    num_classes: int,
-    k_temporal: int,
-    stride: int = 1,
-) -> np.ndarray:
-    """Average classify() logits over k_temporal clips x 3 spatial crops."""
-    if k_temporal < 1:
-        raise ValueError("need at least one temporal view")
-    T, H, W, _ = grid.clip_shape
-    span = (T - 1) * stride + 1
-    if video.shape[0] < span:
-        raise ValueError(f"video of {video.shape[0]} frames too short for "
-                         f"{T} frames at stride {stride}")
-    if k_temporal == 1:
-        starts = [0]
-    else:
-        starts = np.rint(
-            np.linspace(0, video.shape[0] - span, k_temporal)
-        ).astype(int).tolist()
-    total = np.zeros(num_classes, dtype=np.float64)
-    for start in starts:
-        frames = sample_clip(video, T, stride, start)
-        for crop in spatial_three_crop(frames, H, W):
-            total += classify(crop, grid, enc_cfg, params, num_classes).data[0]
-    return total / (3 * len(starts))
 
 
 # ---------------------------------------------------------------------------

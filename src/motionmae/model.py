@@ -25,6 +25,7 @@ from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc, split_visible
 
 DECODER_ARCHS = ("parallel", "shared")
 HEADS = ("space", "time")
+HEADS_OF_KIND = {"frame": ("space",), "motion": ("time",), "both": HEADS}
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,10 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise ValueError("encoder depth must be >= 1")
-        if self.embed_dim % self.heads:
-            raise ValueError(f"embed dim {self.embed_dim} not divisible by "
-                             f"{self.heads} heads")
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.heads < 1 or self.embed_dim % self.heads:
+            raise ValueError(f"heads {self.heads} do not divide embed_dim "
+                             f"{self.embed_dim}")
 
     @property
     def mlp_dim(self) -> int:
@@ -60,11 +61,11 @@ class DecoderConfig:
     def __post_init__(self):
         # depth 0 is tolerated here so tests can build scatter-only stubs;
         # run configs reject it before anything reaches this type
-        if self.embed_dim % self.heads:
-            raise ValueError(f"decoder dim {self.embed_dim} not divisible by "
-                             f"{self.heads} heads")
+        if self.heads < 1 or self.embed_dim % self.heads:
+            raise ValueError(f"heads {self.heads} do not divide embed_dim "
+                             f"{self.embed_dim}")
         if self.arch not in DECODER_ARCHS:
-            raise ValueError(f"decoder arch must be one of {DECODER_ARCHS}")
+            raise ValueError(f"arch {self.arch!r} is not one of {DECODER_ARCHS}")
 
     @property
     def mlp_dim(self) -> int:
@@ -89,7 +90,7 @@ _PRESETS = {
 def preset_configs(name: str, grid: TokenGrid, arch: str = "parallel"):
     """Encoder/decoder configs for a named size, shaped to the token grid."""
     if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+        raise ValueError(f"preset {name!r} is not one of {sorted(_PRESETS)}")
     e = _PRESETS[name]["enc"]
     d = _PRESETS[name]["dec"]
     enc = EncoderConfig(depth=e[0], embed_dim=e[1], heads=e[2], mlp_ratio=e[3],
@@ -175,7 +176,7 @@ def init_params(
     _stack_params(params, "enc", enc.depth, enc.embed_dim, enc.mlp_dim, rng, dtype)
 
     if dec is not None:
-        heads = {"frame": ("space",), "motion": ("time",), "both": HEADS}[target_kind]
+        heads = HEADS_OF_KIND[target_kind]
         stacks = ("shared",) if dec.arch == "shared" else heads
         for stack in stacks:
             params[f"dec.{stack}.embed.w"] = Tensor(
@@ -196,10 +197,6 @@ def init_params(
     return params
 
 
-def param_count(params: dict[str, Tensor], prefix: str = "") -> int:
-    return sum(p.size for name, p in params.items() if name.startswith(prefix))
-
-
 def params_dtype(params: dict[str, Tensor]):
     return next(iter(params.values())).dtype
 
@@ -213,7 +210,7 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
     return nm.add(nm.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
 
 
-def _attention(x: Tensor, params, prefix: str, heads: int, attn_sink=None) -> Tensor:
+def _attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     n, dim = x.shape
     dh = dim // heads
 
@@ -226,15 +223,13 @@ def _attention(x: Tensor, params, prefix: str, heads: int, attn_sink=None) -> Te
 
     scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     probs = nm.softmax(scores, axis=-1)
-    if attn_sink is not None:
-        attn_sink.append(probs.data.copy())
     mixed = nm.reshape(nm.transpose(nm.matmul(probs, v), (1, 0, 2)), (n, dim))
     return nm.add(nm.matmul(mixed, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
-def _block(x: Tensor, params, prefix: str, heads: int, attn_sink=None) -> Tensor:
+def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     h = nm.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    x = nm.add(x, _attention(h, params, f"{prefix}.attn", heads, attn_sink))
+    x = nm.add(x, _attention(h, params, f"{prefix}.attn", heads))
     h = nm.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     return nm.add(x, _mlp(h, params, prefix))
 
@@ -245,10 +240,9 @@ def _mlp(h: Tensor, params, prefix: str) -> Tensor:
     return nm.add(nm.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
 
 
-def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int,
-               attn_sink=None) -> Tensor:
+def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor:
     for i in range(depth):
-        x = _block(x, params, f"{prefix}.block{i}", heads, attn_sink)
+        x = _block(x, params, f"{prefix}.block{i}", heads)
     return nm.layer_norm(x, params[f"{prefix}.ln_out.g"], params[f"{prefix}.ln_out.b"])
 
 
@@ -263,20 +257,16 @@ def encode(
     grid: TokenGrid,
     cfg: EncoderConfig,
     params: dict[str, Tensor],
-    use_posenc: bool = True,
-    attn_sink=None,
 ) -> Tensor:
     """Embed and contextualize the visible tokens; one latent per input row."""
     dtype = params_dtype(params)
-    if not isinstance(visible_tokens, Tensor):
-        visible_tokens = Tensor(np.ascontiguousarray(visible_tokens, dtype=dtype))
+    visible_tokens = Tensor(np.ascontiguousarray(visible_tokens, dtype=dtype))
     if visible_tokens.shape[0] < 1:
         raise ValueError("encoder needs at least one visible token")
     x = _linear(visible_tokens, params, "patch_proj")
-    if use_posenc:
-        pos = sincos_posenc(grid, cfg.embed_dim)[np.asarray(visible_indices)]
-        x = nm.add(x, Tensor(pos.astype(dtype)))
-    return _run_stack(x, params, "enc", cfg.depth, cfg.heads, attn_sink)
+    pos = sincos_posenc(grid, cfg.embed_dim)[np.asarray(visible_indices)]
+    x = nm.add(x, Tensor(pos.astype(dtype)))
+    return _run_stack(x, params, "enc", cfg.depth, cfg.heads)
 
 
 def decode(
@@ -285,17 +275,16 @@ def decode(
     grid: TokenGrid,
     cfg: DecoderConfig,
     params: dict[str, Tensor],
-    head: str,
-    use_posenc: bool = True,
-    attn_sink=None,
-) -> Tensor:
-    """Predict the head's output at every grid position (visible included)."""
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}")
-    if f"dec.{head}.out.w" not in params:
-        raise ValueError(f"{head} head was not built for this model "
-                         "(disabled by the target kind)")
-    stack = "shared" if cfg.arch == "shared" else head
+    heads: tuple[str, ...] = HEADS,
+) -> dict[str, Tensor]:
+    """Predict each head's output at every grid position (visible included).
+
+    A shared decoder runs its one stack once and feeds every head from it.
+    """
+    for head in heads:
+        if f"dec.{head}.out.w" not in params:
+            raise ValueError(f"no {head!r} head in this model (unknown, or "
+                             "disabled by the target kind)")
     dtype = params_dtype(params)
     n = grid.num_tokens
     vis_idx = mask.visible_indices
@@ -303,16 +292,20 @@ def decode(
     if latents.shape[0] != vis_idx.size:
         raise ValueError(f"{latents.shape[0]} latents for {vis_idx.size} visible tokens")
 
-    y = _linear(latents, params, f"dec.{stack}.embed")
-    placed = nm.scatter_rows(y, vis_idx, n)
-    if mask_idx.size:
-        fills = nm.broadcast_rows(params[f"dec.{stack}.mask_token"], mask_idx.size)
-        placed = nm.add(placed, nm.scatter_rows(fills, mask_idx, n))
-    if use_posenc:
+    stacks = {"shared": heads} if cfg.arch == "shared" else {h: (h,) for h in heads}
+    preds = {}
+    for stack, fed in stacks.items():
+        y = _linear(latents, params, f"dec.{stack}.embed")
+        placed = nm.scatter_rows(y, vis_idx, n)
+        if mask_idx.size:
+            fills = nm.broadcast_rows(params[f"dec.{stack}.mask_token"], mask_idx.size)
+            placed = nm.add(placed, nm.scatter_rows(fills, mask_idx, n))
         pos = sincos_posenc(grid, cfg.embed_dim)
         placed = nm.add(placed, Tensor(pos.astype(dtype)))
-    out = _run_stack(placed, params, f"dec.{stack}", cfg.depth, cfg.heads, attn_sink)
-    return _linear(out, params, f"dec.{head}.out")
+        out = _run_stack(placed, params, f"dec.{stack}", cfg.depth, cfg.heads)
+        for head in fed:
+            preds[head] = _linear(out, params, f"dec.{head}.out")
+    return preds
 
 
 def forward_pretrain(
@@ -323,7 +316,6 @@ def forward_pretrain(
     dec_cfg: DecoderConfig,
     params: dict[str, Tensor],
     target_kind: str = "both",
-    use_posenc: bool = True,
 ) -> tuple[Tensor | None, Tensor | None]:
     """Masked forward pass: returns (space predictions, time predictions),
     each N x out_dim, with disabled heads as None."""
@@ -331,13 +323,9 @@ def forward_pretrain(
     if got != grid:
         raise ValueError(f"clip tokenizes to {got}, expected {grid}")
     visible, vis_idx, _ = split_visible(tokens, mask)
-    latents = encode(visible, vis_idx, grid, enc_cfg, params, use_posenc)
-    pred_space = pred_time = None
-    if target_kind in ("frame", "both"):
-        pred_space = decode(latents, mask, grid, dec_cfg, params, "space", use_posenc)
-    if target_kind in ("motion", "both"):
-        pred_time = decode(latents, mask, grid, dec_cfg, params, "time", use_posenc)
-    return pred_space, pred_time
+    latents = encode(visible, vis_idx, grid, enc_cfg, params)
+    preds = decode(latents, mask, grid, dec_cfg, params, HEADS_OF_KIND[target_kind])
+    return preds.get("space"), preds.get("time")
 
 
 def classify(
@@ -346,7 +334,6 @@ def classify(
     cfg: EncoderConfig,
     params: dict[str, Tensor],
     num_classes: int,
-    use_posenc: bool = True,
 ) -> Tensor:
     """Encode every token (nothing masked), mean-pool, project to logits."""
     if params["cls.b"].shape != (num_classes,):
@@ -355,7 +342,7 @@ def classify(
     tokens, got = patchify(clip, grid.ct, grid.cp)
     if got != grid:
         raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-    latents = encode(tokens, np.arange(grid.num_tokens), grid, cfg, params, use_posenc)
+    latents = encode(tokens, np.arange(grid.num_tokens), grid, cfg, params)
     pooled = nm.mean_axis(latents, axis=0)
     return nm.add(nm.matmul(nm.reshape(pooled, (1, cfg.embed_dim)), params["cls.w"]),
                   params["cls.b"])

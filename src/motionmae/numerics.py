@@ -44,10 +44,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -61,33 +57,6 @@ class Tensor:
     def __repr__(self):
         tracked = "" if self.tape is None else f", node_id={self.node_id}"
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tracked})"
-
-    # operator sugar; constants are wrapped untracked with matching dtype
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -118,12 +87,6 @@ class Tape:
 
     def __len__(self):
         return len(self._records)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _result(arr: np.ndarray, inputs: tuple, rule) -> Tensor:

@@ -26,9 +26,9 @@ class TargetConfig:
 
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
-            raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind {self.kind!r} is not one of {TARGET_KINDS}")
         if self.gap < 1:
-            raise ValueError(f"motion gap must be >= 1, got {self.gap}")
+            raise ValueError(f"gap must be >= 1, got {self.gap}")
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,11 @@ class TargetBundle:
 
     space: np.ndarray | None
     time: np.ndarray | None
-    gap: int
-    norm_stats: np.ndarray | None = None  # (M, 2) rows of (mean, std)
-
-    @property
-    def num_rows(self) -> int:
-        for part in (self.space, self.time):
-            if part is not None:
-                return part.shape[0]
-        return 0
 
 
 def make_space_target(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, normalize_per_patch: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Masked tokens' pixel content, optionally standardized per token row."""
     tokens, got = patchify(clip, grid.ct, grid.cp)
     if got != grid:
@@ -59,35 +50,31 @@ def make_space_target(
         raise ValueError("mask does not cover the token grid")
     rows = tokens[mask.masked_indices].astype(np.float32)
     if not normalize_per_patch:
-        return rows, None
+        return rows
     mean = rows.mean(axis=1, keepdims=True)
     std = np.maximum(rows.std(axis=1, keepdims=True), np.float32(1e-6))
-    stats = np.concatenate([mean, std], axis=1)
-    return (rows - mean) / std, stats
+    return (rows - mean) / std
 
 
-def difference_video(clip: np.ndarray, gap: int, signed: bool = False) -> np.ndarray:
-    """Per-frame temporal difference, clamped at the clip end.
-
-    out[t] = clip[min(t + gap, T-1)] - clip[t], absolute unless signed.
-    """
+def difference_video(clip: np.ndarray, gap: int) -> np.ndarray:
+    """Per-frame absolute temporal difference, clamped at the clip end:
+    out[t] = |clip[min(t + gap, T-1)] - clip[t]|."""
     T = clip.shape[0]
     if not 1 <= gap < T:
         raise ValueError(f"gap must satisfy 1 <= gap < T={T}, got {gap}")
     ahead = np.minimum(np.arange(T) + gap, T - 1)
-    diff = clip[ahead] - clip
-    return diff if signed else np.abs(diff)
+    return np.abs(clip[ahead] - clip)
 
 
 def make_motion_target(
-    clip: np.ndarray, mask: Mask, grid: TokenGrid, gap: int, signed: bool = False
+    clip: np.ndarray, mask: Mask, grid: TokenGrid, gap: int
 ) -> np.ndarray:
     """Temporal-difference patches at each masked token's anchor frame."""
     if clip.shape != grid.clip_shape:
         raise ValueError(f"clip {clip.shape} does not match grid {grid.clip_shape}")
     if mask.bits.shape[0] != grid.num_tokens:
         raise ValueError("mask does not cover the token grid")
-    diff = difference_video(clip, gap, signed=signed)
+    diff = difference_video(clip, gap)
     anchors = diff[:: grid.ct]  # frame ct*tau for each temporal slot
     maps = (
         anchors.reshape(grid.gt, grid.gh, grid.cp, grid.gw, grid.cp, grid.channels)
@@ -101,9 +88,9 @@ def make_targets(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, cfg: TargetConfig
 ) -> TargetBundle:
     """Build whichever targets the configured kind requests."""
-    space = stats = time = None
+    space = time = None
     if cfg.kind in ("frame", "both"):
-        space, stats = make_space_target(clip, mask, grid, cfg.normalize_space)
+        space = make_space_target(clip, mask, grid, cfg.normalize_space)
     if cfg.kind in ("motion", "both"):
         time = make_motion_target(clip, mask, grid, cfg.gap)
-    return TargetBundle(space=space, time=time, gap=cfg.gap, norm_stats=stats)
+    return TargetBundle(space=space, time=time)

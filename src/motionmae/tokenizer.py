@@ -148,10 +148,9 @@ def sample_mask(grid: TokenGrid, ratio: float, strategy: str, seed: int) -> Mask
     """Draw a mask; hidden counts follow the floor rule at each strategy's
     granularity (tokens, spatial cells, or temporal slots)."""
     if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"mask ratio must lie in [0, 1), got {ratio}")
+        raise ValueError(f"ratio must lie in [0, 1), got {ratio}")
     if strategy not in MASK_STRATEGIES:
-        raise ValueError(f"unknown mask strategy {strategy!r}; "
-                         f"choose from {MASK_STRATEGIES}")
+        raise ValueError(f"strategy {strategy!r} is not one of {MASK_STRATEGIES}")
     rng = np.random.default_rng(seed)
     n = grid.num_tokens
     bits = np.zeros(n, dtype=bool)

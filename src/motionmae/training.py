@@ -76,25 +76,25 @@ class TrainConfig:
     gap: int = 1
     normalize_space: bool = False
     seed: int = 0
-    precision: str = "single"
     log_interval: int = 10
     checkpoint_interval: int = 0  # 0 = only at the end
 
     def __post_init__(self):
+        # each message starts with the field it rejects
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.lam < 0:
-            raise ValueError("time-loss weight must be nonnegative")
+            raise ValueError("lam (the time-loss weight) must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
-        if self.precision not in ("single", "double"):
-            raise ValueError("precision must be 'single' or 'double'")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "single" else np.float64
+            raise ValueError(f"loss_kind {self.loss_kind!r} is not one of {LOSS_KINDS}")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be >= 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0 (0 = only at the end)")
 
     def target_config(self) -> TargetConfig:
         return TargetConfig(kind=self.target_kind, gap=self.gap,
@@ -257,7 +257,7 @@ def run_pretrain(
         params = params_from_arrays(arrays)
     else:
         params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + 3,
-                             target_kind=cfg.target_kind, dtype=cfg.dtype)
+                             target_kind=cfg.target_kind)
         opt = OptimState.for_params(params)
         start_step = 0
 
@@ -297,12 +297,12 @@ def evaluate_top1(
     enc_cfg: EncoderConfig,
     params: dict[str, Tensor],
     num_classes: int,
-) -> float:
-    hits = 0
-    for clip, label in zip(clips, labels):
-        logits = classify(clip, grid, enc_cfg, params, num_classes).data[0]
-        hits += int(np.argmax(logits) == label)
-    return hits / len(clips)
+) -> tuple[float, list[np.ndarray]]:
+    """Top-1 accuracy over the clips, and the logit row of each clip."""
+    logits = [classify(clip, grid, enc_cfg, params, num_classes).data[0]
+              for clip in clips]
+    hits = sum(int(np.argmax(row) == label) for row, label in zip(logits, labels))
+    return hits / len(clips), logits
 
 
 def run_finetune(
@@ -318,14 +318,15 @@ def run_finetune(
 ) -> tuple[dict, dict[str, Tensor]]:
     """Train encoder + classifier with cross-entropy; returns (report, params).
 
-    init_from may be a checkpoint path: its encoder weights (patch projection
-    included) are copied in, everything decoder-side is discarded, and the
-    classifier head starts fresh.
+    The report holds the train and val top-1 and the val logit rows
+    (`val_logits`). init_from may be a checkpoint path: its encoder weights
+    (patch projection included) are copied in, everything decoder-side is
+    discarded, and the classifier head starts fresh.
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
     params = init_params(enc_cfg, None, seed=cfg.seed + 3,
-                         num_classes=num_classes, dtype=cfg.dtype)
+                         num_classes=num_classes)
     if init_from is not None:
         loaded, _, _ = load_checkpoint(init_from)
         for name, arr in loaded.items():
@@ -336,7 +337,7 @@ def run_finetune(
                 if arr.shape != params[name].shape:
                     raise ValueError(f"shape mismatch for {name!r}: checkpoint "
                                      f"{arr.shape} vs model {params[name].shape}")
-                params[name] = Tensor(arr.astype(cfg.dtype))
+                params[name] = Tensor(arr)
     opt = OptimState.for_params(params)
 
     n = len(train_clips)
@@ -359,13 +360,16 @@ def run_finetune(
                    lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
                    eps=cfg.eps, weight_decay=cfg.weight_decay)
 
+    train_top1, _ = evaluate_top1(train_clips, train_labels, grid, enc_cfg,
+                                  params, num_classes)
+    val_top1, val_logits = evaluate_top1(val_clips, val_labels, grid, enc_cfg,
+                                         params, num_classes)
     report = {
-        "train_top1": evaluate_top1(train_clips, train_labels, grid, enc_cfg,
-                                    params, num_classes),
-        "val_top1": evaluate_top1(val_clips, val_labels, grid, enc_cfg,
-                                  params, num_classes),
+        "train_top1": train_top1,
+        "val_top1": val_top1,
         "n_train": len(train_clips),
         "n_val": len(val_clips),
+        "val_logits": val_logits,
     }
     return report, params
 

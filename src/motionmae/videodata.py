@@ -1,4 +1,4 @@
-"""Synthetic video generation, clip sampling, augmentations, and raw clip files.
+"""Synthetic video generation, augmentations, and raw clip files.
 
 Clips are float32 arrays of shape (T, H, W, C) with values in [0, 1]. The
 synthetic generator renders a translating square with integer per-frame
@@ -71,15 +71,6 @@ class SyntheticSpec:
                 raise ValueError(f"label {self.label!r} inconsistent with velocity {self.velocity}")
 
 
-def label_for_velocity(dx: int, dy: int) -> str:
-    """Direction class of an axis-aligned velocity (exactly one axis nonzero)."""
-    if dx != 0 and dy == 0:
-        return "right" if dx > 0 else "left"
-    if dy != 0 and dx == 0:
-        return "down" if dy > 0 else "up"
-    raise ValueError(f"velocity {(dx, dy)} is not axis-aligned and nonzero")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
@@ -108,18 +99,6 @@ def generate_moving_square(
         cols = (x0 + t * dx + span) % W
         clip[t][np.ix_(rows, cols)] = spec.object_level
     return clip, spec.label
-
-
-def sample_clip(video: np.ndarray, T: int, stride: int, start: int) -> np.ndarray:
-    """Pick T frames at a fixed temporal stride: start, start+stride, ..."""
-    L = video.shape[0]
-    if T < 1 or stride < 1 or start < 0:
-        raise ValueError("T and stride must be >= 1, start >= 0")
-    last = start + (T - 1) * stride
-    if last >= L:
-        raise ValueError(f"clip [{start}:{last}] with stride {stride} "
-                         f"exceeds video of length {L}")
-    return np.ascontiguousarray(video[start : last + 1 : stride])
 
 
 # ---------------------------------------------------------------------------

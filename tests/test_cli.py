@@ -98,6 +98,17 @@ def test_explicit_dims_accepted_without_preset(tmp_path):
     assert cfg["model"]["enc_dim"] == 8
 
 
+@pytest.mark.parametrize("key", ["enc_heads", "dec_heads"])
+def test_zero_heads_rejected_at_load(tmp_path, key):
+    model = {"preset": None, "enc_depth": 1, "enc_dim": 8, "enc_heads": 2,
+             "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
+             "dec_mlp": 2.0, key: 0}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"model": model}))
+    with pytest.raises(ConfigError, match=f"model.{key}"):
+        load_config(str(p))
+
+
 def test_invalid_json_is_config_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")
@@ -144,6 +155,32 @@ def test_exit_code_bad_ablation_axis(tmp_path):
     assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
     assert main(["ablate", "--config", write_cfg(tmp_path),
                  "--axis", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("sections,field", [
+    ({"train": {"log_interval": 0}}, "train.log_interval"),
+    ({"train": {"total_steps": 0, "warmup_steps": 0}}, "train.total_steps"),
+    ({"train": {"checkpoint_interval": -1}}, "train.checkpoint_interval"),
+    ({"train": {"finetune_steps": -1}}, "train.finetune_steps"),
+    ({"targets": {"gap": 4}}, "targets.gap"),  # as long as the T=4 clips
+    ({"mask": {"ratio": 0.0}}, "mask.ratio"),
+    ({"mask": {"strategy": "time_only"}, "data": {"T": 2}}, "mask.ratio"),  # one slot
+])
+def test_exit_code_untrainable_config(tmp_path, capsys, sections, field):
+    data = sections.get("data", {})
+    assert main(["gen-data", "--config", write_cfg(tmp_path, data=data)]) == 0
+    assert main(["pretrain", "--config", write_cfg(tmp_path, **sections)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
+    cfg = write_cfg(tmp_path, train={"total_steps": 2, "warmup_steps": 0,
+                                     "finetune_steps": 2},
+                    ablate={"ratio": [0.5, 1.0]})
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["ablate", "--config", cfg, "--axis", "ratio"]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 # ---- gen-data ----
@@ -225,6 +262,26 @@ def test_finetune_from_pretrained_checkpoint(tmp_path):
     ckpt = tmp_path / "run" / "checkpoint_final.mmck"
     assert main(["finetune", "--config", cfg, "--init", str(ckpt)]) == 0
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
+    from motionmae import model, training
+
+    calls = []
+
+    def counting(classify):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return classify(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training, "classify", counting(training.classify))
+    monkeypatch.setattr(model, "classify", counting(model.classify))
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["finetune", "--config", cfg]) == 0
+    # 8 steps of batch 2, then one pass over the 8 train and the 8 val clips
+    assert len(calls) == 8 * 2 + 8 + 8
 
 
 # ---- reconstruct ----

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from motionmae import evalviz as ev
-from motionmae import model as md
 from motionmae import tokenizer as tk
 
 
@@ -106,48 +105,6 @@ def test_motion_row_zero_when_head_absent():
     clip, grid, mask, ps, _ = _setup()
     buf = ev.build_recon_grid(clip, mask, ps, None, grid)
     np.testing.assert_array_equal(buf[48:], 0.0)
-
-
-# ---- multiview ----
-
-
-def _clf_setup(seed=0):
-    grid = tk.TokenGrid(4, 4, 4, 2, 4, 1)
-    enc, _ = md.preset_configs("tiny", grid)
-    params = md.init_params(enc, None, seed=seed, num_classes=4)
-    return grid, enc, params
-
-
-def test_multiview_single_square_view_equals_classify():
-    grid, enc, params = _clf_setup(1)
-    video = np.random.default_rng(2).uniform(size=(8, 16, 16, 1)).astype(np.float32)
-    got = ev.multiview_logits(video, grid, enc, params, 4, k_temporal=1)
-    single = md.classify(video, grid, enc, params, 4).data[0]
-    np.testing.assert_array_equal(got, single)
-
-
-def test_multiview_two_clips_hand_averaged():
-    grid, enc, params = _clf_setup(3)
-    video = np.random.default_rng(4).uniform(size=(12, 16, 16, 1)).astype(np.float32)
-    got = ev.multiview_logits(video, grid, enc, params, 4, k_temporal=2)
-    a = md.classify(video[0:8], grid, enc, params, 4).data[0]
-    b = md.classify(video[4:12], grid, enc, params, 4).data[0]
-    np.testing.assert_allclose(got, (3 * a.astype(np.float64) + 3 * b) / 6, rtol=1e-6)
-
-
-def test_multiview_rejects_short_video():
-    grid, enc, params = _clf_setup(5)
-    video = np.zeros((4, 16, 16, 1), dtype=np.float32)
-    with pytest.raises(ValueError):
-        ev.multiview_logits(video, grid, enc, params, 4, k_temporal=1, stride=2)
-
-
-def test_three_crop_tiles_longer_axis():
-    frames = np.random.default_rng(6).uniform(size=(2, 8, 16, 1)).astype(np.float32)
-    crops = ev.spatial_three_crop(frames, 8, 8)
-    np.testing.assert_array_equal(crops[0], frames[:, :, 0:8])
-    np.testing.assert_array_equal(crops[1], frames[:, :, 4:12])
-    np.testing.assert_array_equal(crops[2], frames[:, :, 8:16])
 
 
 # ---- metrics ----

@@ -94,12 +94,20 @@ def test_encode_matches_straight_line_oracle():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_attention_rows_sum_to_one_every_layer():
+def test_attention_rows_sum_to_one_every_layer(monkeypatch):
     clip, grid, enc, dec, params, mask = _tiny_setup(ratio=0.5)
     tokens, _ = tk.patchify(clip, 2, 4)
     vis, vis_idx, _ = tk.split_visible(tokens, mask)
     sink = []
-    md.encode(vis, vis_idx, grid, enc, params, attn_sink=sink)
+    real_softmax = nm.softmax
+
+    def softmax(x, axis=-1):
+        out = real_softmax(x, axis)
+        sink.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(md.nm, "softmax", softmax)
+    md.encode(vis, vis_idx, grid, enc, params)
     assert len(sink) == enc.depth
     for probs in sink:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -124,7 +132,8 @@ def test_full_scale_space_head_dim():
 
 def test_decode_scatter_routing_with_stub():
     """Zero-depth decoder with identity projections exposes the scatter: each
-    masked slot shows the mask token, each visible slot its own latent."""
+    masked slot shows the mask token, each visible slot its own latent, each
+    plus the position code of its slot."""
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
     dec = md.DecoderConfig(depth=0, embed_dim=8, heads=2, mlp_ratio=1.0,
                            space_dim=8, time_dim=4)
@@ -140,7 +149,8 @@ def test_decode_scatter_routing_with_stub():
     }
     mask = tk.sample_mask(grid, 0.5, "random", seed=8)
     latents = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
-    out = md.decode(latents, mask, grid, dec, params, "space", use_posenc=False).data
+    out = md.decode(latents, mask, grid, dec, params, ("space",))["space"].data
+    pos = tk.sincos_posenc(grid, 8)
 
     def ln(x):
         mu = x.mean(-1, keepdims=True)
@@ -148,14 +158,14 @@ def test_decode_scatter_routing_with_stub():
 
     tok = params["dec.space.mask_token"].data
     for row in mask.masked_indices:
-        np.testing.assert_allclose(out[row], ln(tok), atol=1e-6)
+        np.testing.assert_allclose(out[row], ln(tok + pos[row]), atol=1e-5)
     for i, row in enumerate(mask.visible_indices):
-        np.testing.assert_allclose(out[row], ln(latents.data[i]), atol=1e-6)
+        np.testing.assert_allclose(out[row], ln(latents.data[i] + pos[row]), atol=1e-5)
 
     # perturbing latent row 0 may move only its own grid position
     latents2 = Tensor(latents.data.copy())
     latents2.data[0] += 1.0
-    out2 = md.decode(latents2, mask, grid, dec, params, "space", use_posenc=False).data
+    out2 = md.decode(latents2, mask, grid, dec, params, ("space",))["space"].data
     changed = np.flatnonzero(np.abs(out2 - out).sum(axis=1))
     assert changed.tolist() == [int(mask.visible_indices[0])]
 
@@ -179,13 +189,31 @@ def test_shared_stack_couples_heads():
     assert (time_a.data != time_b.data).any()
 
 
+@pytest.mark.parametrize("arch,stacks", [
+    ("parallel", ["enc", "dec.space", "dec.time"]),
+    ("shared", ["enc", "dec.shared"]),
+])
+def test_each_decoder_stack_runs_once(monkeypatch, arch, stacks):
+    clip, grid, enc, dec, params, mask = _tiny_setup(arch=arch)
+    ran = []
+    real_run_stack = md._run_stack
+
+    def run_stack(x, params, prefix, *args):
+        ran.append(prefix)
+        return real_run_stack(x, params, prefix, *args)
+
+    monkeypatch.setattr(md, "_run_stack", run_stack)
+    md.forward_pretrain(clip, mask, grid, enc, dec, params)
+    assert ran == stacks
+
+
 def test_decode_disabled_head_rejected():
     clip, grid, enc, dec, params, mask = _tiny_setup(target_kind="frame")
     tokens, _ = tk.patchify(clip, 2, 4)
     vis, vis_idx, _ = tk.split_visible(tokens, mask)
     latents = md.encode(vis, vis_idx, grid, enc, params)
     with pytest.raises(ValueError):
-        md.decode(latents, mask, grid, dec, params, "time")
+        md.decode(latents, mask, grid, dec, params, ("time",))
 
 
 def test_forward_pretrain_frame_kind_omits_time():
@@ -223,21 +251,22 @@ def test_heads_blind_to_masked_pixels():
 def test_end_to_end_gradient_spot_check():
     grid = tk.TokenGrid(2, 1, 1, 1, 2, 1)
     enc = md.EncoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=1.0, token_dim=4)
-    dec = md.DecoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=1.0,
-                           space_dim=4, time_dim=4)
-    params = md.init_params(enc, dec, seed=11, dtype=np.float64)
     clip = np.random.default_rng(12).uniform(size=(2, 2, 2, 1))
     mask = tk.sample_mask(grid, 0.5, "random", seed=13)
-    probe = ["patch_proj.w", "enc.block0.attn.wq", "enc.block0.mlp.w1",
-             "dec.space.mask_token", "dec.time.out.w", "enc.ln_out.g"]
+    for arch, stack in (("parallel", "space"), ("shared", "shared")):
+        dec = md.DecoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=1.0,
+                               space_dim=4, time_dim=4, arch=arch)
+        params = md.init_params(enc, dec, seed=11, dtype=np.float64)
+        probe = ["patch_proj.w", "enc.block0.attn.wq", "enc.block0.mlp.w1",
+                 f"dec.{stack}.mask_token", f"dec.{stack}.block0.mlp.w1",
+                 "dec.time.out.w", "enc.ln_out.g"]
 
-    def f(_):
-        ps, pt = md.forward_pretrain(clip, mask, grid, enc, dec, params,
-                                     use_posenc=True)
-        return nm.add(nm.mean_all(nm.mul(ps, ps)), nm.mean_all(nm.mul(pt, pt)))
+        def f(_):
+            ps, pt = md.forward_pretrain(clip, mask, grid, enc, dec, params)
+            return nm.add(nm.mean_all(nm.mul(ps, ps)), nm.mean_all(nm.mul(pt, pt)))
 
-    err = nm.finite_diff_check(f, [params[k] for k in probe])
-    assert err < 1e-4, f"max relative gradient error {err:.3e}"
+        err = nm.finite_diff_check(f, [params[k] for k in probe])
+        assert err < 1e-4, f"{arch}: max relative gradient error {err:.3e}"
 
 
 # ---- classify ----
@@ -253,7 +282,7 @@ def test_classify_logit_shape():
         md.classify(clip, grid, enc, clip_params, num_classes=7)
 
 
-def test_classify_permutation_invariant_without_posenc():
+def test_classify_permutation_invariant_without_posenc(monkeypatch):
     clip = np.random.default_rng(21).uniform(size=(8, 16, 16, 1)).astype(np.float32)
     tokens, grid = tk.patchify(clip, 2, 4)
     enc, _ = md.preset_configs("tiny", grid)
@@ -263,12 +292,16 @@ def test_classify_permutation_invariant_without_posenc():
     swapped[[3, 40]] = swapped[[40, 3]]
     clip2 = tk.unpatchify(swapped, grid)
 
-    a = md.classify(clip, grid, enc, params, 4, use_posenc=False).data
-    b = md.classify(clip2, grid, enc, params, 4, use_posenc=False).data
-    np.testing.assert_allclose(a, b, atol=1e-10)
+    # position codes are what tells the two clips apart
+    a = md.classify(clip, grid, enc, params, 4).data
+    b = md.classify(clip2, grid, enc, params, 4).data
+    assert not np.allclose(a, b, atol=1e-10)
 
-    c = md.classify(clip2, grid, enc, params, 4, use_posenc=True).data
-    assert not np.allclose(a, c, atol=1e-10)
+    monkeypatch.setattr(md, "sincos_posenc",
+                        lambda g, dim: np.zeros((g.num_tokens, dim)))
+    a = md.classify(clip, grid, enc, params, 4).data
+    b = md.classify(clip2, grid, enc, params, 4).data
+    np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_untrained_classifier_sits_at_chance():
@@ -301,8 +334,10 @@ def test_decoder_lighter_than_encoder_at_full_shape():
     for preset in ("tiny", "desk", "base"):
         enc, dec = md.preset_configs(preset, grid)
         params = md.init_params(enc, dec, seed=1)
-        enc_n = md.param_count(params, "enc") + md.param_count(params, "patch_proj")
-        dec_n = md.param_count(params, "dec")
+        count = lambda prefix: sum(p.size for k, p in params.items()
+                                   if k.startswith(prefix))
+        enc_n = count("enc") + count("patch_proj")
+        dec_n = count("dec")
         assert dec_n < enc_n, f"{preset}: decoder {dec_n} >= encoder {enc_n}"
 
 

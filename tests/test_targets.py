@@ -23,8 +23,7 @@ def _full_mask(grid):
 def test_space_target_raw_equals_patch_pixels():
     clip, grid = _grid_and_clip(1)
     mask = tk.sample_mask(grid, 0.5, "random", seed=2)
-    rows, stats = tg.make_space_target(clip, mask, grid, normalize_per_patch=False)
-    assert stats is None
+    rows = tg.make_space_target(clip, mask, grid, normalize_per_patch=False)
     tokens, _ = tk.patchify(clip, grid.ct, grid.cp)
     np.testing.assert_array_equal(rows, tokens[mask.masked_indices])
 
@@ -33,7 +32,7 @@ def test_space_target_naive_gather_oracle():
     """Rows match an independent per-pixel gather over cube coordinates."""
     clip, grid = _grid_and_clip(3, T=4, H=8, W=8, C=2, ct=2, cp=4)
     mask = tk.sample_mask(grid, 0.5, "random", seed=4)
-    rows, _ = tg.make_space_target(clip, mask, grid)
+    rows = tg.make_space_target(clip, mask, grid)
     for r, tok in enumerate(mask.masked_indices):
         tau, rem = divmod(int(tok), grid.gh * grid.gw)
         h, w = divmod(rem, grid.gw)
@@ -52,18 +51,17 @@ def test_space_target_constant_clip_normalizes_to_zero():
     clip = np.full((4, 8, 8, 1), 0.6, dtype=np.float32)
     _, grid = tk.patchify(clip, 2, 4)
     mask = tk.sample_mask(grid, 0.5, "random", seed=5)
-    rows, stats = tg.make_space_target(clip, mask, grid, normalize_per_patch=True)
+    rows = tg.make_space_target(clip, mask, grid, normalize_per_patch=True)
     np.testing.assert_array_equal(rows, 0.0)
-    assert stats.shape == (mask.num_masked, 2)
+    assert rows.shape == (mask.num_masked, grid.token_dim)
 
 
 def test_space_target_normalized_rows_standardized():
     clip, grid = _grid_and_clip(6)
     mask = tk.sample_mask(grid, 0.75, "random", seed=7)
-    rows, stats = tg.make_space_target(clip, mask, grid, normalize_per_patch=True)
+    rows = tg.make_space_target(clip, mask, grid, normalize_per_patch=True)
     np.testing.assert_allclose(rows.mean(axis=1), 0.0, atol=1e-5)
     np.testing.assert_allclose(rows.var(axis=1), 1.0, atol=1e-4)
-    np.testing.assert_array_equal(stats[:, 1] >= 1e-6, True)
 
 
 # ---- motion targets ----
@@ -170,15 +168,6 @@ def test_motion_target_gap_bounds():
         tg.make_motion_target(clip, mask, grid, gap=8)
 
 
-def test_signed_difference_flag():
-    clip, grid = _grid_and_clip(23)
-    full = _full_mask(grid)
-    signed = tg.make_motion_target(clip, full, grid, gap=1, signed=True)
-    unsigned = tg.make_motion_target(clip, full, grid, gap=1)
-    np.testing.assert_array_equal(np.abs(signed), unsigned)
-    assert (signed < 0).any()
-
-
 # ---- bundles ----
 
 
@@ -196,7 +185,6 @@ def test_bundle_both_kinds_row_counts():
     bundle = tg.make_targets(clip, mask, grid, tg.TargetConfig(kind="both", gap=2))
     assert bundle.space.shape[0] == bundle.time.shape[0] == mask.num_masked
     assert bundle.time.shape[1] == grid.motion_dim
-    assert bundle.num_rows == mask.num_masked
 
 
 def test_bundle_motion_on_static_clip_zero():

@@ -207,7 +207,7 @@ def test_pretrain_trajectory_bit_deterministic():
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
-    clips, grid, enc, dec, cfg = _tiny_train_setup(seed=11, precision="double")
+    clips, grid, enc, dec, cfg = _tiny_train_setup(seed=11)
     params = md.init_params(enc, dec, seed=2, dtype=np.float64)
     tgt = cfg.target_config()
 

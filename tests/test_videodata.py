@@ -76,27 +76,6 @@ def test_values_stay_in_unit_interval():
     assert clip.dtype == np.float32
 
 
-# ---- clip sampling ----
-
-
-def test_sample_clip_stride_arithmetic():
-    video = np.arange(64, dtype=np.float32).reshape(64, 1, 1, 1)
-    out = vd.sample_clip(video, T=16, stride=4, start=0)
-    np.testing.assert_array_equal(out[:, 0, 0, 0], np.arange(0, 64, 4))
-
-    out = vd.sample_clip(video, T=16, stride=1, start=0)
-    np.testing.assert_array_equal(out[:, 0, 0, 0], np.arange(16))
-
-    out = vd.sample_clip(video, T=16, stride=4, start=1)
-    np.testing.assert_array_equal(out[:, 0, 0, 0], np.arange(1, 65, 4))
-
-
-def test_sample_clip_out_of_range():
-    video = np.zeros((10, 2, 2, 1), dtype=np.float32)
-    with pytest.raises(ValueError):
-        vd.sample_clip(video, T=4, stride=4, start=0)
-
-
 # ---- augmentations ----
 
 
