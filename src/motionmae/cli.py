@@ -93,26 +93,40 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 
 
+# the leaves that may be null, and the type each takes otherwise; every
+# other leaf takes the type of its default and may not be null
+_NULLABLE = {
+    "data.dir": str, "data.val_dir": str, "model.preset": str,
+    "model.enc_depth": int, "model.enc_dim": int, "model.enc_heads": int,
+    "model.enc_mlp": float, "model.dec_depth": int, "model.dec_dim": int,
+    "model.dec_heads": int, "model.dec_mlp": float,
+    "train.finetune_steps": int, "train.finetune_lr": float,
+}
+
+
 def _check_leaf(path: str, default, value):
-    if default is None or value is None:
-        return value
-    if isinstance(default, bool):
+    if value is None:
+        if path in _NULLABLE:
+            return None
+        raise ConfigError(f"{path} must not be null")
+    kind = _NULLABLE.get(path, type(default))
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean")
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer")
         return value
-    if isinstance(default, float):
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
         return float(value)
-    if isinstance(default, str):
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
         return value
-    if isinstance(default, list):
+    if kind is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
         return value
@@ -219,11 +233,13 @@ def _build_model_cfgs(cfg: dict, grid):
     if model["preset"] is not None:
         with _field_errors({"preset": "model.preset", "arch": "model.arch"}):
             return preset_configs(model["preset"], grid, arch=model["arch"])
-    with _field_errors({"depth": "model.enc_depth", "heads": "model.enc_heads"}):
+    with _field_errors({"depth": "model.enc_depth", "embed_dim": "model.enc_dim",
+                        "heads": "model.enc_heads"}):
         enc = EncoderConfig(depth=model["enc_depth"], embed_dim=model["enc_dim"],
                             heads=model["enc_heads"], mlp_ratio=model["enc_mlp"],
                             token_dim=grid.token_dim)
-    with _field_errors({"heads": "model.dec_heads", "arch": "model.arch"}):
+    with _field_errors({"embed_dim": "model.dec_dim", "heads": "model.dec_heads",
+                        "arch": "model.arch"}):
         dec = DecoderConfig(depth=model["dec_depth"], embed_dim=model["dec_dim"],
                             heads=model["dec_heads"], mlp_ratio=model["dec_mlp"],
                             space_dim=grid.token_dim, time_dim=grid.motion_dim,
@@ -496,6 +512,8 @@ def _primitive_checks():
                 (3, 4), (4, 5))
     yield check("matmul_batched", lambda t: nm.sum_all(nm.matmul(t[0], t[1])),
                 (2, 3, 4), (2, 4, 5))
+    yield check("matmul_broadcast", lambda t: nm.sum_all(nm.mul(
+                nm.matmul(t[0], t[1]), nm.matmul(t[0], t[1]))), (2, 3, 4), (4, 5))
     yield check("softmax", unary(lambda x: nm.mul(x, nm.softmax(x))), (3, 5))
     yield check("gelu", unary(nm.gelu), (3, 4))
     yield check("layer_norm",
@@ -512,9 +530,13 @@ def _primitive_checks():
                 lambda t: nm.sum_all(nm.mul(nm.scatter_rows(
                     t[0], np.array([3, 0]), 5), nm.scatter_rows(
                     t[0], np.array([3, 0]), 5))), (2, 3))
-    yield check("broadcast_rows",
-                lambda t: nm.sum_all(nm.mul(t[1], nm.broadcast_rows(t[0], 4))),
-                (3,), (4, 3))
+    # a different index row per sample, duplicates within one
+    yield check("gather_rows_batched",
+                lambda t: nm.sum_all(nm.mul(t[1], nm.gather_rows(
+                    t[0], np.array([[0, 2, 2], [3, 1, 0]])))), (2, 4, 3), (2, 3, 3))
+    yield check("scatter_rows_batched",
+                lambda t: nm.sum_all(nm.mul(t[1], nm.scatter_rows(
+                    t[0], np.array([[3, 0], [1, 4]]), 5))), (2, 2, 3), (2, 5, 3))
     yield check("take_scalar", lambda t: nm.take_scalar(nm.mul(t[0], t[0]), 5),
                 (3, 4))
     yield check("sum_all", unary(nm.sum_all), (3, 4))
@@ -524,14 +546,14 @@ def _primitive_checks():
 
 
 def _end_to_end_check():
-    """Full objective through a tiny two-head model, in float64."""
+    """Full objective through a tiny two-head model, in float64, on a batch
+    of two clips with different masks run as one graph."""
     import numpy as np
 
     from . import numerics as nm
-    from .model import DecoderConfig, EncoderConfig, forward_pretrain, init_params
-    from .targets import TargetConfig, make_targets
+    from .model import DecoderConfig, EncoderConfig, init_params
     from .tokenizer import TokenGrid, sample_mask
-    from .training import masked_loss, total_loss
+    from .training import TrainConfig, pretrain_loss
 
     grid = TokenGrid(2, 2, 2, 2, 4, 1)
     enc = EncoderConfig(depth=2, embed_dim=16, heads=2, mlp_ratio=2.0,
@@ -540,16 +562,15 @@ def _end_to_end_check():
                         space_dim=grid.token_dim, time_dim=grid.motion_dim)
     params = init_params(enc, dec, seed=11, dtype=np.float64)
     names = sorted(params)
-    clip = np.random.default_rng(3).uniform(0.0, 1.0, grid.clip_shape)
-    clip = clip.astype(np.float32)
-    mask = sample_mask(grid, 0.5, "random", seed=4)
-    bundle = make_targets(clip, mask, grid, TargetConfig("both", 1, False))
+    rng = np.random.default_rng(3)
+    clips = [rng.uniform(0.0, 1.0, grid.clip_shape).astype(np.float32)
+             for _ in range(2)]
+    masks = [sample_mask(grid, 0.5, "random", seed=s) for s in (4, 5)]
+    cfg = TrainConfig(target_kind="both", loss_kind="mse", lam=1.0)
 
     def objective(tensors):
         p = dict(zip(names, tensors))
-        ps, pt = forward_pretrain(clip, mask, grid, enc, dec, p, "both")
-        return total_loss(masked_loss(ps, bundle.space, mask, "mse"),
-                          masked_loss(pt, bundle.time, mask, "mse"), 1.0)
+        return pretrain_loss(clips, masks, p, grid, enc, dec, cfg)[0]
 
     # eps balances two error floors: smaller steps drown near-zero-gradient
     # coordinates in roundoff (ulp(loss)/2eps), larger ones pay curvature

@@ -8,12 +8,18 @@ runs its own blocks, and projects to that head's output dimension. The
 "parallel" architecture gives each head an independent stack; "shared" runs
 one stack with two output projections.
 
+Every forward function takes one clip or a batch along a leading axis, and a
+batch runs as one graph: masks of one run hide a count fixed by (grid,
+ratio), so the visible tokens of a batch form a rectangular (B, Nv, D)
+array.
+
 Parameters live in a flat dict keyed by stable path strings — that dict is
 the whole model state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,11 +27,18 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc, split_visible
+from .tokenizer import (Mask, TokenGrid, mask_rows, patchify, sincos_posenc,
+                        split_visible)
 
 DECODER_ARCHS = ("parallel", "shared")
 HEADS = ("space", "time")
 HEADS_OF_KIND = {"frame": ("space",), "motion": ("time",), "both": HEADS}
+
+
+def _check_embed_dim(dim: int) -> None:
+    if dim < 6:  # the position code gives each of the t, h, w axes a sin/cos pair
+        raise ValueError(f"embed_dim must be >= 6 for three sin/cos position "
+                         f"axes, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        _check_embed_dim(self.embed_dim)
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(f"heads {self.heads} do not divide embed_dim "
                              f"{self.embed_dim}")
@@ -61,6 +75,7 @@ class DecoderConfig:
     def __post_init__(self):
         # depth 0 is tolerated here so tests can build scatter-only stubs;
         # run configs reject it before anything reaches this type
+        _check_embed_dim(self.embed_dim)
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(f"heads {self.heads} do not divide embed_dim "
                              f"{self.embed_dim}")
@@ -211,19 +226,24 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
 
 
 def _attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    n, dim = x.shape
+    """Multi-head self-attention over the rows of (..., N, E), each leading
+    index (one sample of a batch) attending only within itself."""
+    lead, (n, dim) = x.shape[:-2], x.shape[-2:]
+    r = len(lead)
     dh = dim // heads
+    swap_heads = tuple(range(r)) + (r + 1, r, r + 2)  # its own inverse
+    swap_last = tuple(range(r + 1)) + (r + 2, r + 1)
 
-    def split(t):  # (N, E) -> (heads, N, dh)
-        return nm.transpose(nm.reshape(t, (n, heads, dh)), (1, 0, 2))
+    def split(t):  # (..., N, E) -> (..., heads, N, dh)
+        return nm.transpose(nm.reshape(t, lead + (n, heads, dh)), swap_heads)
 
     q = split(nm.add(nm.matmul(x, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]))
     k = split(nm.add(nm.matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"]))
     v = split(nm.add(nm.matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"]))
 
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    scores = nm.scale(nm.matmul(q, nm.transpose(k, swap_last)), 1.0 / math.sqrt(dh))
     probs = nm.softmax(scores, axis=-1)
-    mixed = nm.reshape(nm.transpose(nm.matmul(probs, v), (1, 0, 2)), (n, dim))
+    mixed = nm.reshape(nm.transpose(nm.matmul(probs, v), swap_heads), lead + (n, dim))
     return nm.add(nm.matmul(mixed, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
@@ -251,6 +271,25 @@ def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _posenc(grid: TokenGrid, dim: int, dtype: np.dtype) -> np.ndarray:
+    """Position codes of a grid at one width and dtype, built once and
+    shared read-only."""
+    codes = sincos_posenc(grid, dim).astype(dtype)
+    codes.setflags(write=False)
+    return codes
+
+
+def _tokens(clips, grid: TokenGrid) -> np.ndarray:
+    """Cube tokens of one clip (N, D), or of a sequence of clips (B, N, D)."""
+    if isinstance(clips, np.ndarray) and clips.ndim == 4:
+        tokens, got = patchify(clips, grid.ct, grid.cp)
+        if got != grid:
+            raise ValueError(f"clip tokenizes to {got}, expected {grid}")
+        return tokens
+    return np.stack([_tokens(clip, grid) for clip in clips])
+
+
 def encode(
     visible_tokens,
     visible_indices,
@@ -258,20 +297,24 @@ def encode(
     cfg: EncoderConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    """Embed and contextualize the visible tokens; one latent per input row."""
+    """Embed and contextualize the visible tokens; one latent per input row.
+
+    Takes (Nv, D) tokens with their (Nv,) grid indices, or a batch of
+    (B, Nv, D) tokens with (B, Nv) indices.
+    """
     dtype = params_dtype(params)
     visible_tokens = Tensor(np.ascontiguousarray(visible_tokens, dtype=dtype))
-    if visible_tokens.shape[0] < 1:
+    if visible_tokens.shape[-2] < 1:
         raise ValueError("encoder needs at least one visible token")
     x = _linear(visible_tokens, params, "patch_proj")
-    pos = sincos_posenc(grid, cfg.embed_dim)[np.asarray(visible_indices)]
-    x = nm.add(x, Tensor(pos.astype(dtype)))
+    pos = _posenc(grid, cfg.embed_dim, dtype)[np.asarray(visible_indices)]
+    x = nm.add(x, Tensor(pos))
     return _run_stack(x, params, "enc", cfg.depth, cfg.heads)
 
 
 def decode(
     latents: Tensor,
-    mask: Mask,
+    mask: Mask | list[Mask],
     grid: TokenGrid,
     cfg: DecoderConfig,
     params: dict[str, Tensor],
@@ -279,29 +322,32 @@ def decode(
 ) -> dict[str, Tensor]:
     """Predict each head's output at every grid position (visible included).
 
-    A shared decoder runs its one stack once and feeds every head from it.
+    Takes (Nv, E) latents with one Mask, giving (N, out) predictions, or
+    (B, Nv, E) latents with a sequence of B masks, giving (B, N, out). A
+    shared decoder runs its one stack once and feeds every head from it.
     """
     for head in heads:
         if f"dec.{head}.out.w" not in params:
             raise ValueError(f"no {head!r} head in this model (unknown, or "
                              "disabled by the target kind)")
     dtype = params_dtype(params)
-    n = grid.num_tokens
-    vis_idx = mask.visible_indices
-    mask_idx = mask.masked_indices
-    if latents.shape[0] != vis_idx.size:
-        raise ValueError(f"{latents.shape[0]} latents for {vis_idx.size} visible tokens")
+    bits, vis_idx, _ = mask_rows(mask)
+    if bits.shape[-1] != grid.num_tokens:
+        raise ValueError(f"mask covers {bits.shape[-1]} tokens, grid has "
+                         f"{grid.num_tokens}")
+    if latents.shape[:-1] != vis_idx.shape:
+        raise ValueError(f"latents {latents.shape} do not pair with visible "
+                         f"indices {vis_idx.shape}")
+    hidden = Tensor(bits[..., None].astype(dtype))  # 1 at hidden positions
+    pos = Tensor(_posenc(grid, cfg.embed_dim, dtype))
 
     stacks = {"shared": heads} if cfg.arch == "shared" else {h: (h,) for h in heads}
     preds = {}
     for stack, fed in stacks.items():
         y = _linear(latents, params, f"dec.{stack}.embed")
-        placed = nm.scatter_rows(y, vis_idx, n)
-        if mask_idx.size:
-            fills = nm.broadcast_rows(params[f"dec.{stack}.mask_token"], mask_idx.size)
-            placed = nm.add(placed, nm.scatter_rows(fills, mask_idx, n))
-        pos = sincos_posenc(grid, cfg.embed_dim)
-        placed = nm.add(placed, Tensor(pos.astype(dtype)))
+        placed = nm.scatter_rows(y, vis_idx, grid.num_tokens)
+        placed = nm.add(placed, nm.mul(hidden, params[f"dec.{stack}.mask_token"]))
+        placed = nm.add(placed, pos)
         out = _run_stack(placed, params, f"dec.{stack}", cfg.depth, cfg.heads)
         for head in fed:
             preds[head] = _linear(out, params, f"dec.{head}.out")
@@ -309,8 +355,8 @@ def decode(
 
 
 def forward_pretrain(
-    clip: np.ndarray,
-    mask: Mask,
+    clip: np.ndarray | list[np.ndarray],
+    mask: Mask | list[Mask],
     grid: TokenGrid,
     enc_cfg: EncoderConfig,
     dec_cfg: DecoderConfig,
@@ -318,31 +364,33 @@ def forward_pretrain(
     target_kind: str = "both",
 ) -> tuple[Tensor | None, Tensor | None]:
     """Masked forward pass: returns (space predictions, time predictions),
-    each N x out_dim, with disabled heads as None."""
-    tokens, got = patchify(clip, grid.ct, grid.cp)
-    if got != grid:
-        raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-    visible, vis_idx, _ = split_visible(tokens, mask)
+    with disabled heads as None.
+
+    One clip (T, H, W, C) with its Mask gives N x out_dim predictions; a
+    sequence of B clips with their B masks, which must hide equal counts,
+    runs as one batch and gives B x N x out_dim.
+    """
+    visible, vis_idx, _ = split_visible(_tokens(clip, grid), mask)
     latents = encode(visible, vis_idx, grid, enc_cfg, params)
     preds = decode(latents, mask, grid, dec_cfg, params, HEADS_OF_KIND[target_kind])
     return preds.get("space"), preds.get("time")
 
 
 def classify(
-    clip: np.ndarray,
+    clips: np.ndarray | list[np.ndarray],
     grid: TokenGrid,
     cfg: EncoderConfig,
     params: dict[str, Tensor],
     num_classes: int,
 ) -> Tensor:
-    """Encode every token (nothing masked), mean-pool, project to logits."""
+    """Encode every token (nothing masked), mean-pool, project to logits:
+    (B, classes) for a sequence of B clips, (1, classes) for one clip."""
     if params["cls.b"].shape != (num_classes,):
         raise ValueError(f"classifier head has {params['cls.b'].shape[0]} classes, "
                          f"asked for {num_classes}")
-    tokens, got = patchify(clip, grid.ct, grid.cp)
-    if got != grid:
-        raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-    latents = encode(tokens, np.arange(grid.num_tokens), grid, cfg, params)
-    pooled = nm.mean_axis(latents, axis=0)
-    return nm.add(nm.matmul(nm.reshape(pooled, (1, cfg.embed_dim)), params["cls.w"]),
-                  params["cls.b"])
+    tokens = _tokens(clips, grid)
+    if tokens.ndim == 2:
+        tokens = tokens[None]
+    every = np.broadcast_to(np.arange(grid.num_tokens), tokens.shape[:-1])
+    latents = encode(tokens, every, grid, cfg, params)
+    return _linear(nm.mean_axis(latents, axis=1), params, "cls")

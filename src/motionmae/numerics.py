@@ -121,7 +121,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Gradient accumulation never mutates stored buffers (contributions are
     combined with fresh allocations), so rules may safely return views.
-    Consumes the tape: watched tensors are detached afterwards.
+    Consumes the tape: each record is dropped once replayed, which frees the
+    forward arrays its rule holds, and watched tensors are detached
+    afterwards.
     """
     if loss.data.size != 1:
         raise ValueError("loss must be a scalar tensor")
@@ -130,7 +132,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.tape is not tape:
         raise ValueError("loss was not produced through this tape (detached graph)")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for out_id, in_ids, rule in reversed(tape._records):
+    records = tape._records
+    while records:
+        out_id, in_ids, rule = records.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue
@@ -248,38 +252,53 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of a 2-d tensor; duplicate indices accumulate in backward."""
+def _flat_rows(indices, shape: tuple) -> np.ndarray:
+    """Row numbers into `shape` viewed as a stack of rows: (M,) indices
+    address the rows of an (N, ...) array and pass through; (B, M) indices
+    address axis 1 of a (B, N, ...) array, one index row per sample."""
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim == 1:
+        return idx
+    if idx.ndim != 2 or len(shape) < 2 or idx.shape[0] != shape[0]:
+        raise ValueError(f"indices of shape {idx.shape} do not fit rows of {shape}")
+    return idx + (np.arange(idx.shape[0]) * shape[1])[:, None]
+
+
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """Select rows of an (N, ...) tensor by (M,) indices, or of each sample
+    of a (B, N, ...) tensor by (B, M) indices; duplicate indices accumulate
+    in backward."""
     ad = a.data
+    flat = _flat_rows(indices, ad.shape)
+    lead = flat.ndim
+    rows = ad.reshape((-1,) + ad.shape[lead:])
 
     def rule(g):
-        buf = np.zeros_like(ad)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        buf = np.zeros_like(rows)
+        np.add.at(buf, flat, g)
+        return (buf.reshape(ad.shape),)
 
-    return _result(ad[idx], (a,), rule)
+    return _result(rows[flat], (a,), rule)
 
 
 def scatter_rows(values: Tensor, indices, num_rows: int) -> Tensor:
-    """Place rows at the given indices of a zero-filled (num_rows, ...) tensor.
+    """Place (M, ...) rows at (M,) indices of a zero-filled (num_rows, ...)
+    tensor, or each sample's (B, M, ...) rows at its (B, M) indices of a
+    zero-filled (B, num_rows, ...) tensor.
 
-    Indices must be unique; later rows would silently overwrite earlier ones.
+    Indices must be unique per sample; later rows would silently overwrite
+    earlier ones.
     """
-    idx = np.asarray(indices, dtype=np.intp)
     vd = values.data
-    out = np.zeros((num_rows,) + vd.shape[1:], dtype=vd.dtype)
-    out[idx] = vd
-    return _result(out, (values,), lambda g: (g[idx],))
-
-
-def broadcast_rows(row: Tensor, n: int) -> Tensor:
-    """Tile a 1-d tensor into n identical rows."""
-    rd = row.data
-    if rd.ndim != 1:
-        raise ValueError("broadcast_rows expects a 1-d tensor")
-    out = np.tile(rd, (n, 1))
-    return _result(out, (row,), lambda g: (g.sum(axis=0),))
+    idx = np.asarray(indices, dtype=np.intp)
+    lead = idx.ndim
+    shape = vd.shape[:lead - 1] + (num_rows,) + vd.shape[lead:]
+    flat = _flat_rows(idx, shape)
+    flat_shape = (math.prod(shape[:lead]),) + shape[lead:]
+    out = np.zeros(flat_shape, dtype=vd.dtype)
+    out[flat] = vd
+    return _result(out.reshape(shape), (values,),
+                   lambda g: (g.reshape(flat_shape)[flat],))
 
 
 def take_scalar(a: Tensor, index: int) -> Tensor:
@@ -330,20 +349,35 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports 2-d, or 3-d with equal leading (batch) dims."""
+    """Matrix product of (..., N, D) @ (D, E), or of two stacks of matrices
+    with equal leading (batch) dims.
+
+    Against a 2-d weight the leading dims fold into the rows of one GEMM, and
+    the weight gradient sums over them in one GEMM too.
+    """
     _check_dtypes(a, b)
     ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
+    if ad.ndim < 2 or bd.ndim not in (2, ad.ndim):
         raise ValueError(f"matmul rank mismatch: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner dimension mismatch: {ad.shape} @ {bd.shape}")
-    if ad.ndim == 3 and ad.shape[0] != bd.shape[0]:
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ValueError(f"matmul batch dimension mismatch: {ad.shape} @ {bd.shape}")
 
-    def rule(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+    if bd.ndim > 2:
+        def rule(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
-    return _result(ad @ bd, (a, b), rule)
+        return _result(ad @ bd, (a, b), rule)
+
+    d, e = bd.shape
+    a2 = ad.reshape(-1, d)
+
+    def rule(g):
+        g2 = g.reshape(-1, e)
+        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+
+    return _result((a2 @ bd).reshape(ad.shape[:-1] + (e,)), (a, b), rule)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -398,7 +432,7 @@ _GELU_C = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU: 0.5*x*(1 + tanh(k*(x + 0.044715*x^3)))."""
     xd = x.data
-    u = _GELU_K * (xd + _GELU_C * xd ** 3)
+    u = _GELU_K * (xd + _GELU_C * (xd * xd * xd))
     t = np.tanh(u)
     out = 0.5 * xd * (1.0 + t)
 

@@ -173,10 +173,29 @@ def sample_mask(grid: TokenGrid, ratio: float, strategy: str, seed: int) -> Mask
     return Mask(bits=bits, ratio=ratio, strategy=strategy, seed=seed)
 
 
-def split_visible(tokens: np.ndarray, mask: Mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_visible(tokens: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition tokens into (visible rows, visible indices, masked indices),
-    both index lists ascending."""
-    if tokens.shape[0] != mask.bits.shape[0]:
-        raise ValueError(f"{tokens.shape[0]} tokens but mask covers {mask.bits.shape[0]}")
-    vis = mask.visible_indices
-    return tokens[vis], vis, mask.masked_indices
+    both index lists ascending: (N, D) tokens by one Mask, or a batch of
+    (B, N, D) tokens by a sequence of B masks, each part then stacked."""
+    bits, vis, hidden = mask_rows(mask)
+    if tokens.shape[:-1] != bits.shape:
+        raise ValueError(f"tokens {tokens.shape} do not pair with mask bits {bits.shape}")
+    return np.take_along_axis(tokens, vis[..., None], axis=-2), vis, hidden
+
+
+def mask_rows(masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hidden bits, visible indices, hidden indices) of one Mask, or each
+    stacked along a leading batch axis over a sequence of masks.
+
+    A batch is rectangular only if its masks hide equal counts. Every
+    strategy hides a count fixed by (grid, ratio), so masks of one run
+    always do; masks that differ are rejected rather than padded.
+    """
+    if isinstance(masks, Mask):
+        return masks.bits, masks.visible_indices, masks.masked_indices
+    counts = sorted({m.num_masked for m in masks})
+    if len(counts) > 1:
+        raise ValueError(f"masks of one batch hide different token counts {counts}")
+    return (np.stack([m.bits for m in masks]),
+            np.stack([m.visible_indices for m in masks]),
+            np.stack([m.masked_indices for m in masks]))

@@ -30,7 +30,7 @@ from .model import (
 )
 from .numerics import NonFiniteError, OptimState, Tape, Tensor, adamw_step, backward
 from .targets import TargetConfig, make_targets
-from .tokenizer import Mask, TokenGrid, sample_mask
+from .tokenizer import Mask, TokenGrid, mask_rows, sample_mask
 
 LOSS_KINDS = ("mse", "l1", "smooth_l1")
 
@@ -117,16 +117,23 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask, kind: str) -> Tensor:
-    """Mean reconstruction penalty over the M x K masked elements only."""
+def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask | list[Mask],
+                kind: str) -> Tensor:
+    """Mean reconstruction penalty over the masked elements only.
+
+    Takes (N, K) predictions with one Mask and (M, K) targets, or a batch of
+    (B, N, K) predictions with a sequence of B masks and (B, M, K) targets.
+    Every sample hides M tokens, so the batch mean is the mean of the
+    per-sample losses.
+    """
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-    idx = mask.masked_indices
+    _, _, idx = mask_rows(mask)
     if idx.size == 0:
         raise ValueError("loss undefined with zero masked tokens")
-    if target.shape[0] != idx.size or target.shape[1] != pred.shape[1]:
+    if target.shape != idx.shape + pred.shape[-1:]:
         raise ValueError(f"target {target.shape} does not pair with "
-                         f"{idx.size} masked rows of width {pred.shape[1]}")
+                         f"{idx.shape} masked rows of width {pred.shape[-1]}")
     sel = nm.gather_rows(pred, idx)
     diff = nm.sub(sel, Tensor(np.asarray(target, dtype=pred.dtype)))
     if kind == "mse":
@@ -160,20 +167,52 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Stable cross-entropy of a (1, C) logit row against an integer label."""
-    c = logits.shape[1]
-    if not 0 <= label < c:
-        raise ValueError(f"label {label} out of range for {c} classes")
-    m = float(logits.data.max())
-    shifted = nm.sub(logits, Tensor(np.asarray(m, dtype=logits.dtype)))
-    lse = nm.log(nm.sum_all(nm.exp(shifted)))
-    return nm.sub(lse, nm.take_scalar(shifted, label))
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean stable cross-entropy of (B, C) logit rows against B integer
+    labels; one int label pairs with a single (1, C) row."""
+    b, c = logits.shape
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    if labels.shape != (b,):
+        raise ValueError(f"{labels.size} labels for {b} logit rows")
+    if ((labels < 0) | (labels >= c)).any():
+        raise ValueError(f"labels {labels.tolist()} out of range for {c} classes")
+    shifted = nm.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
+    # log-sum-exp of each row: the mean of its exponentials times C
+    lse = nm.log(nm.scale(nm.mean_axis(nm.exp(shifted), axis=1), float(c)))
+    onehot = np.zeros((b, c), dtype=logits.dtype)
+    onehot[np.arange(b), labels] = 1.0
+    picked = nm.sum_all(nm.mul(shifted, Tensor(onehot)))
+    return nm.scale(nm.sub(nm.sum_all(lse), picked), 1.0 / b)
 
 
 # ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------
+
+
+def pretrain_loss(
+    clips: list[np.ndarray],
+    masks: list[Mask],
+    params: dict[str, Tensor],
+    grid: TokenGrid,
+    enc_cfg: EncoderConfig,
+    dec_cfg: DecoderConfig,
+    cfg: TrainConfig,
+) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """The batch objective as one graph: (L_space + lam * L_time, L_space,
+    L_time), each the mean over the clips, with absent heads as None."""
+    tgt_cfg = cfg.target_config()
+    bundles = [make_targets(clip, mask, grid, tgt_cfg) for clip, mask in zip(clips, masks)]
+    pred_space, pred_time = forward_pretrain(clips, masks, grid, enc_cfg, dec_cfg,
+                                             params, cfg.target_kind)
+    ls = lt = None
+    if pred_space is not None:
+        ls = masked_loss(pred_space, np.stack([b.space for b in bundles]), masks,
+                         cfg.loss_kind)
+    if pred_time is not None:
+        lt = masked_loss(pred_time, np.stack([b.time for b in bundles]), masks,
+                         cfg.loss_kind)
+    return total_loss(ls, lt, cfg.lam), ls, lt
 
 
 def pretrain_step(
@@ -192,44 +231,27 @@ def pretrain_step(
     the mask branch of the run-seed fan-out — so a given step always sees
     the same masks regardless of history.
     """
+    masks = [sample_mask(grid, cfg.mask_ratio, cfg.mask_strategy,
+                         seed=derive_seed(cfg.seed + 2, step, i))
+             for i in range(len(batch))]
     tape = Tape()
     for p in params.values():
         tape.watch(p)
-    tgt_cfg = cfg.target_config()
-    mean_w = 1.0 / len(batch)
-    combined = None
-    space_vals: list[float] = []
-    time_vals: list[float] = []
     try:
-        for i, clip in enumerate(batch):
-            mask = sample_mask(grid, cfg.mask_ratio, cfg.mask_strategy,
-                               seed=derive_seed(cfg.seed + 2, step, i))
-            bundle = make_targets(clip, mask, grid, tgt_cfg)
-            pred_space, pred_time = forward_pretrain(
-                clip, mask, grid, enc_cfg, dec_cfg, params, cfg.target_kind)
-            ls = lt = None
-            if pred_space is not None:
-                ls = masked_loss(pred_space, bundle.space, mask, cfg.loss_kind)
-                space_vals.append(float(ls.data))
-            if pred_time is not None:
-                lt = masked_loss(pred_time, bundle.time, mask, cfg.loss_kind)
-                time_vals.append(float(lt.data))
-            sample_loss = total_loss(ls, lt, cfg.lam)
-            combined = sample_loss if combined is None else nm.add(combined, sample_loss)
-        loss = nm.scale(combined, mean_w)
+        loss, ls, lt = pretrain_loss(batch, masks, params, grid, enc_cfg, dec_cfg, cfg)
         backward(loss, tape)
     except NonFiniteError as e:
         raise NonFiniteError(f"non-finite value during step {step}: {e}") from e
     grads = {k: p.grad for k, p in params.items()}
     adamw_step(params, grads, opt, lr=lr_at(step, cfg), beta1=cfg.beta1,
                beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
-    mean = lambda vals: sum(vals) / len(vals) if vals else None
-    return float(loss.data), mean(space_vals), mean(time_vals)
+    value = lambda part: None if part is None else float(part.data)
+    return float(loss.data), value(ls), value(lt)
 
 
-def _batch_at(clips: list[np.ndarray], step: int, batch_size: int) -> list[np.ndarray]:
-    n = len(clips)
-    return [clips[(step * batch_size + j) % n] for j in range(batch_size)]
+def _batch_at(items: list, step: int, batch_size: int) -> list:
+    n = len(items)
+    return [items[(step * batch_size + j) % n] for j in range(batch_size)]
 
 
 def run_pretrain(
@@ -262,11 +284,14 @@ def run_pretrain(
         start_step = 0
 
     csv_path = out_dir / "loss.csv"
-    mode = "a" if resume_from is not None and csv_path.exists() else "w"
+    rows = ["step,loss,loss_space,loss_time\n"]
+    if resume_from is not None and csv_path.exists():
+        # keep what the checkpoint had logged; the steps after it run again
+        logged = csv_path.read_text().splitlines(keepends=True)[1:]
+        rows += [row for row in logged if int(row.split(",", 1)[0]) <= start_step]
     fmt = lambda v: "" if v is None else f"{v:.8e}"
-    with open(csv_path, mode) as fh:
-        if mode == "w":
-            fh.write("step,loss,loss_space,loss_time\n")
+    with open(csv_path, "w") as fh:
+        fh.writelines(rows)
         for step in range(start_step, cfg.total_steps):
             batch = _batch_at(clips, step, cfg.batch_size)
             if augment is not None:
@@ -340,19 +365,15 @@ def run_finetune(
                 params[name] = Tensor(arr)
     opt = OptimState.for_params(params)
 
-    n = len(train_clips)
     for step in range(cfg.total_steps):
+        clips = _batch_at(train_clips, step, cfg.batch_size)
+        labels = _batch_at(train_labels, step, cfg.batch_size)
         tape = Tape()
         for p in params.values():
             tape.watch(p)
-        combined = None
         try:
-            for j in range(cfg.batch_size):
-                idx = (step * cfg.batch_size + j) % n
-                logits = classify(train_clips[idx], grid, enc_cfg, params, num_classes)
-                ce = cross_entropy(logits, train_labels[idx])
-                combined = ce if combined is None else nm.add(combined, ce)
-            loss = nm.scale(combined, 1.0 / cfg.batch_size)
+            loss = cross_entropy(classify(clips, grid, enc_cfg, params, num_classes),
+                                 labels)
             backward(loss, tape)
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite value during step {step}: {e}") from e

@@ -174,6 +174,37 @@ def test_exit_code_untrainable_config(tmp_path, capsys, sections, field):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sections,field", [
+    ({"train": {"finetune_steps": "x"}}, "train.finetune_steps"),
+    ({"train": {"finetune_steps": 2.5}}, "train.finetune_steps"),
+    ({"train": {"finetune_lr": "x"}}, "train.finetune_lr"),
+    ({"model": {"enc_dim": "x"}}, "model.enc_dim"),
+    ({"model": {"dec_mlp": [2]}}, "model.dec_mlp"),
+    ({"data": {"dir": 5}}, "data.dir"),
+    ({"data": {"val_dir": True}}, "data.val_dir"),
+    ({"train": {"lr": None}}, "train.lr"),
+])
+def test_exit_code_leaf_of_wrong_type(tmp_path, capsys, sections, field):
+    """Leaves whose default is null are type-checked too, and only those may
+    be null; nothing is written."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path, **sections)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("key", ["enc_dim", "dec_dim"])
+def test_exit_code_embed_dim_below_six(tmp_path, capsys, key):
+    """Too narrow for the three-axis position code: rejected at load, before
+    the run directory exists."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    model = {"preset": None, "enc_depth": 1, "enc_dim": 8, "enc_heads": 2,
+             "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
+             "dec_mlp": 2.0, key: 4}
+    assert main(["pretrain", "--config", write_cfg(tmp_path, model=model)]) == 2
+    assert f"model.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
     cfg = write_cfg(tmp_path, train={"total_steps": 2, "warmup_steps": 0,
                                      "finetune_steps": 2},
@@ -280,8 +311,9 @@ def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     assert main(["gen-data", "--config", cfg]) == 0
     assert main(["finetune", "--config", cfg]) == 0
-    # 8 steps of batch 2, then one pass over the 8 train and the 8 val clips
-    assert len(calls) == 8 * 2 + 8 + 8
+    # one batched call per each of the 8 steps, then one call per clip over
+    # the 8 train and the 8 val clips
+    assert len(calls) == 8 + 8 + 8
 
 
 # ---- reconstruct ----
@@ -316,7 +348,7 @@ def test_gradcheck_covers_every_op():
     expected = {"add", "sub", "mul", "neg", "scale", "exp", "log", "absolute",
                 "huber", "matmul", "matmul_batched", "softmax", "gelu",
                 "layer_norm", "reshape", "transpose", "gather_rows",
-                "scatter_rows", "broadcast_rows", "take_scalar", "sum_all",
+                "scatter_rows", "take_scalar", "sum_all",
                 "mean_all", "mean_axis"}
     assert expected <= names
 

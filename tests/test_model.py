@@ -297,8 +297,8 @@ def test_classify_permutation_invariant_without_posenc(monkeypatch):
     b = md.classify(clip2, grid, enc, params, 4).data
     assert not np.allclose(a, b, atol=1e-10)
 
-    monkeypatch.setattr(md, "sincos_posenc",
-                        lambda g, dim: np.zeros((g.num_tokens, dim)))
+    monkeypatch.setattr(md, "_posenc",
+                        lambda g, dim, dtype: np.zeros((g.num_tokens, dim), dtype))
     a = md.classify(clip, grid, enc, params, 4).data
     b = md.classify(clip2, grid, enc, params, 4).data
     np.testing.assert_allclose(a, b, atol=1e-10)

@@ -69,6 +69,42 @@ def test_matmul_batched():
         np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-12)
 
 
+def test_matmul_broadcast_weight_is_one_gemm_per_batch():
+    r = _rng(5)
+    a = r.normal(size=(3, 4, 5))
+    w = r.normal(size=(5, 2))
+    out = nm.matmul(Tensor(a), Tensor(w)).data
+    for i in range(3):
+        np.testing.assert_allclose(out[i], a[i] @ w, rtol=1e-12)
+    # the weight gradient sums the per-sample gradients
+    ta, tw = Tensor(a), Tensor(w)
+    tape = Tape()
+    tape.watch(ta)
+    tape.watch(tw)
+    backward(nm.sum_all(nm.matmul(ta, tw)), tape)
+    want = sum(a[i].T @ np.ones((4, 2)) for i in range(3))
+    np.testing.assert_allclose(tw.grad, want, rtol=1e-12)
+    with pytest.raises(ValueError):
+        nm.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+
+
+def test_gather_scatter_rows_per_sample_indices():
+    r = _rng(6)
+    a = r.normal(size=(2, 5, 3))
+    idx = np.array([[4, 0, 0], [1, 2, 3]])
+    got = nm.gather_rows(Tensor(a), idx).data
+    for i in range(2):
+        np.testing.assert_array_equal(got[i], a[i][idx[i]])
+    placed = nm.scatter_rows(Tensor(got[:, 1:]), np.array([[0, 3], [4, 1]]), 6).data
+    assert placed.shape == (2, 6, 3)
+    np.testing.assert_array_equal(placed[0, 3], a[0, 0])
+    np.testing.assert_array_equal(placed[1, 4], a[1, 2])
+    np.testing.assert_array_equal(placed[1, 1], a[1, 3])
+    assert not placed[0, [1, 2, 4, 5]].any()
+    with pytest.raises(ValueError):
+        nm.gather_rows(Tensor(a), np.zeros((3, 2), dtype=int))  # 3 index rows, 2 samples
+
+
 # ---- softmax ----
 
 
@@ -312,11 +348,8 @@ def test_grad_gather_scatter():
     _check(f, [(4, 3)], 30)
 
 
-def test_grad_broadcast_rows_take_scalar():
-    def f(p):
-        tiled = nm.broadcast_rows(p[0], 5)
-        return nm.take_scalar(nm.mul(tiled, tiled), 7)
-    _check(f, [(4,)], 31)
+def test_grad_take_scalar():
+    _check(lambda p: nm.take_scalar(nm.mul(p[0], p[0]), 7), [(2, 4)], 31)
 
 
 def test_grad_means():

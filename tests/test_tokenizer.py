@@ -222,3 +222,42 @@ def test_split_visible_count_mismatch():
     m = tk.Mask(bits=np.zeros(4, dtype=bool), ratio=0.0, strategy="random", seed=0)
     with pytest.raises(ValueError):
         tk.split_visible(np.ones((5, 2), dtype=np.float32), m)
+
+
+# ---- mask_rows ----
+
+
+def test_mask_rows_stacks_a_batch_in_index_order():
+    grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
+    masks = [tk.sample_mask(grid, 0.5, "random", seed=s) for s in (1, 2, 3)]
+    bits, vis_idx, hidden_idx = tk.mask_rows(masks)
+    assert bits.shape == (3, 8)
+    assert vis_idx.shape == hidden_idx.shape == (3, 4)
+    for i, m in enumerate(masks):
+        np.testing.assert_array_equal(bits[i], m.bits)
+        np.testing.assert_array_equal(vis_idx[i], m.visible_indices)
+        np.testing.assert_array_equal(hidden_idx[i], m.masked_indices)
+    one = tk.mask_rows(masks[0])
+    np.testing.assert_array_equal(one[2], masks[0].masked_indices)
+
+
+def test_split_visible_batch_matches_each_sample():
+    grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
+    tokens = np.stack([tk.patchify(_clip(20 + i, (4, 8, 8, 1)), 2, 4)[0]
+                       for i in range(3)])
+    masks = [tk.sample_mask(grid, 0.5, "tube", seed=s) for s in (1, 2, 3)]
+    vis, vis_idx, mask_idx = tk.split_visible(tokens, masks)
+    assert vis.shape == (3, 4, grid.token_dim)
+    for i, m in enumerate(masks):
+        one = tk.split_visible(tokens[i], m)
+        np.testing.assert_array_equal(vis[i], one[0])
+        np.testing.assert_array_equal(vis_idx[i], one[1])
+        np.testing.assert_array_equal(mask_idx[i], one[2])
+
+
+def test_mask_rows_rejects_unequal_hidden_counts():
+    grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
+    masks = [tk.sample_mask(grid, 0.5, "random", seed=1),
+             tk.sample_mask(grid, 0.75, "random", seed=2)]
+    with pytest.raises(ValueError, match="different token counts"):
+        tk.mask_rows(masks)

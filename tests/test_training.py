@@ -238,6 +238,79 @@ def test_batch_gradient_is_mean_of_sample_gradients():
         np.testing.assert_allclose(batch_grads[k], want, atol=1e-12)
 
 
+def _grads_of(loss_fn, params):
+    tape = Tape()
+    for p in params.values():
+        tape.watch(p)
+    parts = loss_fn()
+    backward(parts[0], tape)
+    return parts, {k: p.grad.copy() for k, p in params.items()}
+
+
+def _assert_grads_close(got, want):
+    # float32 rounding noise scales with the largest gradient, so entries far
+    # below it (the key biases', zero up to noise) are held to that scale
+    atol = 1e-5 * max(np.abs(g).max() for g in want.values())
+    for k in want:
+        np.testing.assert_allclose(got[k], want[k], rtol=1e-5, atol=atol, err_msg=k)
+
+
+@pytest.mark.parametrize("loss_kind", tr.LOSS_KINDS)
+@pytest.mark.parametrize("arch", ["parallel", "shared"])
+@pytest.mark.parametrize("strategy,ratio", [("random", 0.75), ("tube", 0.5),
+                                            ("time_only", 0.5)])
+def test_batched_pretrain_matches_mean_of_single_clips(strategy, ratio, arch,
+                                                       loss_kind):
+    """One (B, N, D) graph over four clips gives the mean of the four B = 1
+    passes: the loss parts and every parameter gradient."""
+    clips, _ = _tiny_task(4, seed=31)
+    _, grid = tk.patchify(clips[0], 2, 4)
+    enc, dec = md.preset_configs("tiny", grid, arch=arch)
+    cfg = tr.TrainConfig(loss_kind=loss_kind, gap=2, normalize_space=True,
+                         lam=0.5, mask_ratio=ratio, mask_strategy=strategy)
+    params = md.init_params(enc, dec, seed=4)
+    masks = [tk.sample_mask(grid, ratio, strategy, seed=40 + i) for i in range(4)]
+
+    (loss, ls, lt), batch_grads = _grads_of(
+        lambda: tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg), params)
+    singles = [_grads_of(lambda: tr.pretrain_loss([c], [m], params, grid, enc,
+                                                  dec, cfg), params)
+               for c, m in zip(clips, masks)]
+
+    for got, i in ((loss, 0), (ls, 1), (lt, 2)):
+        want = np.mean([parts[i].item() for parts, _ in singles])
+        np.testing.assert_allclose(got.item(), want, rtol=1e-5)
+    _assert_grads_close(batch_grads, {k: np.mean([g[k] for _, g in singles], axis=0)
+                                      for k in params})
+
+
+def test_batched_finetune_loss_matches_mean_of_single_clips():
+    clips, labels = _tiny_task(4, seed=32)
+    _, grid = tk.patchify(clips[0], 2, 4)
+    enc, _ = md.preset_configs("tiny", grid)
+    params = md.init_params(enc, None, seed=5, num_classes=4)
+
+    def loss_of(cs, ls):
+        return (tr.cross_entropy(md.classify(cs, grid, enc, params, 4), ls),)
+
+    (loss,), batch_grads = _grads_of(lambda: loss_of(clips, labels), params)
+    singles = [_grads_of(lambda: loss_of([c], [y]), params)
+               for c, y in zip(clips, labels)]
+    want = np.mean([parts[0].item() for parts, _ in singles])
+    np.testing.assert_allclose(loss.item(), want, rtol=1e-5)
+    _assert_grads_close(batch_grads, {k: np.mean([g[k] for _, g in singles], axis=0)
+                                      for k in params})
+
+
+def test_pretrain_batch_rejects_unequal_hidden_counts():
+    clips, grid, enc, dec, cfg = _tiny_train_setup()
+    params = md.init_params(enc, dec, seed=1)
+    masks = [tk.sample_mask(grid, 0.75, "random", seed=1),
+             tk.sample_mask(grid, 0.5, "random", seed=2)]
+    with pytest.raises(ValueError, match="different token counts"):
+        tr.pretrain_loss(clips[:2], masks, params, grid, enc, dec, cfg)
+
+
 def test_run_pretrain_csv_bookkeeping(tmp_path):
     clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=10, log_interval=3)
     tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path)
@@ -264,6 +337,18 @@ def test_run_pretrain_resume_bit_exact(tmp_path):
     a = (tmp_path / "full" / "checkpoint_final.mmck").read_bytes()
     b = (tmp_path / "resumed" / "checkpoint_final.mmck").read_bytes()
     assert a == b
+
+
+def test_resume_into_same_dir_rewrites_loss_csv_identically(tmp_path):
+    """Rows after the checkpoint step are dropped before the replay appends
+    them again, so the log matches the uninterrupted run byte for byte."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=8, log_interval=1,
+                                                   checkpoint_interval=4)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path)
+    uninterrupted = (tmp_path / "loss.csv").read_bytes()
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path,
+                    resume_from=tmp_path / "checkpoint_000004.mmck")
+    assert (tmp_path / "loss.csv").read_bytes() == uninterrupted
 
 
 # ---- finetune ----
