@@ -9,8 +9,8 @@ runs its own blocks, and projects to that head's output dimension. The
 one stack with two output projections.
 
 Every forward function takes one clip or a batch along a leading axis, and a
-batch runs as one graph: masks of one run hide a count fixed by (grid,
-ratio), so the visible tokens of a batch form a rectangular (B, Nv, D)
+batch runs as one graph: a batch's masks are one Mask of (B, N) bits whose
+rows hide equal counts, so the visible tokens form a rectangular (B, Nv, D)
 array.
 
 Parameters live in a flat dict keyed by stable path strings — that dict is
@@ -27,8 +27,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .tokenizer import (Mask, TokenGrid, mask_rows, patchify, sincos_posenc,
-                        split_visible)
+from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc, split_visible
 
 DECODER_ARCHS = ("parallel", "shared")
 HEADS = ("space", "time")
@@ -73,8 +72,8 @@ class DecoderConfig:
     arch: str = "parallel"
 
     def __post_init__(self):
-        # depth 0 is tolerated here so tests can build scatter-only stubs;
-        # run configs reject it before anything reaches this type
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
         _check_embed_dim(self.embed_dim)
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(f"heads {self.heads} do not divide embed_dim "
@@ -281,13 +280,11 @@ def _posenc(grid: TokenGrid, dim: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _tokens(clips, grid: TokenGrid) -> np.ndarray:
-    """Cube tokens of one clip (N, D), or of a sequence of clips (B, N, D)."""
-    if isinstance(clips, np.ndarray) and clips.ndim == 4:
-        tokens, got = patchify(clips, grid.ct, grid.cp)
-        if got != grid:
-            raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-        return tokens
-    return np.stack([_tokens(clip, grid) for clip in clips])
+    """Cube tokens of one clip (N, D), or of a stack of clips (B, N, D)."""
+    tokens, got = patchify(np.asarray(clips), grid.ct, grid.cp)
+    if got != grid:
+        raise ValueError(f"clip tokenizes to {got}, expected {grid}")
+    return tokens
 
 
 def encode(
@@ -314,7 +311,7 @@ def encode(
 
 def decode(
     latents: Tensor,
-    mask: Mask | list[Mask],
+    mask: Mask,
     grid: TokenGrid,
     cfg: DecoderConfig,
     params: dict[str, Tensor],
@@ -322,16 +319,17 @@ def decode(
 ) -> dict[str, Tensor]:
     """Predict each head's output at every grid position (visible included).
 
-    Takes (Nv, E) latents with one Mask, giving (N, out) predictions, or
-    (B, Nv, E) latents with a sequence of B masks, giving (B, N, out). A
-    shared decoder runs its one stack once and feeds every head from it.
+    Takes (Nv, E) latents with a Mask of (N,) bits, giving (N, out)
+    predictions, or (B, Nv, E) latents with a Mask of (B, N) bits, giving
+    (B, N, out). A shared decoder runs its one stack once and feeds every
+    head from it.
     """
     for head in heads:
         if f"dec.{head}.out.w" not in params:
             raise ValueError(f"no {head!r} head in this model (unknown, or "
                              "disabled by the target kind)")
     dtype = params_dtype(params)
-    bits, vis_idx, _ = mask_rows(mask)
+    bits, vis_idx = mask.bits, mask.visible_indices
     if bits.shape[-1] != grid.num_tokens:
         raise ValueError(f"mask covers {bits.shape[-1]} tokens, grid has "
                          f"{grid.num_tokens}")
@@ -355,8 +353,8 @@ def decode(
 
 
 def forward_pretrain(
-    clip: np.ndarray | list[np.ndarray],
-    mask: Mask | list[Mask],
+    clip: np.ndarray,
+    mask: Mask,
     grid: TokenGrid,
     enc_cfg: EncoderConfig,
     dec_cfg: DecoderConfig,
@@ -366,9 +364,9 @@ def forward_pretrain(
     """Masked forward pass: returns (space predictions, time predictions),
     with disabled heads as None.
 
-    One clip (T, H, W, C) with its Mask gives N x out_dim predictions; a
-    sequence of B clips with their B masks, which must hide equal counts,
-    runs as one batch and gives B x N x out_dim.
+    One clip (T, H, W, C) with a Mask of (N,) bits gives N x out_dim
+    predictions; B stacked clips (B, T, H, W, C) with a Mask of (B, N) bits
+    run as one batch and give B x N x out_dim.
     """
     visible, vis_idx, _ = split_visible(_tokens(clip, grid), mask)
     latents = encode(visible, vis_idx, grid, enc_cfg, params)

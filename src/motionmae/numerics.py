@@ -51,9 +51,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tracked = "" if self.tape is None else f", node_id={self.node_id}"
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tracked})"
@@ -202,10 +199,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad * bd, (a, b), rule)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar (dtype-preserving)."""
     return _result(a.data * c, (a,), lambda g: (g * c,))
@@ -299,22 +292,6 @@ def scatter_rows(values: Tensor, indices, num_rows: int) -> Tensor:
     out[flat] = vd
     return _result(out.reshape(shape), (values,),
                    lambda g: (g.reshape(flat_shape)[flat],))
-
-
-def take_scalar(a: Tensor, index: int) -> Tensor:
-    """Extract one element (by flat index) as a 0-d tensor."""
-    ad = a.data
-    flat = ad.reshape(-1)
-    i = int(index)
-    if not 0 <= i < flat.size:
-        raise IndexError(f"flat index {i} out of range for size {flat.size}")
-
-    def rule(g):
-        buf = np.zeros_like(ad)
-        buf.reshape(-1)[i] = g
-        return (buf,)
-
-    return _result(np.asarray(flat[i]), (a,), rule)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -42,52 +42,61 @@ class TargetBundle:
 def make_space_target(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, normalize_per_patch: bool = False
 ) -> np.ndarray:
-    """Masked tokens' pixel content, optionally standardized per token row."""
+    """Masked tokens' pixel content, optionally standardized per token row:
+    (M, D) rows of one clip, or (..., M, D) of clips (..., T, H, W, C)."""
     tokens, got = patchify(clip, grid.ct, grid.cp)
     if got != grid:
         raise ValueError(f"clip tokenizes to {got}, mask built for {grid}")
-    if mask.bits.shape[0] != grid.num_tokens:
-        raise ValueError("mask does not cover the token grid")
-    rows = tokens[mask.masked_indices].astype(np.float32)
+    rows = _hidden_rows(tokens, mask).astype(np.float32, copy=False)
     if not normalize_per_patch:
         return rows
-    mean = rows.mean(axis=1, keepdims=True)
-    std = np.maximum(rows.std(axis=1, keepdims=True), np.float32(1e-6))
+    mean = rows.mean(axis=-1, keepdims=True)
+    std = np.maximum(rows.std(axis=-1, keepdims=True), np.float32(1e-6))
     return (rows - mean) / std
 
 
 def difference_video(clip: np.ndarray, gap: int) -> np.ndarray:
-    """Per-frame absolute temporal difference, clamped at the clip end:
-    out[t] = |clip[min(t + gap, T-1)] - clip[t]|."""
-    T = clip.shape[0]
+    """Per-frame absolute temporal difference of (..., T, H, W, C) clips,
+    clamped at the clip end: out[..., t] = |clip[..., min(t + gap, T-1)] -
+    clip[..., t]|."""
+    T = clip.shape[-4]
     if not 1 <= gap < T:
         raise ValueError(f"gap must satisfy 1 <= gap < T={T}, got {gap}")
     ahead = np.minimum(np.arange(T) + gap, T - 1)
-    return np.abs(clip[ahead] - clip)
+    return np.abs(clip[..., ahead, :, :, :] - clip)
 
 
 def make_motion_target(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, gap: int
 ) -> np.ndarray:
-    """Temporal-difference patches at each masked token's anchor frame."""
-    if clip.shape != grid.clip_shape:
+    """Temporal-difference patches at each masked token's anchor frame:
+    (M, cp*cp*C) rows of one clip, or (..., M, cp*cp*C) of clips."""
+    if clip.shape[-4:] != grid.clip_shape:
         raise ValueError(f"clip {clip.shape} does not match grid {grid.clip_shape}")
-    if mask.bits.shape[0] != grid.num_tokens:
-        raise ValueError("mask does not cover the token grid")
-    diff = difference_video(clip, gap)
-    anchors = diff[:: grid.ct]  # frame ct*tau for each temporal slot
+    lead, g = clip.shape[:-4], grid
+    r = len(lead)
+    anchors = difference_video(clip, gap)[..., :: g.ct, :, :, :]  # frame ct*tau
     maps = (
-        anchors.reshape(grid.gt, grid.gh, grid.cp, grid.gw, grid.cp, grid.channels)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(grid.num_tokens, grid.motion_dim)
+        anchors.reshape(lead + (g.gt, g.gh, g.cp, g.gw, g.cp, g.channels))
+        .transpose(*range(r), *(r + a for a in (0, 1, 3, 2, 4, 5)))
+        .reshape(lead + (g.num_tokens, g.motion_dim))
     )
-    return np.ascontiguousarray(maps[mask.masked_indices], dtype=np.float32)
+    return np.ascontiguousarray(_hidden_rows(maps, mask), dtype=np.float32)
+
+
+def _hidden_rows(rows: np.ndarray, mask: Mask) -> np.ndarray:
+    """The (..., M, K) hidden rows of (..., N, K) rows, ascending per clip."""
+    if rows.shape[:-1] != mask.bits.shape:
+        raise ValueError(f"mask bits {mask.bits.shape} do not cover the token "
+                         f"rows {rows.shape[:-1]}")
+    return rows[mask.bits].reshape(mask.masked_indices.shape + rows.shape[-1:])
 
 
 def make_targets(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, cfg: TargetConfig
 ) -> TargetBundle:
-    """Build whichever targets the configured kind requests."""
+    """Build whichever targets the configured kind requests, for one clip
+    and its Mask or for stacked clips and a batch Mask."""
     space = time = None
     if cfg.kind in ("frame", "both"):
         space = make_space_target(clip, mask, grid, cfg.normalize_space)

@@ -45,24 +45,33 @@ class TokenGrid:
 
 @dataclass(frozen=True)
 class Mask:
-    """Per-token visibility decision; bits[i] True means token i is hidden."""
+    """Hidden tokens of one clip, (N,) bits, or of a batch of clips, (B, N)
+    bits; bits[..., i] True means token i is hidden.
+
+    A batch is rectangular only if its rows hide equal counts. Every
+    strategy hides a count fixed by (grid, ratio), so masks of one run
+    always do; rows that differ are rejected rather than padded. The bits
+    and both (..., M) and (..., N - M) index arrays, ascending per row, are
+    read-only and built once.
+    """
 
     bits: np.ndarray
-    ratio: float
-    strategy: str
-    seed: int
 
-    @property
-    def num_masked(self) -> int:
-        return int(self.bits.sum())
-
-    @property
-    def masked_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-    @property
-    def visible_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.bits)
+    def __post_init__(self):
+        bits = np.array(self.bits, dtype=bool)
+        counts = bits.sum(axis=-1)
+        m = int(counts.max(initial=0))
+        if (counts != m).any():
+            raise ValueError(f"masks of one batch hide different token counts "
+                             f"{sorted(set(counts.tolist()))}")
+        lead, n = bits.shape[:-1], bits.shape[-1]
+        hidden = np.nonzero(bits)[-1].reshape(lead + (m,))
+        visible = np.nonzero(~bits)[-1].reshape(lead + (n - m,))
+        for name, arr in (("bits", bits), ("masked_indices", hidden),
+                          ("visible_indices", visible)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "num_masked", m)  # per clip
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +80,17 @@ class Mask:
 
 
 def patchify(clip: np.ndarray, ct: int, cp: int) -> tuple[np.ndarray, TokenGrid]:
-    """Cut a clip into cube tokens; returns (tokens[N, D], grid)."""
-    T, H, W, C = clip.shape
+    """Cut a clip (T, H, W, C), or clips (..., T, H, W, C), into cube tokens;
+    returns (tokens (..., N, D), grid)."""
+    *lead, T, H, W, C = clip.shape
     if T % ct or H % cp or W % cp:
         raise ValueError(f"clip {clip.shape} not divisible by cube ({ct}, {cp}, {cp})")
     grid = TokenGrid(T // ct, H // cp, W // cp, ct, cp, C)
+    r = len(lead)
     tokens = (
-        clip.reshape(grid.gt, ct, grid.gh, cp, grid.gw, cp, C)
-        .transpose(0, 2, 4, 1, 3, 5, 6)
-        .reshape(grid.num_tokens, grid.token_dim)
+        clip.reshape(*lead, grid.gt, ct, grid.gh, cp, grid.gw, cp, C)
+        .transpose(*range(r), *(r + a for a in (0, 2, 4, 1, 3, 5, 6)))
+        .reshape(*lead, grid.num_tokens, grid.token_dim)
     )
     return np.ascontiguousarray(tokens), grid
 
@@ -170,32 +181,14 @@ def sample_mask(grid: TokenGrid, ratio: float, strategy: str, seed: int) -> Mask
         grid3 = bits.reshape(grid.gt, grid.gh * grid.gw)
         grid3[chosen] = True
         bits = grid3.reshape(-1)
-    return Mask(bits=bits, ratio=ratio, strategy=strategy, seed=seed)
+    return Mask(bits)
 
 
-def split_visible(tokens: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition tokens into (visible rows, visible indices, masked indices),
-    both index lists ascending: (N, D) tokens by one Mask, or a batch of
-    (B, N, D) tokens by a sequence of B masks, each part then stacked."""
-    bits, vis, hidden = mask_rows(mask)
-    if tokens.shape[:-1] != bits.shape:
-        raise ValueError(f"tokens {tokens.shape} do not pair with mask bits {bits.shape}")
-    return np.take_along_axis(tokens, vis[..., None], axis=-2), vis, hidden
-
-
-def mask_rows(masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hidden bits, visible indices, hidden indices) of one Mask, or each
-    stacked along a leading batch axis over a sequence of masks.
-
-    A batch is rectangular only if its masks hide equal counts. Every
-    strategy hides a count fixed by (grid, ratio), so masks of one run
-    always do; masks that differ are rejected rather than padded.
-    """
-    if isinstance(masks, Mask):
-        return masks.bits, masks.visible_indices, masks.masked_indices
-    counts = sorted({m.num_masked for m in masks})
-    if len(counts) > 1:
-        raise ValueError(f"masks of one batch hide different token counts {counts}")
-    return (np.stack([m.bits for m in masks]),
-            np.stack([m.visible_indices for m in masks]),
-            np.stack([m.masked_indices for m in masks]))
+def split_visible(tokens: np.ndarray, mask: Mask) -> tuple[np.ndarray, ...]:
+    """Partition (..., N, D) tokens by a Mask of (..., N) bits into (visible
+    rows (..., N - M, D), visible indices, masked indices)."""
+    if tokens.shape[:-1] != mask.bits.shape:
+        raise ValueError(f"tokens {tokens.shape} do not pair with mask bits "
+                         f"{mask.bits.shape}")
+    visible = tokens[~mask.bits].reshape(mask.visible_indices.shape + tokens.shape[-1:])
+    return visible, mask.visible_indices, mask.masked_indices

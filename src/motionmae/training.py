@@ -30,7 +30,7 @@ from .model import (
 )
 from .numerics import NonFiniteError, OptimState, Tape, Tensor, adamw_step, backward
 from .targets import TargetConfig, make_targets
-from .tokenizer import Mask, TokenGrid, mask_rows, sample_mask
+from .tokenizer import Mask, TokenGrid, sample_mask
 
 LOSS_KINDS = ("mse", "l1", "smooth_l1")
 
@@ -117,18 +117,17 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask | list[Mask],
-                kind: str) -> Tensor:
+def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask, kind: str) -> Tensor:
     """Mean reconstruction penalty over the masked elements only.
 
-    Takes (N, K) predictions with one Mask and (M, K) targets, or a batch of
-    (B, N, K) predictions with a sequence of B masks and (B, M, K) targets.
-    Every sample hides M tokens, so the batch mean is the mean of the
-    per-sample losses.
+    Takes (N, K) predictions with a Mask of (N,) bits and (M, K) targets, or
+    a batch of (B, N, K) predictions with a Mask of (B, N) bits and
+    (B, M, K) targets. Every sample hides M tokens, so the batch mean is the
+    mean of the per-sample losses.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-    _, _, idx = mask_rows(mask)
+    idx = mask.masked_indices
     if idx.size == 0:
         raise ValueError("loss undefined with zero masked tokens")
     if target.shape != idx.shape + pred.shape[-1:]:
@@ -200,18 +199,18 @@ def pretrain_loss(
     cfg: TrainConfig,
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
     """The batch objective as one graph: (L_space + lam * L_time, L_space,
-    L_time), each the mean over the clips, with absent heads as None."""
-    tgt_cfg = cfg.target_config()
-    bundles = [make_targets(clip, mask, grid, tgt_cfg) for clip, mask in zip(clips, masks)]
-    pred_space, pred_time = forward_pretrain(clips, masks, grid, enc_cfg, dec_cfg,
+    L_time), each the mean over the clips, with absent heads as None. The
+    clips and their masks are stacked once, into (B, T, H, W, C) and one
+    Mask of (B, N) bits."""
+    clips, mask = np.stack(clips), Mask(np.stack([m.bits for m in masks]))
+    target = make_targets(clips, mask, grid, cfg.target_config())
+    pred_space, pred_time = forward_pretrain(clips, mask, grid, enc_cfg, dec_cfg,
                                              params, cfg.target_kind)
     ls = lt = None
     if pred_space is not None:
-        ls = masked_loss(pred_space, np.stack([b.space for b in bundles]), masks,
-                         cfg.loss_kind)
+        ls = masked_loss(pred_space, target.space, mask, cfg.loss_kind)
     if pred_time is not None:
-        lt = masked_loss(pred_time, np.stack([b.time for b in bundles]), masks,
-                         cfg.loss_kind)
+        lt = masked_loss(pred_time, target.time, mask, cfg.loss_kind)
     return total_loss(ls, lt, cfg.lam), ls, lt
 
 
@@ -234,19 +233,29 @@ def pretrain_step(
     masks = [sample_mask(grid, cfg.mask_ratio, cfg.mask_strategy,
                          seed=derive_seed(cfg.seed + 2, step, i))
              for i in range(len(batch))]
+    loss, ls, lt = _update(params, opt, cfg, step, lambda: pretrain_loss(
+        batch, masks, params, grid, enc_cfg, dec_cfg, cfg))
+    value = lambda part: None if part is None else float(part.data)
+    return float(loss.data), value(ls), value(lt)
+
+
+def _update(params: dict[str, Tensor], opt: OptimState, cfg: TrainConfig,
+            step: int, objective) -> tuple:
+    """One optimizer update of either phase: record `objective()`, a tuple
+    whose first item is the loss, on a fresh tape, backpropagate it, apply
+    AdamW at the step's learning rate, and return the tuple."""
     tape = Tape()
     for p in params.values():
         tape.watch(p)
     try:
-        loss, ls, lt = pretrain_loss(batch, masks, params, grid, enc_cfg, dec_cfg, cfg)
-        backward(loss, tape)
+        parts = objective()
+        backward(parts[0], tape)
     except NonFiniteError as e:
         raise NonFiniteError(f"non-finite value during step {step}: {e}") from e
-    grads = {k: p.grad for k, p in params.items()}
-    adamw_step(params, grads, opt, lr=lr_at(step, cfg), beta1=cfg.beta1,
-               beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
-    value = lambda part: None if part is None else float(part.data)
-    return float(loss.data), value(ls), value(lt)
+    adamw_step(params, {k: p.grad for k, p in params.items()}, opt,
+               lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
+               eps=cfg.eps, weight_decay=cfg.weight_decay)
+    return parts
 
 
 def _batch_at(items: list, step: int, batch_size: int) -> list:
@@ -368,18 +377,8 @@ def run_finetune(
     for step in range(cfg.total_steps):
         clips = _batch_at(train_clips, step, cfg.batch_size)
         labels = _batch_at(train_labels, step, cfg.batch_size)
-        tape = Tape()
-        for p in params.values():
-            tape.watch(p)
-        try:
-            loss = cross_entropy(classify(clips, grid, enc_cfg, params, num_classes),
-                                 labels)
-            backward(loss, tape)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"non-finite value during step {step}: {e}") from e
-        adamw_step(params, {k: p.grad for k, p in params.items()}, opt,
-                   lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
-                   eps=cfg.eps, weight_decay=cfg.weight_decay)
+        _update(params, opt, cfg, step, lambda: (cross_entropy(
+            classify(clips, grid, enc_cfg, params, num_classes), labels),))
 
     train_top1, _ = evaluate_top1(train_clips, train_labels, grid, enc_cfg,
                                   params, num_classes)
@@ -467,6 +466,8 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
         if off + name_len + 1 > end:
             raise CheckpointTruncatedError(f"{path}: record name cut short")
         name = content[off : off + name_len].decode()
+        if name in arrays:
+            raise CheckpointFormatError(f"{path}: duplicate record {name!r}")
         off += name_len
         rank = content[off]
         off += 1

@@ -205,6 +205,17 @@ def test_exit_code_embed_dim_below_six(tmp_path, capsys, key):
     assert not (tmp_path / "run").exists()
 
 
+def test_exit_code_decoder_depth_zero(tmp_path, capsys):
+    """A decoder needs a block: rejected at load, naming the field."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    model = {"preset": None, "enc_depth": 1, "enc_dim": 8, "enc_heads": 2,
+             "enc_mlp": 2.0, "dec_depth": 0, "dec_dim": 8, "dec_heads": 2,
+             "dec_mlp": 2.0}
+    assert main(["pretrain", "--config", write_cfg(tmp_path, model=model)]) == 2
+    assert "model.dec_depth" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
     cfg = write_cfg(tmp_path, train={"total_steps": 2, "warmup_steps": 0,
                                      "finetune_steps": 2},
@@ -345,11 +356,10 @@ def test_primitive_check_suite_passes():
 
 def test_gradcheck_covers_every_op():
     names = {name for name, _ in _primitive_checks()}
-    expected = {"add", "sub", "mul", "neg", "scale", "exp", "log", "absolute",
+    expected = {"add", "sub", "mul", "scale", "exp", "log", "absolute",
                 "huber", "matmul", "matmul_batched", "softmax", "gelu",
                 "layer_norm", "reshape", "transpose", "gather_rows",
-                "scatter_rows", "take_scalar", "sum_all",
-                "mean_all", "mean_axis"}
+                "scatter_rows", "sum_all", "mean_all", "mean_axis"}
     assert expected <= names
 
 

@@ -131,11 +131,12 @@ def test_full_scale_space_head_dim():
 
 
 def test_decode_scatter_routing_with_stub():
-    """Zero-depth decoder with identity projections exposes the scatter: each
-    masked slot shows the mask token, each visible slot its own latent, each
-    plus the position code of its slot."""
+    """A decoder whose one block is the identity (zero attention and MLP
+    output projections), with identity embed and head projections, exposes
+    the scatter: each masked slot shows the mask token, each visible slot its
+    own latent, each plus the position code of its slot."""
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
-    dec = md.DecoderConfig(depth=0, embed_dim=8, heads=2, mlp_ratio=1.0,
+    dec = md.DecoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=1.0,
                            space_dim=8, time_dim=4)
     rng = np.random.default_rng(7)
     params = {
@@ -147,6 +148,10 @@ def test_decode_scatter_routing_with_stub():
         "dec.space.out.w": Tensor(np.eye(8, dtype=np.float32)),
         "dec.space.out.b": Tensor(np.zeros(8, dtype=np.float32)),
     }
+    md._block_params(params, "dec.space.block0", 8, 8, np.random.default_rng(1),
+                     np.float32)
+    for name in ("attn.wo", "attn.bo", "mlp.w2", "mlp.b2"):
+        params[f"dec.space.block0.{name}"].data[...] = 0.0
     mask = tk.sample_mask(grid, 0.5, "random", seed=8)
     latents = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
     out = md.decode(latents, mask, grid, dec, params, ("space",))["space"].data
@@ -352,6 +357,9 @@ def test_config_validation():
         md.EncoderConfig(depth=0, embed_dim=8, heads=2, mlp_ratio=1.0, token_dim=4)
     with pytest.raises(ValueError):
         md.EncoderConfig(depth=1, embed_dim=9, heads=2, mlp_ratio=1.0, token_dim=4)
+    with pytest.raises(ValueError, match="^depth"):
+        md.DecoderConfig(depth=0, embed_dim=8, heads=2, mlp_ratio=1.0,
+                         space_dim=4, time_dim=4)
     with pytest.raises(ValueError):
         md.DecoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=1.0,
                          space_dim=4, time_dim=4, arch="cascade")

@@ -183,9 +183,9 @@ def test_layer_norm_shape_mismatch():
 
 
 def test_gelu_fixed_points():
-    assert nm.gelu(Tensor(0.0)).item() == 0.0
-    assert abs(nm.gelu(Tensor(10.0)).item() - 10.0) < 1e-6
-    assert abs(nm.gelu(Tensor(-10.0)).item()) < 1e-6
+    assert float(nm.gelu(Tensor(0.0)).data) == 0.0
+    assert abs(float(nm.gelu(Tensor(10.0)).data) - 10.0) < 1e-6
+    assert abs(float(nm.gelu(Tensor(-10.0)).data)) < 1e-6
 
 
 # ---- backward ----
@@ -316,7 +316,7 @@ def test_grad_gelu():
 
 def test_grad_exp_log():
     def f(p):
-        return nm.sum_all(nm.log(nm.add(nm.exp(p[0]), nm.exp(nm.neg(p[0])))))
+        return nm.sum_all(nm.log(nm.add(nm.exp(p[0]), nm.exp(nm.scale(p[0], -1.0)))))
     _check(f, [(4,)], 26)
 
 
@@ -346,10 +346,6 @@ def test_grad_gather_scatter():
         spread = nm.scatter_rows(got, [1, 4, 0], 6)
         return nm.sum_all(nm.mul(spread, spread))
     _check(f, [(4, 3)], 30)
-
-
-def test_grad_take_scalar():
-    _check(lambda p: nm.take_scalar(nm.mul(p[0], p[0]), 7), [(2, 4)], 31)
 
 
 def test_grad_means():

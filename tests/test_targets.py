@@ -13,8 +13,7 @@ def _grid_and_clip(seed=0, T=8, H=16, W=16, C=1, ct=2, cp=4):
 
 
 def _full_mask(grid):
-    return tk.Mask(bits=np.ones(grid.num_tokens, dtype=bool), ratio=0.99,
-                   strategy="random", seed=0)
+    return tk.Mask(np.ones(grid.num_tokens, dtype=bool))
 
 
 # ---- space targets ----
@@ -199,3 +198,26 @@ def test_bundle_motion_on_static_clip_zero():
 def test_bundle_invalid_kind_rejected():
     with pytest.raises(ValueError):
         tg.TargetConfig(kind="edges")
+
+
+@pytest.mark.parametrize("gap", [1, 2, 4])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("kind", tg.TARGET_KINDS)
+def test_batched_targets_equal_per_clip_targets(kind, normalize, gap):
+    """Targets of stacked clips under a batch Mask are the per-clip targets,
+    stacked, bit for bit."""
+    clips = [_grid_and_clip(10 + i)[0] for i in range(3)]
+    _, grid = tk.patchify(clips[0], 2, 4)
+    masks = [tk.sample_mask(grid, 0.75, "random", seed=20 + i) for i in range(3)]
+    cfg = tg.TargetConfig(kind, gap, normalize)
+    batch = tg.make_targets(np.stack(clips), tk.Mask(np.stack([m.bits for m in masks])),
+                            grid, cfg)
+    singles = [tg.make_targets(c, m, grid, cfg) for c, m in zip(clips, masks)]
+    for head in ("space", "time"):
+        got = getattr(batch, head)
+        if getattr(singles[0], head) is None:
+            assert got is None
+            continue
+        want = np.stack([getattr(b, head) for b in singles])
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)

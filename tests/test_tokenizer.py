@@ -201,7 +201,7 @@ def test_split_visible_partitions_indices():
 def test_split_visible_explicit_enumeration():
     bits = np.zeros(8, dtype=bool)
     bits[[1, 3]] = True
-    m = tk.Mask(bits=bits, ratio=0.25, strategy="random", seed=0)
+    m = tk.Mask(bits)
     tokens = np.arange(16, dtype=np.float32).reshape(8, 2)
     vis, vis_idx, mask_idx = tk.split_visible(tokens, m)
     assert vis_idx.tolist() == [0, 2, 4, 5, 6, 7]
@@ -219,26 +219,58 @@ def test_split_visible_ratio_zero_all_visible():
 
 
 def test_split_visible_count_mismatch():
-    m = tk.Mask(bits=np.zeros(4, dtype=bool), ratio=0.0, strategy="random", seed=0)
+    m = tk.Mask(np.zeros(4, dtype=bool))
     with pytest.raises(ValueError):
         tk.split_visible(np.ones((5, 2), dtype=np.float32), m)
 
 
-# ---- mask_rows ----
+# ---- a batch of masks ----
 
 
-def test_mask_rows_stacks_a_batch_in_index_order():
+def test_batch_mask_matches_its_stacked_masks():
+    grid = tk.TokenGrid(4, 2, 3, 2, 4, 1)
+    for strategy in tk.MASK_STRATEGIES:
+        masks = [tk.sample_mask(grid, 0.5, strategy, seed=s) for s in (1, 2, 3)]
+        batch = tk.Mask(np.stack([m.bits for m in masks]))
+        m = masks[0].num_masked
+        assert batch.num_masked == m > 0
+        assert batch.bits.shape == (3, grid.num_tokens)
+        assert batch.masked_indices.shape == (3, m)
+        assert batch.visible_indices.shape == (3, grid.num_tokens - m)
+        for i, one in enumerate(masks):
+            np.testing.assert_array_equal(batch.bits[i], one.bits)
+            np.testing.assert_array_equal(batch.visible_indices[i], one.visible_indices)
+            np.testing.assert_array_equal(batch.masked_indices[i], one.masked_indices)
+            np.testing.assert_array_equal(one.masked_indices, np.flatnonzero(one.bits))
+
+
+def test_mask_arrays_read_only_and_built_once():
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
-    masks = [tk.sample_mask(grid, 0.5, "random", seed=s) for s in (1, 2, 3)]
-    bits, vis_idx, hidden_idx = tk.mask_rows(masks)
-    assert bits.shape == (3, 8)
-    assert vis_idx.shape == hidden_idx.shape == (3, 4)
-    for i, m in enumerate(masks):
-        np.testing.assert_array_equal(bits[i], m.bits)
-        np.testing.assert_array_equal(vis_idx[i], m.visible_indices)
-        np.testing.assert_array_equal(hidden_idx[i], m.masked_indices)
-    one = tk.mask_rows(masks[0])
-    np.testing.assert_array_equal(one[2], masks[0].masked_indices)
+    one = tk.sample_mask(grid, 0.5, "random", seed=1)
+    batch = tk.Mask(np.stack([one.bits, one.bits]))
+    for m in (one, batch):
+        assert m.masked_indices is m.masked_indices
+        assert m.visible_indices is m.visible_indices
+        for arr in (m.bits, m.masked_indices, m.visible_indices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[..., 0] = 0
+
+
+def test_mask_keeps_its_own_bits():
+    bits = np.zeros(4, dtype=bool)
+    bits[1] = True
+    m = tk.Mask(bits)
+    bits[2] = True  # the caller's array stays writable and apart
+    assert m.masked_indices.tolist() == [1]
+
+
+def test_patchify_batch_matches_each_clip():
+    clips = np.stack([_clip(30 + i, (4, 8, 8, 2)) for i in range(3)])
+    tokens, grid = tk.patchify(clips, 2, 4)
+    assert tokens.shape == (3, grid.num_tokens, grid.token_dim)
+    for i in range(3):
+        np.testing.assert_array_equal(tokens[i], tk.patchify(clips[i], 2, 4)[0])
 
 
 def test_split_visible_batch_matches_each_sample():
@@ -246,7 +278,8 @@ def test_split_visible_batch_matches_each_sample():
     tokens = np.stack([tk.patchify(_clip(20 + i, (4, 8, 8, 1)), 2, 4)[0]
                        for i in range(3)])
     masks = [tk.sample_mask(grid, 0.5, "tube", seed=s) for s in (1, 2, 3)]
-    vis, vis_idx, mask_idx = tk.split_visible(tokens, masks)
+    vis, vis_idx, mask_idx = tk.split_visible(
+        tokens, tk.Mask(np.stack([m.bits for m in masks])))
     assert vis.shape == (3, 4, grid.token_dim)
     for i, m in enumerate(masks):
         one = tk.split_visible(tokens[i], m)
@@ -255,9 +288,9 @@ def test_split_visible_batch_matches_each_sample():
         np.testing.assert_array_equal(mask_idx[i], one[2])
 
 
-def test_mask_rows_rejects_unequal_hidden_counts():
+def test_batch_mask_rejects_unequal_hidden_counts():
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
     masks = [tk.sample_mask(grid, 0.5, "random", seed=1),
              tk.sample_mask(grid, 0.75, "random", seed=2)]
     with pytest.raises(ValueError, match="different token counts"):
-        tk.mask_rows(masks)
+        tk.Mask(np.stack([m.bits for m in masks]))

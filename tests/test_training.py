@@ -10,8 +10,7 @@ from motionmae.numerics import OptimState, Tape, Tensor, backward
 
 
 def _mask_of(bits):
-    return tk.Mask(bits=np.asarray(bits, dtype=bool), ratio=0.5,
-                   strategy="random", seed=0)
+    return tk.Mask(np.asarray(bits, dtype=bool))
 
 
 def _tiny_task(n_clips, seed, T=8, H=16, W=16):
@@ -39,7 +38,7 @@ def test_masked_loss_zero_when_equal():
     mask = _mask_of([1, 0, 1, 0, 1, 0])
     target = pred.data[mask.masked_indices]
     for kind in tr.LOSS_KINDS:
-        assert tr.masked_loss(pred, target, mask, kind).item() == 0.0
+        assert float(tr.masked_loss(pred, target, mask, kind).data) == 0.0
 
 
 def test_masked_loss_constant_offset_mse():
@@ -47,7 +46,7 @@ def test_masked_loss_constant_offset_mse():
     mask = _mask_of([1, 1, 0, 0])
     target = np.zeros((2, 5))
     loss = tr.masked_loss(pred, target, mask, "mse")
-    np.testing.assert_allclose(loss.item(), 0.09, rtol=1e-12)
+    np.testing.assert_allclose(float(loss.data), 0.09, rtol=1e-12)
 
 
 def test_masked_loss_two_loop_oracle():
@@ -55,7 +54,7 @@ def test_masked_loss_two_loop_oracle():
     pred = Tensor(rng.normal(size=(5, 3)))
     mask = _mask_of([0, 1, 1, 0, 1])
     target = rng.normal(size=(3, 3))
-    got = tr.masked_loss(pred, target, mask, "l1").item()
+    got = float(tr.masked_loss(pred, target, mask, "l1").data)
     total = 0.0
     for r, tok in enumerate([1, 2, 4]):
         for k in range(3):
@@ -77,15 +76,15 @@ def test_masked_loss_locality():
     mask = _mask_of([0, 1, 0, 1, 0, 1])
     target = rng.normal(size=(3, 4))
 
-    loss0 = tr.masked_loss(Tensor(base), target, mask, "mse").item()
+    loss0 = float(tr.masked_loss(Tensor(base), target, mask, "mse").data)
     bumped = base.copy()
     bumped[mask.visible_indices] += 17.0
-    assert tr.masked_loss(Tensor(bumped), target, mask, "mse").item() == loss0
+    assert float(tr.masked_loss(Tensor(bumped), target, mask, "mse").data) == loss0
 
     for tok in mask.masked_indices:
         poked = base.copy()
         poked[tok] += 0.5
-        assert tr.masked_loss(Tensor(poked), target, mask, "mse").item() != loss0
+        assert float(tr.masked_loss(Tensor(poked), target, mask, "mse").data) != loss0
 
 
 def test_masked_loss_gradients():
@@ -105,10 +104,10 @@ def test_masked_loss_gradients():
 def test_total_loss_sum_and_degenerate_weights():
     a = Tensor(np.asarray(0.7))
     b = Tensor(np.asarray(0.2))
-    assert tr.total_loss(a, b, 1.0).item() == 0.7 + 0.2
-    assert tr.total_loss(a, None, 1.0).item() == 0.7
-    assert tr.total_loss(None, b, 2.0).item() == 0.4
-    assert tr.total_loss(a, b, 0.0).item() == a.item()
+    assert float(tr.total_loss(a, b, 1.0).data) == 0.7 + 0.2
+    assert float(tr.total_loss(a, None, 1.0).data) == 0.7
+    assert float(tr.total_loss(None, b, 2.0).data) == 0.4
+    assert float(tr.total_loss(a, b, 0.0).data) == float(a.data)
     with pytest.raises(ValueError):
         tr.total_loss(None, None, 1.0)
 
@@ -118,7 +117,7 @@ def test_total_loss_machine_precision_sum():
     for _ in range(20):
         a, b = rng.uniform(size=2)
         got = tr.total_loss(Tensor(np.asarray(a)), Tensor(np.asarray(b)), 1.0)
-        assert got.item() == a + b
+        assert float(got.data) == a + b
 
 
 # ---- lr schedule ----
@@ -158,7 +157,7 @@ def test_train_config_validation():
 
 def test_cross_entropy_uniform_logits_exact():
     logits = Tensor(np.full((1, 4), 1.7))
-    assert tr.cross_entropy(logits, 2).item() == np.log(4.0)
+    assert float(tr.cross_entropy(logits, 2).data) == np.log(4.0)
 
 
 def test_cross_entropy_gradient():
@@ -278,8 +277,8 @@ def test_batched_pretrain_matches_mean_of_single_clips(strategy, ratio, arch,
                for c, m in zip(clips, masks)]
 
     for got, i in ((loss, 0), (ls, 1), (lt, 2)):
-        want = np.mean([parts[i].item() for parts, _ in singles])
-        np.testing.assert_allclose(got.item(), want, rtol=1e-5)
+        want = np.mean([float(parts[i].data) for parts, _ in singles])
+        np.testing.assert_allclose(float(got.data), want, rtol=1e-5)
     _assert_grads_close(batch_grads, {k: np.mean([g[k] for _, g in singles], axis=0)
                                       for k in params})
 
@@ -296,8 +295,8 @@ def test_batched_finetune_loss_matches_mean_of_single_clips():
     (loss,), batch_grads = _grads_of(lambda: loss_of(clips, labels), params)
     singles = [_grads_of(lambda: loss_of([c], [y]), params)
                for c, y in zip(clips, labels)]
-    want = np.mean([parts[0].item() for parts, _ in singles])
-    np.testing.assert_allclose(loss.item(), want, rtol=1e-5)
+    want = np.mean([float(parts[0].data) for parts, _ in singles])
+    np.testing.assert_allclose(float(loss.data), want, rtol=1e-5)
     _assert_grads_close(batch_grads, {k: np.mean([g[k] for _, g in singles], axis=0)
                                       for k in params})
 
@@ -309,6 +308,31 @@ def test_pretrain_batch_rejects_unequal_hidden_counts():
              tk.sample_mask(grid, 0.5, "random", seed=2)]
     with pytest.raises(ValueError, match="different token counts"):
         tr.pretrain_loss(clips[:2], masks, params, grid, enc, dec, cfg)
+
+
+def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
+    """A step patchifies its stacked clips once for the model and once for
+    the targets, and builds the whole batch's targets in one call."""
+    from motionmae import targets as tg
+    clips, grid, enc, dec, cfg = _tiny_train_setup(batch_size=4)
+    params = md.init_params(enc, dec, seed=1)
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(md, "patchify")
+    counted(tg, "patchify")
+    counted(tr, "make_targets")
+    tr.pretrain_step(clips, params, OptimState.for_params(params), grid, enc, dec,
+                     cfg, 0)
+    assert sorted(calls) == ["make_targets", "patchify", "patchify"]
 
 
 def test_run_pretrain_csv_bookkeeping(tmp_path):
@@ -461,6 +485,22 @@ def test_checkpoint_version_and_magic_errors(tmp_path):
 
     p.write_bytes(b"JUNK" + bytes(80))
     with pytest.raises(tr.CheckpointFormatError):
+        tr.load_checkpoint(p)
+
+
+def test_checkpoint_duplicate_record_rejected(tmp_path):
+    """A record name that repeats is a malformed file, even when the content
+    digest is right, not a silent overwrite."""
+    import hashlib
+    import struct
+    x = np.arange(3, dtype=np.float32)
+    body = [tr.CHECKPOINT_MAGIC, struct.pack("<B", tr.CHECKPOINT_VERSION), bytes(32),
+            struct.pack("<Q", 1)]
+    body += [tr._pack_record(name, x) for name in ("param:x", "m:x", "v:x", "param:x")]
+    content = b"".join(body)
+    p = tmp_path / "dup.mmck"
+    p.write_bytes(content + hashlib.sha256(content).digest())
+    with pytest.raises(tr.CheckpointFormatError, match="duplicate"):
         tr.load_checkpoint(p)
 
 
