@@ -154,11 +154,13 @@ def _validate(cfg: dict) -> None:
     model, data = cfg["model"], cfg["data"]
     if cfg["train"]["total_steps"] < 1:  # finetune_steps may be 0
         raise ConfigError("train.total_steps must be >= 1")
-    if model["preset"] is None:
-        for key in ("enc_depth", "enc_dim", "enc_heads", "enc_mlp",
-                    "dec_depth", "dec_dim", "dec_heads", "dec_mlp"):
-            if model[key] is None:
-                raise ConfigError(f"model.{key} is required when model.preset is null")
+    for key in ("enc_depth", "enc_dim", "enc_heads", "enc_mlp",
+                "dec_depth", "dec_dim", "dec_heads", "dec_mlp"):
+        if model["preset"] is None and model[key] is None:
+            raise ConfigError(f"model.{key} is required when model.preset is null")
+        if model["preset"] is not None and model[key] is not None:
+            raise ConfigError(f"model.{key} must be null when model.preset is set "
+                              f"(the preset fixes the model sizes)")
     if model["cube_t"] < 1 or model["cube_p"] < 1:
         raise ConfigError("model cube dims must be >= 1")
     for key in ("T", "H", "W", "channels", "num_clips"):
@@ -519,20 +521,17 @@ def _primitive_checks():
                 x, (12,)), (3, 4)))), (3, 4))
     yield check("transpose", lambda t: nm.sum_all(nm.mul(
                 t[0], nm.transpose(t[1], (1, 0)))), (4, 3), (3, 4))
-    yield check("gather_rows",
-                lambda t: nm.sum_all(nm.gather_rows(t[0], np.array([0, 2, 2]))),
-                (4, 3))
-    yield check("scatter_rows",
-                lambda t: nm.sum_all(nm.mul(nm.scatter_rows(
-                    t[0], np.array([3, 0]), 5), nm.scatter_rows(
-                    t[0], np.array([3, 0]), 5))), (2, 3))
-    # a different index row per sample, duplicates within one
-    yield check("gather_rows_batched",
-                lambda t: nm.sum_all(nm.mul(t[1], nm.gather_rows(
-                    t[0], np.array([[0, 2, 2], [3, 1, 0]])))), (2, 4, 3), (2, 3, 3))
-    yield check("scatter_rows_batched",
-                lambda t: nm.sum_all(nm.mul(t[1], nm.scatter_rows(
-                    t[0], np.array([[3, 0], [1, 4]]), 5))), (2, 2, 3), (2, 5, 3))
+    # (N,) bits, and (B, N) bits selecting a different set in each row
+    one = np.array([1, 0, 1, 1], dtype=bool)
+    two = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=bool)
+    yield check("gather_rows", lambda t: nm.add(
+                nm.sum_all(nm.mul(t[1], nm.gather_rows(t[0], one))),
+                nm.sum_all(nm.mul(t[3], nm.gather_rows(t[2], two)))),
+                (4, 3), (3, 3), (2, 4, 3), (2, 3, 3))
+    yield check("scatter_rows", lambda t: nm.add(
+                nm.sum_all(nm.mul(t[1], nm.scatter_rows(t[0], one))),
+                nm.sum_all(nm.mul(t[3], nm.scatter_rows(t[2], two)))),
+                (3, 2), (4, 2), (2, 3, 2), (2, 4, 2))
     yield check("sum_all", unary(nm.sum_all), (3, 4))
     yield check("mean_all", unary(nm.mean_all), (3, 4))
     yield check("mean_axis", lambda t: nm.sum_all(nm.mul(
@@ -716,10 +715,9 @@ def main(argv=None) -> int:
         if isinstance(e, NonFiniteError):
             print(f"numerical error: {e}", file=sys.stderr)
             return 4
-        if isinstance(e, CheckpointError):
-            print(f"checkpoint error: {e}", file=sys.stderr)
-            return 2
-        if isinstance(e, ClipFileError) or isinstance(e, OSError):
+        if isinstance(e, (CheckpointError, ClipFileError, OSError)):
+            # no command pairs a checkpoint with a config digest, so a
+            # checkpoint error means an unreadable file, as a clip error does
             print(f"i/o error: {e}", file=sys.stderr)
             return 3
         if isinstance(e, ValueError):

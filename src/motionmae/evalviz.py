@@ -101,7 +101,7 @@ def build_recon_grid(
     tokens, got = patchify(clip, grid.ct, grid.cp)
     if got != grid:
         raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-    hidden = mask.masked_indices
+    hidden = mask.bits
 
     masked_tokens = tokens.copy()
     masked_tokens[hidden] = 0.5

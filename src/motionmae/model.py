@@ -27,31 +27,28 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc, split_visible
+from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc
 
 DECODER_ARCHS = ("parallel", "shared")
 HEADS = ("space", "time")
 HEADS_OF_KIND = {"frame": ("space",), "motion": ("time",), "both": HEADS}
 
 
-def _check_embed_dim(dim: int) -> None:
-    if dim < 6:  # the position code gives each of the t, h, w axes a sin/cos pair
-        raise ValueError(f"embed_dim must be >= 6 for three sin/cos position "
-                         f"axes, got {dim}")
-
-
 @dataclass(frozen=True)
-class EncoderConfig:
+class _StackConfig:
+    """The sizes of one transformer stack, checked when built."""
+
     depth: int
     embed_dim: int
     heads: int
     mlp_ratio: float
-    token_dim: int
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        _check_embed_dim(self.embed_dim)
+        if self.embed_dim < 6:  # a sin/cos pair for each of the t, h, w axes
+            raise ValueError(f"embed_dim must be >= 6 for three sin/cos position "
+                             f"axes, got {self.embed_dim}")
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(f"heads {self.heads} do not divide embed_dim "
                              f"{self.embed_dim}")
@@ -62,28 +59,20 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class DecoderConfig:
-    depth: int
-    embed_dim: int
-    heads: int
-    mlp_ratio: float
+class EncoderConfig(_StackConfig):
+    token_dim: int
+
+
+@dataclass(frozen=True)
+class DecoderConfig(_StackConfig):
     space_dim: int
     time_dim: int
     arch: str = "parallel"
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        _check_embed_dim(self.embed_dim)
-        if self.heads < 1 or self.embed_dim % self.heads:
-            raise ValueError(f"heads {self.heads} do not divide embed_dim "
-                             f"{self.embed_dim}")
+        super().__post_init__()
         if self.arch not in DECODER_ARCHS:
             raise ValueError(f"arch {self.arch!r} is not one of {DECODER_ARCHS}")
-
-    @property
-    def mlp_dim(self) -> int:
-        return int(self.embed_dim * self.mlp_ratio)
 
     def out_dim(self, head: str) -> int:
         if head == "space":
@@ -288,23 +277,26 @@ def _tokens(clips, grid: TokenGrid) -> np.ndarray:
 
 
 def encode(
-    visible_tokens,
-    visible_indices,
+    tokens,
+    mask: Mask,
     grid: TokenGrid,
     cfg: EncoderConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    """Embed and contextualize the visible tokens; one latent per input row.
+    """Embed and contextualize the tokens a Mask leaves visible; one latent
+    per visible token.
 
-    Takes (Nv, D) tokens with their (Nv,) grid indices, or a batch of
-    (B, Nv, D) tokens with (B, Nv) indices.
+    Takes (N, D) tokens with a Mask of (N,) bits, giving (Nv, E) latents, or
+    a batch of (B, N, D) tokens with a Mask of (B, N) bits, giving
+    (B, Nv, E).
     """
     dtype = params_dtype(params)
-    visible_tokens = Tensor(np.ascontiguousarray(visible_tokens, dtype=dtype))
-    if visible_tokens.shape[-2] < 1:
+    visible = Tensor(np.ascontiguousarray(mask.visible(tokens), dtype=dtype))
+    if visible.shape[-2] < 1:
         raise ValueError("encoder needs at least one visible token")
-    x = _linear(visible_tokens, params, "patch_proj")
-    pos = _posenc(grid, cfg.embed_dim, dtype)[np.asarray(visible_indices)]
+    x = _linear(visible, params, "patch_proj")
+    codes = _posenc(grid, cfg.embed_dim, dtype)
+    pos = mask.visible(np.broadcast_to(codes, mask.bits.shape + codes.shape[-1:]))
     x = nm.add(x, Tensor(pos))
     return _run_stack(x, params, "enc", cfg.depth, cfg.heads)
 
@@ -329,13 +321,10 @@ def decode(
             raise ValueError(f"no {head!r} head in this model (unknown, or "
                              "disabled by the target kind)")
     dtype = params_dtype(params)
-    bits, vis_idx = mask.bits, mask.visible_indices
+    bits = mask.bits
     if bits.shape[-1] != grid.num_tokens:
         raise ValueError(f"mask covers {bits.shape[-1]} tokens, grid has "
                          f"{grid.num_tokens}")
-    if latents.shape[:-1] != vis_idx.shape:
-        raise ValueError(f"latents {latents.shape} do not pair with visible "
-                         f"indices {vis_idx.shape}")
     hidden = Tensor(bits[..., None].astype(dtype))  # 1 at hidden positions
     pos = Tensor(_posenc(grid, cfg.embed_dim, dtype))
 
@@ -343,7 +332,7 @@ def decode(
     preds = {}
     for stack, fed in stacks.items():
         y = _linear(latents, params, f"dec.{stack}.embed")
-        placed = nm.scatter_rows(y, vis_idx, grid.num_tokens)
+        placed = nm.scatter_rows(y, ~bits)
         placed = nm.add(placed, nm.mul(hidden, params[f"dec.{stack}.mask_token"]))
         placed = nm.add(placed, pos)
         out = _run_stack(placed, params, f"dec.{stack}", cfg.depth, cfg.heads)
@@ -368,8 +357,7 @@ def forward_pretrain(
     predictions; B stacked clips (B, T, H, W, C) with a Mask of (B, N) bits
     run as one batch and give B x N x out_dim.
     """
-    visible, vis_idx, _ = split_visible(_tokens(clip, grid), mask)
-    latents = encode(visible, vis_idx, grid, enc_cfg, params)
+    latents = encode(_tokens(clip, grid), mask, grid, enc_cfg, params)
     preds = decode(latents, mask, grid, dec_cfg, params, HEADS_OF_KIND[target_kind])
     return preds.get("space"), preds.get("time")
 
@@ -389,6 +377,6 @@ def classify(
     tokens = _tokens(clips, grid)
     if tokens.ndim == 2:
         tokens = tokens[None]
-    every = np.broadcast_to(np.arange(grid.num_tokens), tokens.shape[:-1])
-    latents = encode(tokens, every, grid, cfg, params)
+    latents = encode(tokens, Mask(np.zeros(tokens.shape[:-1], dtype=bool)), grid,
+                     cfg, params)
     return _linear(nm.mean_axis(latents, axis=1), params, "cls")

@@ -245,53 +245,48 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def _flat_rows(indices, shape: tuple) -> np.ndarray:
-    """Row numbers into `shape` viewed as a stack of rows: (M,) indices
-    address the rows of an (N, ...) array and pass through; (B, M) indices
-    address axis 1 of a (B, N, ...) array, one index row per sample."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim == 1:
-        return idx
-    if idx.ndim != 2 or len(shape) < 2 or idx.shape[0] != shape[0]:
-        raise ValueError(f"indices of shape {idx.shape} do not fit rows of {shape}")
-    return idx + (np.arange(idx.shape[0]) * shape[1])[:, None]
+def _row_count(bits) -> int:
+    """The rows each (..., N) row of boolean `bits` selects; bits that are
+    not boolean, or whose rows select different counts, are rejected."""
+    if not isinstance(bits, np.ndarray) or bits.dtype != bool or bits.ndim < 1:
+        raise ValueError("row bits must be a boolean array of rank >= 1")
+    counts = bits.sum(axis=-1)
+    m = int(counts.max(initial=0))
+    if (counts != m).any():
+        raise ValueError(f"row bits select different counts "
+                         f"{sorted(set(counts.tolist()))}")
+    return m
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of an (N, ...) tensor by (M,) indices, or of each sample
-    of a (B, N, ...) tensor by (B, M) indices; duplicate indices accumulate
-    in backward."""
+def gather_rows(a: Tensor, bits: np.ndarray) -> Tensor:
+    """The (..., M, K) rows of an (..., N, K) tensor that (..., N) boolean
+    bits select, in ascending order; every row of bits selects M."""
     ad = a.data
-    flat = _flat_rows(indices, ad.shape)
-    lead = flat.ndim
-    rows = ad.reshape((-1,) + ad.shape[lead:])
+    m, r = _row_count(bits), bits.ndim
+    if ad.shape[:r] != bits.shape:
+        raise ValueError(f"bits {bits.shape} do not fit the rows of {ad.shape}")
+    rest = ad.shape[r:]
 
     def rule(g):
-        buf = np.zeros_like(rows)
-        np.add.at(buf, flat, g)
-        return (buf.reshape(ad.shape),)
+        buf = np.zeros_like(ad)
+        buf[bits] = g.reshape((-1,) + rest)
+        return (buf,)
 
-    return _result(rows[flat], (a,), rule)
+    return _result(ad[bits].reshape(bits.shape[:-1] + (m,) + rest), (a,), rule)
 
 
-def scatter_rows(values: Tensor, indices, num_rows: int) -> Tensor:
-    """Place (M, ...) rows at (M,) indices of a zero-filled (num_rows, ...)
-    tensor, or each sample's (B, M, ...) rows at its (B, M) indices of a
-    zero-filled (B, num_rows, ...) tensor.
-
-    Indices must be unique per sample; later rows would silently overwrite
-    earlier ones.
-    """
+def scatter_rows(values: Tensor, bits: np.ndarray) -> Tensor:
+    """Inverse of gather_rows: place (..., M, K) rows at the positions that
+    (..., N) boolean bits select in a zero-filled (..., N, K) tensor."""
     vd = values.data
-    idx = np.asarray(indices, dtype=np.intp)
-    lead = idx.ndim
-    shape = vd.shape[:lead - 1] + (num_rows,) + vd.shape[lead:]
-    flat = _flat_rows(idx, shape)
-    flat_shape = (math.prod(shape[:lead]),) + shape[lead:]
-    out = np.zeros(flat_shape, dtype=vd.dtype)
-    out[flat] = vd
-    return _result(out.reshape(shape), (values,),
-                   lambda g: (g.reshape(flat_shape)[flat],))
+    m, r = _row_count(bits), bits.ndim
+    if vd.shape[:r] != bits.shape[:-1] + (m,):
+        raise ValueError(f"values {vd.shape} do not fit bits {bits.shape} "
+                         f"that select {m} rows each")
+    rest = vd.shape[r:]
+    out = np.zeros(bits.shape + rest, dtype=vd.dtype)
+    out[bits] = vd.reshape((-1,) + rest)
+    return _result(out, (values,), lambda g: (g[bits].reshape(vd.shape),))
 
 
 def sum_all(a: Tensor) -> Tensor:

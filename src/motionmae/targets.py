@@ -47,7 +47,7 @@ def make_space_target(
     tokens, got = patchify(clip, grid.ct, grid.cp)
     if got != grid:
         raise ValueError(f"clip tokenizes to {got}, mask built for {grid}")
-    rows = _hidden_rows(tokens, mask).astype(np.float32, copy=False)
+    rows = mask.hidden(tokens).astype(np.float32, copy=False)
     if not normalize_per_patch:
         return rows
     mean = rows.mean(axis=-1, keepdims=True)
@@ -81,15 +81,7 @@ def make_motion_target(
         .transpose(*range(r), *(r + a for a in (0, 1, 3, 2, 4, 5)))
         .reshape(lead + (g.num_tokens, g.motion_dim))
     )
-    return np.ascontiguousarray(_hidden_rows(maps, mask), dtype=np.float32)
-
-
-def _hidden_rows(rows: np.ndarray, mask: Mask) -> np.ndarray:
-    """The (..., M, K) hidden rows of (..., N, K) rows, ascending per clip."""
-    if rows.shape[:-1] != mask.bits.shape:
-        raise ValueError(f"mask bits {mask.bits.shape} do not cover the token "
-                         f"rows {rows.shape[:-1]}")
-    return rows[mask.bits].reshape(mask.masked_indices.shape + rows.shape[-1:])
+    return np.ascontiguousarray(mask.hidden(maps), dtype=np.float32)
 
 
 def make_targets(

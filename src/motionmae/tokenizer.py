@@ -8,6 +8,7 @@ col, channel) order. Tokens are indexed (t*gh + h)*gw + w over the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class Mask:
     A batch is rectangular only if its rows hide equal counts. Every
     strategy hides a count fixed by (grid, ratio), so masks of one run
     always do; rows that differ are rejected rather than padded. The bits
-    and both (..., M) and (..., N - M) index arrays, ascending per row, are
-    read-only and built once.
+    address every token row: `hidden` and `visible` cut (..., N, K) rows by
+    them. The read-only (..., M) and (..., N - M) index arrays, ascending per
+    row, are built on first read.
     """
 
     bits: np.ndarray
@@ -64,14 +66,37 @@ class Mask:
         if (counts != m).any():
             raise ValueError(f"masks of one batch hide different token counts "
                              f"{sorted(set(counts.tolist()))}")
-        lead, n = bits.shape[:-1], bits.shape[-1]
-        hidden = np.nonzero(bits)[-1].reshape(lead + (m,))
-        visible = np.nonzero(~bits)[-1].reshape(lead + (n - m,))
-        for name, arr in (("bits", bits), ("masked_indices", hidden),
-                          ("visible_indices", visible)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "num_masked", m)  # per clip
+
+    def hidden(self, rows: np.ndarray) -> np.ndarray:
+        """The (..., M, K) hidden rows of (..., N, K) rows."""
+        return self._cut(rows, self.bits, self.num_masked)
+
+    def visible(self, rows: np.ndarray) -> np.ndarray:
+        """The (..., N - M, K) visible rows of (..., N, K) rows."""
+        return self._cut(rows, ~self.bits, self.bits.shape[-1] - self.num_masked)
+
+    def _cut(self, rows: np.ndarray, bits: np.ndarray, count: int) -> np.ndarray:
+        if rows.shape[:-1] != bits.shape:
+            raise ValueError(f"mask bits {bits.shape} do not cover the token "
+                             f"rows {rows.shape[:-1]}")
+        return rows[bits].reshape(bits.shape[:-1] + (count,) + rows.shape[-1:])
+
+    @functools.cached_property
+    def masked_indices(self) -> np.ndarray:
+        return self._indices(self.bits, self.num_masked)
+
+    @functools.cached_property
+    def visible_indices(self) -> np.ndarray:
+        return self._indices(~self.bits, self.bits.shape[-1] - self.num_masked)
+
+    @staticmethod
+    def _indices(bits: np.ndarray, count: int) -> np.ndarray:
+        idx = np.nonzero(bits)[-1].reshape(bits.shape[:-1] + (count,))
+        idx.setflags(write=False)
+        return idx
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +207,3 @@ def sample_mask(grid: TokenGrid, ratio: float, strategy: str, seed: int) -> Mask
         grid3[chosen] = True
         bits = grid3.reshape(-1)
     return Mask(bits)
-
-
-def split_visible(tokens: np.ndarray, mask: Mask) -> tuple[np.ndarray, ...]:
-    """Partition (..., N, D) tokens by a Mask of (..., N) bits into (visible
-    rows (..., N - M, D), visible indices, masked indices)."""
-    if tokens.shape[:-1] != mask.bits.shape:
-        raise ValueError(f"tokens {tokens.shape} do not pair with mask bits "
-                         f"{mask.bits.shape}")
-    visible = tokens[~mask.bits].reshape(mask.visible_indices.shape + tokens.shape[-1:])
-    return visible, mask.visible_indices, mask.masked_indices

@@ -127,13 +127,13 @@ def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask, kind: str) -> Tens
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-    idx = mask.masked_indices
-    if idx.size == 0:
+    if mask.num_masked == 0:
         raise ValueError("loss undefined with zero masked tokens")
-    if target.shape != idx.shape + pred.shape[-1:]:
+    rows = mask.bits.shape[:-1] + (mask.num_masked,)
+    if target.shape != rows + pred.shape[-1:]:
         raise ValueError(f"target {target.shape} does not pair with "
-                         f"{idx.shape} masked rows of width {pred.shape[-1]}")
-    sel = nm.gather_rows(pred, idx)
+                         f"{rows} masked rows of width {pred.shape[-1]}")
+    sel = nm.gather_rows(pred, mask.bits)
     diff = nm.sub(sel, Tensor(np.asarray(target, dtype=pred.dtype)))
     if kind == "mse":
         return nm.mean_all(nm.mul(diff, diff))
@@ -465,7 +465,10 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
         off += 2
         if off + name_len + 1 > end:
             raise CheckpointTruncatedError(f"{path}: record name cut short")
-        name = content[off : off + name_len].decode()
+        try:
+            name = content[off : off + name_len].decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointFormatError(f"{path}: record name is not UTF-8") from e
         if name in arrays:
             raise CheckpointFormatError(f"{path}: duplicate record {name!r}")
         off += name_len
@@ -475,12 +478,16 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
             raise CheckpointTruncatedError(f"{path}: record dims cut short")
         dims = struct.unpack_from(f"<{rank}I", content, off)
         off += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)  # a Python int: huge dims cannot wrap
         nbytes = 4 * count
         if off + nbytes > end:
             raise CheckpointTruncatedError(f"{path}: record payload cut short")
-        arrays[name] = np.frombuffer(content, dtype="<f4", count=count,
-                                     offset=off).reshape(dims).copy()
+        payload = np.frombuffer(content, dtype="<f4", count=count, offset=off)
+        try:  # numpy caps the rank, and the size even when a dim is 0
+            arrays[name] = payload.reshape(dims).copy()
+        except ValueError as e:
+            raise CheckpointFormatError(f"{path}: record {name!r} has dims "
+                                        f"numpy cannot shape") from e
         off += nbytes
 
     params: dict[str, np.ndarray] = {}

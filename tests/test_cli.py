@@ -136,11 +136,23 @@ def test_exit_code_reconstruct_ratio_out_of_range(tmp_path):
 
 
 def test_exit_code_corrupt_checkpoint(tmp_path):
+    """A damaged checkpoint is an unreadable file: exit 3, as for a clip."""
     cfg = write_cfg(tmp_path, data={"dir": None})
     bad = tmp_path / "bad.mmck"
     bad.write_bytes(b"MMCKxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
                     b"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
-    assert main(["reconstruct", "--config", cfg, "--init", str(bad)]) == 2
+    assert main(["reconstruct", "--config", cfg, "--init", str(bad)]) == 3
+
+
+def test_exit_code_truncated_init_checkpoint(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["pretrain", "--config", cfg]) == 0
+    ckpt = tmp_path / "run" / "checkpoint_final.mmck"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    capsys.readouterr()
+    assert main(["finetune", "--config", cfg, "--init", str(ckpt)]) == 3
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_exit_code_missing_checkpoint_file(tmp_path):
@@ -201,6 +213,17 @@ def test_exit_code_embed_dim_below_six(tmp_path, capsys, key):
              "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
              "dec_mlp": 2.0, key: 4}
     assert main(["pretrain", "--config", write_cfg(tmp_path, model=model)]) == 2
+    assert f"model.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key,value", [("enc_dim", 64), ("dec_mlp", 4.0)])
+def test_exit_code_explicit_dim_under_preset(tmp_path, capsys, key, value):
+    """A preset fixes every size, so an explicit one would be ignored: it is
+    rejected at load, naming the field, before the run directory exists."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, model={"preset": "tiny", key: value})
+    assert main(["pretrain", "--config", cfg]) == 2
     assert f"model.{key}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

@@ -25,15 +25,16 @@ def _tiny_setup(seed=0, ratio=0.5, target_kind="both", dtype=np.float32,
 def test_encode_row_count_matches_visible():
     clip, grid, enc, dec, params, mask = _tiny_setup(ratio=0.75)
     tokens, _ = tk.patchify(clip, 2, 4)
-    vis, vis_idx, _ = tk.split_visible(tokens, mask)
-    latents = md.encode(vis, vis_idx, grid, enc, params)
-    assert latents.shape == (len(vis_idx), enc.embed_dim)
+    latents = md.encode(tokens, mask, grid, enc, params)
+    assert latents.shape == (grid.num_tokens - mask.num_masked, enc.embed_dim)
 
 
 def test_encode_rejects_empty_visible_set():
     clip, grid, enc, dec, params, mask = _tiny_setup()
-    with pytest.raises(ValueError):
-        md.encode(np.zeros((0, grid.token_dim), dtype=np.float32), [], grid, enc, params)
+    tokens, _ = tk.patchify(clip, 2, 4)
+    every = tk.Mask(np.ones(grid.num_tokens, dtype=bool))
+    with pytest.raises(ValueError, match="at least one visible token"):
+        md.encode(tokens, every, grid, enc, params)
 
 
 def test_encoder_blind_to_masked_pixels():
@@ -47,8 +48,7 @@ def test_encoder_blind_to_masked_pixels():
 
     def latents_of(c):
         t, _ = tk.patchify(c, 2, 4)
-        vis, vis_idx, _ = tk.split_visible(t, mask)
-        return md.encode(vis, vis_idx, grid, enc, params).data
+        return md.encode(t, mask, grid, enc, params).data
 
     assert (latents_of(clip) == latents_of(clip2)).all()
 
@@ -61,7 +61,7 @@ def test_encode_matches_straight_line_oracle():
     tokens = np.random.default_rng(6).uniform(size=(2, 4))
     vis_idx = np.array([0, 1])
 
-    got = md.encode(tokens, vis_idx, grid, enc, params).data
+    got = md.encode(tokens, tk.Mask(np.zeros(2, dtype=bool)), grid, enc, params).data
 
     p = {k: v.data for k, v in params.items()}
 
@@ -97,7 +97,6 @@ def test_encode_matches_straight_line_oracle():
 def test_attention_rows_sum_to_one_every_layer(monkeypatch):
     clip, grid, enc, dec, params, mask = _tiny_setup(ratio=0.5)
     tokens, _ = tk.patchify(clip, 2, 4)
-    vis, vis_idx, _ = tk.split_visible(tokens, mask)
     sink = []
     real_softmax = nm.softmax
 
@@ -107,7 +106,7 @@ def test_attention_rows_sum_to_one_every_layer(monkeypatch):
         return out
 
     monkeypatch.setattr(md.nm, "softmax", softmax)
-    md.encode(vis, vis_idx, grid, enc, params)
+    md.encode(tokens, mask, grid, enc, params)
     assert len(sink) == enc.depth
     for probs in sink:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -215,8 +214,7 @@ def test_each_decoder_stack_runs_once(monkeypatch, arch, stacks):
 def test_decode_disabled_head_rejected():
     clip, grid, enc, dec, params, mask = _tiny_setup(target_kind="frame")
     tokens, _ = tk.patchify(clip, 2, 4)
-    vis, vis_idx, _ = tk.split_visible(tokens, mask)
-    latents = md.encode(vis, vis_idx, grid, enc, params)
+    latents = md.encode(tokens, mask, grid, enc, params)
     with pytest.raises(ValueError):
         md.decode(latents, mask, grid, dec, params, ("time",))
 

@@ -91,18 +91,41 @@ def test_matmul_broadcast_weight_is_one_gemm_per_batch():
 def test_gather_scatter_rows_per_sample_indices():
     r = _rng(6)
     a = r.normal(size=(2, 5, 3))
-    idx = np.array([[4, 0, 0], [1, 2, 3]])
-    got = nm.gather_rows(Tensor(a), idx).data
-    for i in range(2):
-        np.testing.assert_array_equal(got[i], a[i][idx[i]])
-    placed = nm.scatter_rows(Tensor(got[:, 1:]), np.array([[0, 3], [4, 1]]), 6).data
+    bits = np.zeros((2, 5), dtype=bool)
+    bits[0, [0, 2, 4]] = bits[1, [1, 2, 3]] = True
+    got = nm.gather_rows(Tensor(a), bits).data
+    np.testing.assert_array_equal(got[0], a[0][[0, 2, 4]])
+    np.testing.assert_array_equal(got[1], a[1][[1, 2, 3]])
+    place = np.zeros((2, 6), dtype=bool)
+    place[0, [1, 3]] = place[1, [2, 5]] = True
+    placed = nm.scatter_rows(Tensor(got[:, 1:]), place).data
     assert placed.shape == (2, 6, 3)
-    np.testing.assert_array_equal(placed[0, 3], a[0, 0])
-    np.testing.assert_array_equal(placed[1, 4], a[1, 2])
-    np.testing.assert_array_equal(placed[1, 1], a[1, 3])
-    assert not placed[0, [1, 2, 4, 5]].any()
-    with pytest.raises(ValueError):
-        nm.gather_rows(Tensor(a), np.zeros((3, 2), dtype=int))  # 3 index rows, 2 samples
+    np.testing.assert_array_equal(placed[0, [1, 3]], a[0, [2, 4]])
+    np.testing.assert_array_equal(placed[1, [2, 5]], a[1, [2, 3]])
+    assert not placed[~place].any()
+
+
+@pytest.mark.parametrize("bits,match", [
+    (np.array([0, 1, 1, 0]), "boolean"),  # integer positions, not bits
+    (np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool), "different counts"),
+])
+def test_gather_scatter_rows_reject_bad_bits(bits, match):
+    with pytest.raises(ValueError, match=match):
+        nm.gather_rows(Tensor(np.ones((2, 4, 3))), bits)
+    with pytest.raises(ValueError, match=match):
+        nm.scatter_rows(Tensor(np.ones((2, 1, 3))), bits)
+
+
+def test_gather_scatter_rows_reject_values_that_do_not_fit():
+    bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+    with pytest.raises(ValueError, match="do not fit"):
+        nm.gather_rows(Tensor(np.ones((3, 3, 2))), bits)  # 3 samples, 2 bit rows
+    with pytest.raises(ValueError, match="do not fit"):
+        nm.gather_rows(Tensor(np.ones((2, 4, 2))), bits)  # 4 rows, 3 bits
+    with pytest.raises(ValueError, match="do not fit"):
+        nm.scatter_rows(Tensor(np.ones((2, 3, 2))), bits)  # 3 rows, 2 selected
+    with pytest.raises(ValueError, match="do not fit"):
+        nm.scatter_rows(Tensor(np.ones((3, 2, 2))), bits)
 
 
 # ---- softmax ----
@@ -342,8 +365,8 @@ def test_grad_reshape_transpose():
 
 def test_grad_gather_scatter():
     def f(p):
-        got = nm.gather_rows(p[0], [2, 0, 2])  # duplicate index accumulates
-        spread = nm.scatter_rows(got, [1, 4, 0], 6)
+        got = nm.gather_rows(p[0], np.array([1, 0, 1, 1], dtype=bool))
+        spread = nm.scatter_rows(got, np.array([1, 0, 0, 0, 1, 1], dtype=bool))
         return nm.sum_all(nm.mul(spread, spread))
     _check(f, [(4, 3)], 30)
 

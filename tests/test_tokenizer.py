@@ -184,44 +184,62 @@ def test_random_mask_floor_rule_property(ratio, seed):
     assert m.num_masked == int(ratio * grid.num_tokens)
 
 
-# ---- split_visible ----
+# ---- cutting rows by a mask ----
 
 
-def test_split_visible_partitions_indices():
+def test_mask_cuts_partition_rows():
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
     tokens = _clip(10, (4, 8, 8, 1))
     toks, _ = tk.patchify(tokens, 2, 4)
     m = tk.sample_mask(grid, 0.5, "random", seed=11)
-    vis, vis_idx, mask_idx = tk.split_visible(toks, m)
+    vis_idx, mask_idx = m.visible_indices, m.masked_indices
     assert sorted(np.concatenate([vis_idx, mask_idx]).tolist()) == list(range(8))
-    np.testing.assert_array_equal(vis, toks[vis_idx])
+    np.testing.assert_array_equal(m.visible(toks), toks[vis_idx])
+    np.testing.assert_array_equal(m.hidden(toks), toks[mask_idx])
     assert list(vis_idx) == sorted(vis_idx)
 
 
-def test_split_visible_explicit_enumeration():
+def test_mask_cuts_explicit_enumeration():
     bits = np.zeros(8, dtype=bool)
     bits[[1, 3]] = True
     m = tk.Mask(bits)
     tokens = np.arange(16, dtype=np.float32).reshape(8, 2)
-    vis, vis_idx, mask_idx = tk.split_visible(tokens, m)
-    assert vis_idx.tolist() == [0, 2, 4, 5, 6, 7]
-    assert mask_idx.tolist() == [1, 3]
-    np.testing.assert_array_equal(vis[:, 0], [0, 4, 8, 10, 12, 14])
+    assert m.visible_indices.tolist() == [0, 2, 4, 5, 6, 7]
+    assert m.masked_indices.tolist() == [1, 3]
+    np.testing.assert_array_equal(m.visible(tokens)[:, 0], [0, 4, 8, 10, 12, 14])
+    np.testing.assert_array_equal(m.hidden(tokens)[:, 0], [2, 6])
 
 
-def test_split_visible_ratio_zero_all_visible():
+def test_mask_cuts_ratio_zero_all_visible():
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
     m = tk.sample_mask(grid, 0.0, "random", seed=0)
     tokens = np.ones((8, 32), dtype=np.float32)
-    vis, vis_idx, mask_idx = tk.split_visible(tokens, m)
-    assert vis.shape == (8, 32)
-    assert mask_idx.size == 0
+    assert m.visible(tokens).shape == (8, 32)
+    assert m.hidden(tokens).shape == (0, 32)
+    assert m.masked_indices.size == 0
 
 
-def test_split_visible_count_mismatch():
+def test_mask_cuts_reject_row_count_mismatch():
     m = tk.Mask(np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError):
-        tk.split_visible(np.ones((5, 2), dtype=np.float32), m)
+    for cut in (m.visible, m.hidden):
+        with pytest.raises(ValueError, match="do not cover"):
+            cut(np.ones((5, 2), dtype=np.float32))
+
+
+@pytest.mark.parametrize("strategy", tk.MASK_STRATEGIES)
+def test_mask_cuts_equal_index_gathers(strategy):
+    """hidden/visible equal gathers at each row's own flatnonzero indices,
+    for one clip and for a batch."""
+    grid = tk.TokenGrid(4, 2, 3, 2, 4, 1)
+    rows = np.random.default_rng(3).normal(size=(3, grid.num_tokens, 5))
+    masks = [tk.sample_mask(grid, 0.6, strategy, seed=s) for s in (1, 2, 3)]
+    batch = tk.Mask(np.stack([m.bits for m in masks]))
+    for i, m in enumerate(masks):
+        hid, vis = np.flatnonzero(m.bits), np.flatnonzero(~m.bits)
+        np.testing.assert_array_equal(m.hidden(rows[i]), rows[i][hid])
+        np.testing.assert_array_equal(m.visible(rows[i]), rows[i][vis])
+        np.testing.assert_array_equal(batch.hidden(rows)[i], rows[i][hid])
+        np.testing.assert_array_equal(batch.visible(rows)[i], rows[i][vis])
 
 
 # ---- a batch of masks ----
@@ -249,6 +267,7 @@ def test_mask_arrays_read_only_and_built_once():
     one = tk.sample_mask(grid, 0.5, "random", seed=1)
     batch = tk.Mask(np.stack([one.bits, one.bits]))
     for m in (one, batch):
+        assert "masked_indices" not in vars(m) and "visible_indices" not in vars(m)
         assert m.masked_indices is m.masked_indices
         assert m.visible_indices is m.visible_indices
         for arr in (m.bits, m.masked_indices, m.visible_indices):
@@ -273,19 +292,17 @@ def test_patchify_batch_matches_each_clip():
         np.testing.assert_array_equal(tokens[i], tk.patchify(clips[i], 2, 4)[0])
 
 
-def test_split_visible_batch_matches_each_sample():
+def test_mask_cuts_batch_match_each_sample():
     grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
     tokens = np.stack([tk.patchify(_clip(20 + i, (4, 8, 8, 1)), 2, 4)[0]
                        for i in range(3)])
     masks = [tk.sample_mask(grid, 0.5, "tube", seed=s) for s in (1, 2, 3)]
-    vis, vis_idx, mask_idx = tk.split_visible(
-        tokens, tk.Mask(np.stack([m.bits for m in masks])))
-    assert vis.shape == (3, 4, grid.token_dim)
+    batch = tk.Mask(np.stack([m.bits for m in masks]))
+    vis, hid = batch.visible(tokens), batch.hidden(tokens)
+    assert vis.shape == hid.shape == (3, 4, grid.token_dim)
     for i, m in enumerate(masks):
-        one = tk.split_visible(tokens[i], m)
-        np.testing.assert_array_equal(vis[i], one[0])
-        np.testing.assert_array_equal(vis_idx[i], one[1])
-        np.testing.assert_array_equal(mask_idx[i], one[2])
+        np.testing.assert_array_equal(vis[i], m.visible(tokens[i]))
+        np.testing.assert_array_equal(hid[i], m.hidden(tokens[i]))
 
 
 def test_batch_mask_rejects_unequal_hidden_counts():

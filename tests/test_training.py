@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from motionmae import model as md
 from motionmae import numerics as nm
@@ -335,6 +337,29 @@ def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
     assert sorted(calls) == ["make_targets", "patchify", "patchify"]
 
 
+def test_pretrain_step_builds_no_mask_index_arrays(monkeypatch):
+    """A step addresses token rows by mask bits alone: neither a clip's mask
+    nor the batch's builds its index arrays."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(batch_size=4)
+    params = md.init_params(enc, dec, seed=1)
+    masks = []
+
+    def kept(make):
+        def wrapper(*args, **kwargs):
+            masks.append(make(*args, **kwargs))
+            return masks[-1]
+        return wrapper
+
+    monkeypatch.setattr(tr, "sample_mask", kept(tr.sample_mask))
+    monkeypatch.setattr(tr, "Mask", kept(tr.Mask))
+    tr.pretrain_step(clips, params, OptimState.for_params(params), grid, enc, dec,
+                     cfg, 0)
+    assert [m.bits.ndim for m in masks] == [1, 1, 1, 1, 2]
+    for m in masks:
+        assert "masked_indices" not in vars(m)
+        assert "visible_indices" not in vars(m)
+
+
 def test_run_pretrain_csv_bookkeeping(tmp_path):
     clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=10, log_interval=3)
     tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path)
@@ -511,3 +536,81 @@ def test_checkpoint_truncation_error(tmp_path):
     p.write_bytes(p.read_bytes()[:50])
     with pytest.raises(tr.CheckpointError):
         tr.load_checkpoint(p)
+
+
+def _redigested(content: bytes) -> bytes:
+    import hashlib
+    return content + hashlib.sha256(content).digest()
+
+
+def _header(step=1):
+    import struct
+    return (tr.CHECKPOINT_MAGIC + struct.pack("<B", tr.CHECKPOINT_VERSION)
+            + bytes(32) + struct.pack("<Q", step))
+
+
+def test_checkpoint_non_utf8_record_name_is_format_error(tmp_path):
+    x = np.arange(3, dtype=np.float32)
+    record = tr._pack_record("param:x", x)
+    record = record[:2] + b"\xff" + record[3:]  # first name byte
+    p = tmp_path / "name.mmck"
+    p.write_bytes(_redigested(_header() + record))
+    with pytest.raises(tr.CheckpointFormatError, match="UTF-8"):
+        tr.load_checkpoint(p)
+
+
+def test_checkpoint_dims_too_large_to_count_are_truncation(tmp_path):
+    """Dims whose product overflows int64 (2**31 * 2**31 * 4 = 2**64) must not
+    wrap to an empty payload."""
+    import struct
+    name = b"param:x"
+    record = (struct.pack("<H", len(name)) + name + struct.pack("<B", 3)
+              + struct.pack("<3I", 2 ** 31, 2 ** 31, 4) + bytes(12))
+    p = tmp_path / "dims.mmck"
+    p.write_bytes(_redigested(_header() + record))
+    with pytest.raises(tr.CheckpointTruncatedError):
+        tr.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("dims", [(3, 0, 2 ** 31, 2 ** 31, 2 ** 31), (1,) * 70])
+def test_checkpoint_dims_numpy_cannot_shape_are_format_error(tmp_path, dims):
+    """An empty payload whose dims still overflow numpy's size, or more dims
+    than numpy allows, is a malformed record."""
+    import struct
+    name = b"param:x"
+    count = int(np.prod(dims, dtype=object))
+    record = (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+              + struct.pack(f"<{len(dims)}I", *dims) + bytes(4 * count))
+    p = tmp_path / "dims.mmck"
+    p.write_bytes(_redigested(_header() + record))
+    with pytest.raises(tr.CheckpointFormatError, match="cannot shape"):
+        tr.load_checkpoint(p)
+
+
+_RECORDS_AT = 45  # magic + version + config digest + step
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_damaged_records_raise_only_checkpoint_errors(tmp_path, data):
+    """Truncations and byte flips in the record region, re-digested so that
+    only the records are wrong, either load or raise a CheckpointError."""
+    params, opt = _small_state()
+    p = tmp_path / "c.mmck"
+    tr.save_checkpoint(params, opt, 1, bytes(32), p)
+    content = bytearray(p.read_bytes()[:-32])
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(_RECORDS_AT, len(content) - 1), label="cut")
+        content = content[:cut]
+    else:
+        flips = data.draw(st.lists(st.tuples(
+            st.integers(_RECORDS_AT, len(content) - 1), st.integers(1, 255)),
+            min_size=1, max_size=4), label="flips")
+        for at, xor in flips:
+            content[at] ^= xor
+    p.write_bytes(_redigested(bytes(content)))
+    try:
+        tr.load_checkpoint(p)
+    except tr.CheckpointError:
+        pass
