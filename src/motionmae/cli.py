@@ -168,9 +168,9 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"data.{key} must be >= 1")
     if not (1 <= data["min_speed"] <= data["max_speed"]):
         raise ConfigError("data speeds must satisfy 1 <= min_speed <= max_speed")
-    lo, hi = data["crop_scale"]
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ConfigError("data.crop_scale must satisfy 0 < lo <= hi <= 1")
+    scale = data["crop_scale"]
+    if len(scale) != 2 or not all(type(v) in (int, float) for v in scale):
+        raise ConfigError("data.crop_scale must be a list of two numbers")
 
 
 def load_config(path: str | None) -> dict:
@@ -273,6 +273,7 @@ def _resolve(cfg: dict):
 
     from .targets import make_targets
     from .tokenizer import patchify, sample_mask
+    from .videodata import random_resized_crop
 
     _validate(cfg)
     data, model = cfg["data"], cfg["model"]
@@ -282,12 +283,16 @@ def _resolve(cfg: dict):
     enc, dec = _build_model_cfgs(cfg, grid)
     pretrain = _build_train_cfg(cfg)
     finetune = _build_train_cfg(cfg, finetune=True)
-    # One mask and one target draw check the mask and target fields where
-    # they are used. Every mask of a strategy hides the same count whatever
-    # its seed, so a mask that hides nothing here would hide nothing at
+    # One crop, one mask and one target draw check the crop, mask and target
+    # fields where they are used. Whether a crop scale holds an integer crop
+    # does not depend on the seed, and every mask of a strategy hides the
+    # same count whatever its seed, so a draw that fails here would fail at
     # every step.
-    with _field_errors({"ratio": "mask.ratio", "strategy": "mask.strategy",
-                        "kind": "targets.kind", "gap": "targets.gap"}):
+    with _field_errors({"scale": "data.crop_scale", "ratio": "mask.ratio",
+                        "strategy": "mask.strategy", "kind": "targets.kind",
+                        "gap": "targets.gap"}):
+        random_resized_crop(blank, tuple(data["crop_scale"]), data["H"], data["W"],
+                            seed=0)
         mask = sample_mask(grid, pretrain.mask_ratio, pretrain.mask_strategy, seed=0)
         make_targets(blank, mask, grid, pretrain.target_config())
     if mask.num_masked == 0:
@@ -434,7 +439,7 @@ def cmd_reconstruct(args) -> int:
     from .evalviz import render_reconstruction
     from .model import forward_pretrain, init_params
     from .tokenizer import sample_mask
-    from .training import load_checkpoint, params_from_arrays
+    from .training import load_params
     from .videodata import SyntheticSpec, generate_moving_square
 
     grid, enc, dec, _, _ = _resolve(cfg)
@@ -460,11 +465,9 @@ def cmd_reconstruct(args) -> int:
                                          seed=int(rng.integers(2 ** 31)),
                                          channels=data["channels"])
     kind = cfg["targets"]["kind"]
-    if args.init in (None, "none"):
-        params = init_params(enc, dec, seed=cfg["seed"] + 3, target_kind=kind)
-    else:
-        arrays, _, _ = load_checkpoint(args.init)
-        params = params_from_arrays(arrays)
+    params = init_params(enc, dec, seed=cfg["seed"] + 3, target_kind=kind)
+    if args.init not in (None, "none"):
+        load_params(args.init, params)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

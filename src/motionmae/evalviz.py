@@ -9,6 +9,7 @@ as binary PPM (P6), quantized to 8 bits exactly once at write time.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,7 @@ def _to_rgb(frames: np.ndarray) -> np.ndarray:
 def _motion_frames(time_preds: np.ndarray, grid: TokenGrid) -> np.ndarray:
     """Assemble per-token time-head rows into one map per temporal slot,
     rendered as amplified grayscale."""
-    maps = (
-        time_preds.reshape(grid.gt, grid.gh, grid.gw, grid.cp, grid.cp, grid.channels)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(grid.gt, grid.gh * grid.cp, grid.gw * grid.cp, grid.channels)
-    )
+    maps = unpatchify(time_preds, dataclasses.replace(grid, ct=1))
     gray = np.clip(maps.mean(axis=-1, keepdims=True) * MOTION_RENDER_GAIN, 0.0, 1.0)
     return np.repeat(gray, 3, axis=-1)
 

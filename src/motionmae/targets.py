@@ -73,14 +73,8 @@ def make_motion_target(
     (M, cp*cp*C) rows of one clip, or (..., M, cp*cp*C) of clips."""
     if clip.shape[-4:] != grid.clip_shape:
         raise ValueError(f"clip {clip.shape} does not match grid {grid.clip_shape}")
-    lead, g = clip.shape[:-4], grid
-    r = len(lead)
-    anchors = difference_video(clip, gap)[..., :: g.ct, :, :, :]  # frame ct*tau
-    maps = (
-        anchors.reshape(lead + (g.gt, g.gh, g.cp, g.gw, g.cp, g.channels))
-        .transpose(*range(r), *(r + a for a in (0, 1, 3, 2, 4, 5)))
-        .reshape(lead + (g.num_tokens, g.motion_dim))
-    )
+    anchors = difference_video(clip, gap)[..., :: grid.ct, :, :, :]  # frame ct*tau
+    maps, _ = patchify(anchors, 1, grid.cp)
     return np.ascontiguousarray(mask.hidden(maps), dtype=np.float32)
 
 

@@ -80,11 +80,19 @@ class TrainConfig:
     checkpoint_interval: int = 0  # 0 = only at the end
 
     def __post_init__(self):
-        # each message starts with the field it rejects
+        # each message starts with the field it rejects; `not` also rejects NaN
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and > 0")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
-        if self.warmup_steps > self.total_steps:
-            raise ValueError("warmup_steps must not exceed total_steps")
+        if not 0 <= self.warmup_steps <= self.total_steps:
+            raise ValueError("warmup_steps must lie in [0, total_steps]")
         if self.lam < 0:
             raise ValueError("lam (the time-loss weight) must be >= 0")
         if self.batch_size < 1:
@@ -280,18 +288,15 @@ def run_pretrain(
     Resuming from a step-s checkpoint replays steps s+1..total identically to
     an uninterrupted run.
     """
+    digest = config_digest(cfg)
+    params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + 3,
+                         target_kind=cfg.target_kind)
+    if resume_from is not None:
+        opt, start_step = load_params(resume_from, params, expect_digest=digest)
+    else:
+        opt, start_step = OptimState.for_params(params), 0
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(cfg)
-    if resume_from is not None:
-        arrays, opt, start_step = load_checkpoint(resume_from, expect_digest=digest)
-        params = params_from_arrays(arrays)
-    else:
-        params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + 3,
-                             target_kind=cfg.target_kind)
-        opt = OptimState.for_params(params)
-        start_step = 0
-
     csv_path = out_dir / "loss.csv"
     rows = ["step,loss,loss_space,loss_time\n"]
     if resume_from is not None and csv_path.exists():
@@ -354,24 +359,15 @@ def run_finetune(
 
     The report holds the train and val top-1 and the val logit rows
     (`val_logits`). init_from may be a checkpoint path: its encoder weights
-    (patch projection included) are copied in, everything decoder-side is
-    discarded, and the classifier head starts fresh.
+    (patch projection included) replace every encoder parameter, the
+    decoder's are discarded, and the classifier head starts fresh.
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
     params = init_params(enc_cfg, None, seed=cfg.seed + 3,
                          num_classes=num_classes)
     if init_from is not None:
-        loaded, _, _ = load_checkpoint(init_from)
-        for name, arr in loaded.items():
-            if name.startswith(("enc.", "patch_proj.")):
-                if name not in params:
-                    raise ValueError(f"checkpoint encoder parameter {name!r} "
-                                     "does not fit this architecture")
-                if arr.shape != params[name].shape:
-                    raise ValueError(f"shape mismatch for {name!r}: checkpoint "
-                                     f"{arr.shape} vs model {params[name].shape}")
-                params[name] = Tensor(arr)
+        load_params(init_from, params, prefixes=("enc.", "patch_proj."))
     opt = OptimState.for_params(params)
 
     for step in range(cfg.total_steps):
@@ -508,5 +504,19 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
     return params, opt, step
 
 
-def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    return {k: Tensor(v) for k, v in arrays.items()}
+def load_params(path, params: dict[str, Tensor], prefixes=("",),
+                expect_digest: bytes | None = None) -> tuple[OptimState, int]:
+    """Replace the `params` named under `prefixes` by a checkpoint's arrays
+    and return its (OptimState, step). The checkpoint must hold exactly those
+    names, each in the model's shape; otherwise a ValueError names the first
+    misfits and `params` is left untouched."""
+    arrays, opt, step = load_checkpoint(path, expect_digest=expect_digest)
+    want = {k: p.shape for k, p in params.items() if k.startswith(prefixes)}
+    have = {k: a.shape for k, a in arrays.items() if k.startswith(prefixes)}
+    misfits = [f"{k}: checkpoint {have.get(k, 'absent')}, model {want.get(k, 'absent')}"
+               for k in {**want, **have} if have.get(k) != want.get(k)]
+    if misfits:
+        raise ValueError(f"checkpoint {path} does not fit the model ({len(misfits)} "
+                         f"misfit(s)): {'; '.join(misfits[:3])}")
+    params.update({k: Tensor(arrays[k]) for k in want})
+    return opt, step

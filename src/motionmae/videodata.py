@@ -141,8 +141,8 @@ def _draw_crop_dims(H: int, W: int, lo: float, hi: float, rng) -> tuple[int, int
         cw_hi = min(W, math.floor(hi * area / ch))
         if cw_lo <= cw_hi:
             return ch, cw_hi
-    raise ValueError(f"no integer crop of a {H}x{W} frame has area ratio in "
-                     f"[{lo}, {hi}]")
+    raise ValueError(f"scale range [{lo}, {hi}] holds the area ratio of no "
+                     f"integer crop of a {H}x{W} frame")
 
 
 def random_resized_crop(
@@ -203,7 +203,10 @@ def load_raw_clip(path) -> np.ndarray:
     if len(blob) > expected:
         raise TruncatedFileError(f"{path}: {len(blob) - expected} trailing bytes")
     payload = np.frombuffer(blob, dtype="<f4", offset=21)
-    return payload.reshape(T, H, W, C).copy()
+    try:  # numpy caps the size even when a dim is 0
+        return payload.reshape(T, H, W, C).copy()
+    except ValueError as e:
+        raise ClipFileError(f"{path}: dims {(T, H, W, C)} numpy cannot shape") from e
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_exit_code_bad_ablation_axis(tmp_path):
     ({"targets": {"gap": 4}}, "targets.gap"),  # as long as the T=4 clips
     ({"mask": {"ratio": 0.0}}, "mask.ratio"),
     ({"mask": {"strategy": "time_only"}, "data": {"T": 2}}, "mask.ratio"),  # one slot
+    ({"train": {"lr": -1.0}}, "train.lr"),
+    ({"train": {"finetune_lr": -1e-3}}, "train.finetune_lr"),
+    ({"train": {"weight_decay": -0.05}}, "train.weight_decay"),
+    ({"train": {"beta1": 1.0}}, "train.beta1"),
+    ({"train": {"beta2": 1.5}}, "train.beta2"),
+    ({"train": {"eps": 0.0}}, "train.eps"),
+    ({"train": {"eps": -1e-8}}, "train.eps"),
+    ({"train": {"warmup_steps": -1}}, "train.warmup_steps"),
 ])
 def test_exit_code_untrainable_config(tmp_path, capsys, sections, field):
     data = sections.get("data", {})
@@ -236,6 +244,17 @@ def test_exit_code_decoder_depth_zero(tmp_path, capsys):
              "dec_mlp": 2.0}
     assert main(["pretrain", "--config", write_cfg(tmp_path, model=model)]) == 2
     assert "model.dec_depth" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scale,crop", [([0.3, 0.3], True), (["a", 1.0], False)])
+def test_exit_code_crop_scale_rejected_at_load(tmp_path, capsys, scale, crop):
+    """A crop scale that holds no integer crop of the 8x8 frame, or that is
+    not two numbers, is rejected at load before the run directory exists."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, data={"crop": crop, "crop_scale": scale})
+    assert main(["pretrain", "--config", cfg]) == 2
+    assert "data.crop_scale" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -329,6 +348,23 @@ def test_finetune_from_pretrained_checkpoint(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
 
 
+def test_finetune_init_from_shallower_encoder_rejected(tmp_path, capsys):
+    """A depth-1 encoder checkpoint lacks the tiny preset's second block:
+    exit 2 naming it, and no report is written."""
+    model = {"preset": None, "enc_depth": 1, "enc_dim": 32, "enc_heads": 4,
+             "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 16, "dec_heads": 2,
+             "dec_mlp": 2.0}
+    shallow = write_cfg(tmp_path, model=model, out_dir=str(tmp_path / "shallow"))
+    assert main(["gen-data", "--config", shallow]) == 0
+    assert main(["pretrain", "--config", shallow]) == 0
+    ckpt = tmp_path / "shallow" / "checkpoint_final.mmck"
+    capsys.readouterr()
+    assert main(["finetune", "--config", write_cfg(tmp_path), "--init",
+                 str(ckpt)]) == 2
+    assert "enc.block1." in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
     from motionmae import model, training
 
@@ -360,6 +396,24 @@ def test_reconstruct_writes_one_image_per_ratio(tmp_path):
     for tag in ("50", "75"):
         img = read_ppm(tmp_path / "run" / f"recon_{tag}.ppm")
         assert img.shape == (4 * 8, 4 * 8, 3)  # 4 rows of T=4 frames, W=8
+
+
+def test_reconstruct_init_must_fit_the_decoder(tmp_path, capsys):
+    """A shared-decoder checkpoint renders under a shared config and is
+    rejected, exit 2 with nothing written, under a parallel one."""
+    shared = write_cfg(tmp_path, model={"arch": "shared"})
+    assert main(["gen-data", "--config", shared]) == 0
+    assert main(["pretrain", "--config", shared]) == 0
+    ckpt = str(tmp_path / "run" / "checkpoint_final.mmck")
+    assert main(["reconstruct", "--config", shared, "--init", ckpt,
+                 "--ratio", "0.5"]) == 0
+    assert (tmp_path / "run" / "recon_50.ppm").exists()
+    capsys.readouterr()
+    parallel = write_cfg(tmp_path, out_dir=str(tmp_path / "parallel"))
+    assert main(["reconstruct", "--config", parallel, "--init", ckpt,
+                 "--ratio", "0.5"]) == 2
+    assert "dec.space.embed.w: checkpoint absent" in capsys.readouterr().err
+    assert not (tmp_path / "parallel").exists()
 
 
 def test_reconstruct_from_dataset_clip(tmp_path):

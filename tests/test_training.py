@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,6 +154,17 @@ def test_train_config_validation():
         tr.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         tr.TrainConfig(loss_kind="l3")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", -0.05), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
+    ("eps", 0.0), ("eps", -1e-8), ("warmup_steps", -1),
+])
+def test_train_config_rejects_optimizer_fields(field, value):
+    """Each message starts with the field, which the CLI maps to its key."""
+    with pytest.raises(ValueError, match=f"^{field} "):
+        tr.TrainConfig(**{field: value})
 
 
 # ---- cross entropy ----
@@ -313,8 +326,9 @@ def test_pretrain_batch_rejects_unequal_hidden_counts():
 
 
 def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
-    """A step patchifies its stacked clips once for the model and once for
-    the targets, and builds the whole batch's targets in one call."""
+    """A step patchifies its stacked clips once for the model, once for the
+    frame targets and its anchor frames once for the motion targets, and
+    builds the whole batch's targets in one call."""
     from motionmae import targets as tg
     clips, grid, enc, dec, cfg = _tiny_train_setup(batch_size=4)
     params = md.init_params(enc, dec, seed=1)
@@ -334,7 +348,7 @@ def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
     counted(tr, "make_targets")
     tr.pretrain_step(clips, params, OptimState.for_params(params), grid, enc, dec,
                      cfg, 0)
-    assert sorted(calls) == ["make_targets", "patchify", "patchify"]
+    assert sorted(calls) == ["make_targets", "patchify", "patchify", "patchify"]
 
 
 def test_pretrain_step_builds_no_mask_index_arrays(monkeypatch):
@@ -398,6 +412,54 @@ def test_resume_into_same_dir_rewrites_loss_csv_identically(tmp_path):
     tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path,
                     resume_from=tmp_path / "checkpoint_000004.mmck")
     assert (tmp_path / "loss.csv").read_bytes() == uninterrupted
+
+
+def test_resume_rejects_checkpoint_of_another_decoder(tmp_path):
+    """A parallel-decoder checkpoint shares the shared decoder's config
+    digest but not its parameters: rejected before loss.csv is opened."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=2)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "parallel")
+    _, shared = md.preset_configs("tiny", grid, arch="shared")
+    with pytest.raises(ValueError, match="dec.shared.embed.w: checkpoint absent"):
+        tr.run_pretrain(clips, grid, enc, shared, cfg, tmp_path / "shared",
+                        resume_from=tmp_path / "parallel" / "checkpoint_final.mmck")
+    assert not (tmp_path / "shared" / "loss.csv").exists()
+
+
+def test_load_params_replaces_every_named_param(tmp_path):
+    params, opt = _small_state(seed=1)
+    tr.save_checkpoint(params, opt, 3, bytes(32), tmp_path / "c.mmck")
+    target, _ = _small_state(seed=2)
+    target["cls.w"] = Tensor(np.ones((4, 2), np.float32))
+    got_opt, step = tr.load_params(tmp_path / "c.mmck", target, prefixes=("enc.",))
+    assert step == 3 and got_opt.t == 3
+    for name in params:
+        np.testing.assert_array_equal(target[name].data, params[name].data)
+        np.testing.assert_array_equal(got_opt.m[name], opt.m[name])
+    assert (target["cls.w"].data == 1.0).all()  # outside the prefixes
+
+
+@pytest.mark.parametrize("change,misfit", [
+    (lambda p: p.update({"enc.extra": Tensor(np.zeros(2, np.float32))}),
+     "enc.extra: checkpoint (2,), model absent"),
+    (lambda p: p.pop("enc.b"), "enc.b: checkpoint absent, model (4,)"),
+    (lambda p: p.update({"enc.b": Tensor(np.zeros(5, np.float32))}),
+     "enc.b: checkpoint (5,), model (4,)"),
+], ids=["extra", "missing", "misshaped"])
+def test_load_params_rejects_misfit_and_leaves_params_untouched(tmp_path, change,
+                                                                misfit):
+    """An extra, a missing or a mis-shaped parameter in the checkpoint is
+    named, and no parameter of the model is replaced."""
+    saved, _ = _small_state(seed=1)
+    change(saved)
+    tr.save_checkpoint(saved, OptimState.for_params(saved), 1, bytes(32),
+                       tmp_path / "c.mmck")
+    params, _ = _small_state(seed=2)
+    before = dict(params)
+    with pytest.raises(ValueError, match=rf"\(1 misfit\(s\)\): {re.escape(misfit)}$"):
+        tr.load_params(tmp_path / "c.mmck", params)
+    assert params.keys() == before.keys()
+    assert all(params[k] is before[k] for k in before)
 
 
 # ---- finetune ----

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from motionmae import videodata as vd
 from motionmae.videodata import SyntheticSpec
@@ -180,6 +184,40 @@ def test_raw_clip_version_mismatch(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(vd.VersionMismatchError):
         vd.load_raw_clip(p)
+
+
+def test_raw_clip_dims_numpy_cannot_shape(tmp_path):
+    """T = 0 makes the promised payload empty, so the length check passes,
+    but numpy cannot shape the other dims: a ClipFileError, not numpy's."""
+    p = tmp_path / "x.mmae"
+    p.write_bytes(vd.MAGIC + struct.pack("<B4I", vd.FORMAT_VERSION, 0,
+                                         2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1))
+    with pytest.raises(vd.ClipFileError, match="numpy cannot shape"):
+        vd.load_raw_clip(p)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_raw_clip_damage_loads_or_raises_clip_errors(tmp_path, data):
+    """Truncations and byte flips of a saved clip either load a (T, H, W, C)
+    array or raise a ClipFileError."""
+    p = tmp_path / "x.mmae"
+    vd.save_raw_clip(np.zeros((2, 3, 2, 1), np.float32), p)
+    blob = bytearray(p.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        flips = data.draw(st.lists(st.tuples(
+            st.integers(0, len(blob) - 1), st.integers(1, 255)),
+            min_size=1, max_size=4), label="flips")
+        for at, xor in flips:
+            blob[at] ^= xor
+    p.write_bytes(bytes(blob))
+    try:
+        assert vd.load_raw_clip(p).ndim == 4
+    except vd.ClipFileError:
+        pass
 
 
 # ---- dataset directories ----
