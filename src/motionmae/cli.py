@@ -104,12 +104,20 @@ _NULLABLE = {
 }
 
 
+# the type each item of a list leaf takes
+_LIST_ITEMS = {"data.crop_scale": float, "ablate.gap": int, "ablate.ratio": float,
+               "ablate.decoder": str}
+
+
 def _check_leaf(path: str, default, value):
     if value is None:
         if path in _NULLABLE:
             return None
         raise ConfigError(f"{path} must not be null")
-    kind = _NULLABLE.get(path, type(default))
+    return _check_type(path, _NULLABLE.get(path, type(default)), value)
+
+
+def _check_type(path: str, kind: type, value):
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean")
@@ -129,7 +137,8 @@ def _check_leaf(path: str, default, value):
     if kind is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
-        return value
+        return [_check_type(f"{path}[{i}]", _LIST_ITEMS[path], item)
+                for i, item in enumerate(value)]
     raise ConfigError(f"{path} has unsupported type")
 
 
@@ -168,8 +177,7 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"data.{key} must be >= 1")
     if not (1 <= data["min_speed"] <= data["max_speed"]):
         raise ConfigError("data speeds must satisfy 1 <= min_speed <= max_speed")
-    scale = data["crop_scale"]
-    if len(scale) != 2 or not all(type(v) in (int, float) for v in scale):
+    if len(data["crop_scale"]) != 2:
         raise ConfigError("data.crop_scale must be a list of two numbers")
 
 
@@ -702,8 +710,30 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, n)
 
 
+# mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_mapped() -> None:
+    """Have glibc serve blocks up to 32 MiB from the heap and keep up to
+    256 MiB of freed heap mapped, so that the arrays a step or an evaluation
+    chunk frees are reused rather than unmapped and faulted back in. Off
+    glibc, or without `mallopt`, nothing changes."""
+    import ctypes
+
+    try:  # the process's own symbols: find_library would start a subprocess
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
     _cap_threads()
+    _keep_heap_mapped()
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

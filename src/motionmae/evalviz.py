@@ -35,13 +35,18 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         fh.write(quantized.tobytes())
 
 
+class PPMFormatError(ValueError):
+    """A file that is not a binary PPM this module can read."""
+
+
 def read_ppm(path) -> np.ndarray:
-    """Parse a binary PPM into a uint8 (H, W, 3) array."""
+    """Parse a binary PPM into a uint8 (H, W, 3) array; a malformed file
+    raises PPMFormatError."""
     blob = Path(path).read_bytes()
     if blob[:2] != b"P6":
-        raise ValueError(f"{path}: not a P6 PPM file")
-    # header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed; one whitespace byte ends the header
+        raise PPMFormatError(f"{path}: not a P6 PPM file")
+    # header = magic, width, height, maxval as whitespace-separated decimal
+    # tokens, with '#' comments allowed; one whitespace byte ends the header
     tokens, pos = [], 2
     while len(tokens) < 3:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
@@ -53,14 +58,21 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        tokens.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        # bytes.isdigit() takes ASCII digits only; 20 digits outgrow any file
+        if not (token.isdigit() and len(token) <= 20 and int(token) > 0):
+            what = f"has {token[:24]!r}" if token else "ends"
+            raise PPMFormatError(f"{path}: header {what} where a positive "
+                                 f"decimal {('width', 'height', 'maxval')[len(tokens)]} "
+                                 "belongs")
+        tokens.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = tokens
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+        raise PPMFormatError(f"{path}: unsupported maxval {maxval}")
+    if len(blob) - pos < h * w * 3:
+        raise PPMFormatError(f"{path}: pixel payload cut short")
     data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3)
-    if data.size != h * w * 3:
-        raise ValueError(f"{path}: pixel payload cut short")
     return data.reshape(h, w, 3).copy()
 
 

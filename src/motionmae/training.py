@@ -34,6 +34,10 @@ from .tokenizer import Mask, TokenGrid, sample_mask
 
 LOSS_KINDS = ("mse", "l1", "smooth_l1")
 
+# float32 attention scores that one evaluation chunk may hold per block:
+# 2**18 of them are 1 MiB, which stays in cache
+EVAL_SCORE_BUDGET = 2**18
+
 CHECKPOINT_MAGIC = b"MMCK"
 CHECKPOINT_VERSION = 1
 
@@ -329,6 +333,14 @@ def run_pretrain(
 # ---------------------------------------------------------------------------
 
 
+def eval_chunk_clips(grid: TokenGrid, enc_cfg: EncoderConfig) -> int:
+    """Clips per `classify` call in evaluation: as many as keep one block's
+    (chunk, heads, N, N) attention scores within EVAL_SCORE_BUDGET, and at
+    least one. It depends on the grid and the config alone, so runs stay
+    deterministic."""
+    return max(1, EVAL_SCORE_BUDGET // (enc_cfg.heads * grid.num_tokens ** 2))
+
+
 def evaluate_top1(
     clips: list[np.ndarray],
     labels: list[int],
@@ -337,9 +349,12 @@ def evaluate_top1(
     params: dict[str, Tensor],
     num_classes: int,
 ) -> tuple[float, list[np.ndarray]]:
-    """Top-1 accuracy over the clips, and the logit row of each clip."""
-    logits = [classify(clip, grid, enc_cfg, params, num_classes).data[0]
-              for clip in clips]
+    """Top-1 accuracy over the clips, and the logit row of each clip. The
+    clips are classified in order, `eval_chunk_clips` at a time."""
+    size = eval_chunk_clips(grid, enc_cfg)
+    logits = [row for i in range(0, len(clips), size)
+              for row in classify(clips[i : i + size], grid, enc_cfg, params,
+                                  num_classes).data]
     hits = sum(int(np.argmax(row) == label) for row, label in zip(logits, labels))
     return hits / len(clips), logits
 
@@ -501,6 +516,12 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
     missing = set(params) ^ set(opt.m) | set(params) ^ set(opt.v)
     if missing:
         raise CheckpointFormatError(f"{path}: incomplete records for {sorted(missing)}")
+    for name, arr in params.items():
+        for kind, moments in (("m", opt.m), ("v", opt.v)):
+            if moments[name].shape != arr.shape:
+                raise CheckpointFormatError(
+                    f"{path}: record '{kind}:{name}' has shape {moments[name].shape}, "
+                    f"its parameter {arr.shape}")
     return params, opt, step
 
 

@@ -57,17 +57,19 @@ def test_worker_target_check_signatures():
     assert mask.bits.shape == (grid.num_tokens,)
 
 
-def test_evaluate_top1_classifies_once_per_clip(monkeypatch):
+def test_evaluate_top1_returns_a_logit_row_per_clip_in_order():
+    """The worker reads `evaluate_top1`'s first argument, `clips`, and times
+    a call as its span over its clip count, so the rows must pair with the
+    clips one to one, in order."""
     grid = tokenizer.TokenGrid(2, 2, 2, 2, 4, 1)
     enc, _ = model.preset_configs("tiny", grid)
     params = model.init_params(enc, None, seed=0, num_classes=4)
-    clips = [np.full(grid.clip_shape, v, np.float32) for v in (0.1, 0.5, 0.9)]
-    calls = []
-
-    def classify(*args):
-        calls.append(1)
-        return model.classify(*args)
-
-    monkeypatch.setattr(training, "classify", classify)
-    training.evaluate_top1(clips, [0, 1, 2], grid, enc, params, 4)
-    assert len(calls) == len(clips)
+    rng = np.random.default_rng(0)
+    clips = [rng.uniform(size=grid.clip_shape).astype(np.float32) for _ in range(3)]
+    assert _params(training.evaluate_top1)[0] == "clips"
+    _, rows = training.evaluate_top1(clips, [0, 1, 2], grid, enc, params, 4)
+    assert len(rows) == len(clips)
+    assert np.ptp(np.stack(rows), axis=0).max() > 1e-3  # rows differ: order shows
+    for clip, row in zip(clips, rows):
+        want = model.classify(clip, grid, enc, params, 4).data[0]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-5)

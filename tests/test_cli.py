@@ -267,6 +267,13 @@ def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_exit_code_ablate_list_item_of_wrong_type(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ablate={"gap": [1, "x"]})
+    assert main(["ablate", "--config", cfg, "--axis", "gap"]) == 2
+    assert "ablate.gap" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---- gen-data ----
 
 
@@ -366,14 +373,16 @@ def test_finetune_init_from_shallower_encoder_rejected(tmp_path, capsys):
 
 
 def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
+    import numpy as np
+
     from motionmae import model, training
 
     calls = []
 
     def counting(classify):
-        def wrapped(*args, **kwargs):
-            calls.append(1)
-            return classify(*args, **kwargs)
+        def wrapped(clips, *args, **kwargs):
+            calls.append(len(clips) if np.ndim(clips[0]) == 4 else 1)
+            return classify(clips, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(training, "classify", counting(training.classify))
@@ -381,9 +390,9 @@ def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     assert main(["gen-data", "--config", cfg]) == 0
     assert main(["finetune", "--config", cfg]) == 0
-    # one batched call per each of the 8 steps, then one call per clip over
-    # the 8 train and the 8 val clips
-    assert len(calls) == 8 + 8 + 8
+    # the 8 steps classify a batch of 2 clips each, then evaluation
+    # classifies each of the 8 train and the 8 val clips once
+    assert sum(calls) == 8 * 2 + 8 + 8
 
 
 # ---- reconstruct ----
@@ -486,3 +495,17 @@ def test_thread_cap_honors_env_and_existing(monkeypatch):
     _cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "2"  # pre-set values win
     assert os.environ["MKL_NUM_THREADS"] == "4"
+
+
+def test_main_runs_without_mallopt_and_starts_no_subprocess(tmp_path, monkeypatch):
+    import ctypes
+    import subprocess
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("main started a subprocess")
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no mallopt
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert (tmp_path / "ds").is_dir()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from motionmae import evalviz as ev
 from motionmae import tokenizer as tk
@@ -47,6 +49,48 @@ def test_ppm_reader_rejects_other_formats(tmp_path):
     p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError):
         ev.read_ppm(p)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P6 4",  # header ends inside the dims
+    b"P6\n1_0 1\n255\n" + bytes(30),  # int() would read 10
+    b"P6\n-3 -1\n255\n" + bytes(9),
+    b"P6\n0 2\n255\n",
+    b"P6\n2 2\n255\n" + bytes(11),  # one byte short
+    b"P6\n2 2\n255",  # no byte ends the header
+    b"P6\n2 2\n65535\n" + bytes(24),
+    b"P6\n" + b"9" * 5000 + b" 1\n255\n",  # more digits than int() reads
+])
+def test_ppm_reader_malformed_header_or_payload_is_format_error(tmp_path, blob):
+    p = tmp_path / "bad.ppm"
+    p.write_bytes(blob)
+    with pytest.raises(ev.PPMFormatError):
+        ev.read_ppm(p)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ppm_damaged_file_parses_or_raises_format_error(tmp_path, data):
+    """A truncated or byte-flipped valid PPM reads as a uint8 (H, W, 3)
+    array or raises PPMFormatError, nothing else."""
+    p = tmp_path / "x.ppm"
+    ev.write_ppm(np.random.default_rng(2).uniform(size=(3, 5, 3)), p)
+    blob = bytearray(p.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)),
+                                   min_size=1, max_size=4), label="flips")
+        for at, xor in flips:
+            blob[at] ^= xor
+    p.write_bytes(bytes(blob))
+    try:
+        img = ev.read_ppm(p)
+    except ev.PPMFormatError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
 
 
 # ---- reconstruction grid ----

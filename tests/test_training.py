@@ -494,6 +494,32 @@ def test_finetune_restores_encoder_weights_bit_exact(tmp_path):
     assert not any(k.startswith("dec.") for k in ft_params)
 
 
+def test_eval_chunk_rule_at_the_tiny_and_desk_grids():
+    """One chunk's (chunk, heads, N, N) float32 scores stay within 1 MiB:
+    16 clips at the 64-token tiny grid, 1 at the 256-token desk grid."""
+    for grid, preset, want in ((tk.TokenGrid(4, 4, 4, 2, 4, 1), "tiny", 16),
+                               (tk.TokenGrid(4, 8, 8, 2, 8, 1), "desk", 1)):
+        enc, _ = md.preset_configs(preset, grid)
+        assert tr.eval_chunk_clips(grid, enc) == want
+        assert want * enc.heads * grid.num_tokens ** 2 * 4 <= 2 ** 20
+
+
+def test_chunked_evaluation_matches_per_clip_logits():
+    clips, labels = _tiny_task(21, seed=24)  # one full chunk of 16, one of 5
+    _, grid = tk.patchify(clips[0], 2, 4)
+    enc, _ = md.preset_configs("tiny", grid)
+    assert tr.eval_chunk_clips(grid, enc) == 16
+    params = md.init_params(enc, None, seed=6, num_classes=4)
+    top1, logits = tr.evaluate_top1(clips, labels, grid, enc, params, 4)
+    singles = [md.classify(c, grid, enc, params, 4).data[0] for c in clips]
+    assert len(logits) == len(clips)
+    np.testing.assert_allclose(np.stack(logits), np.stack(singles), rtol=0, atol=1e-5)
+    assert [int(np.argmax(r)) for r in logits] == [int(np.argmax(r)) for r in singles]
+    assert top1 == np.mean([np.argmax(r) == y for r, y in zip(singles, labels)])
+    _, again = tr.evaluate_top1(clips, labels, grid, enc, params, 4)
+    assert np.stack(again).tobytes() == np.stack(logits).tobytes()
+
+
 def test_finetune_rejects_single_class():
     clips, labels = _tiny_task(4, seed=23)
     _, grid = tk.patchify(clips[0], 2, 4)
@@ -588,6 +614,18 @@ def test_checkpoint_duplicate_record_rejected(tmp_path):
     p = tmp_path / "dup.mmck"
     p.write_bytes(content + hashlib.sha256(content).digest())
     with pytest.raises(tr.CheckpointFormatError, match="duplicate"):
+        tr.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("kind", ["m", "v"])
+def test_checkpoint_moment_of_another_shape_is_format_error(tmp_path, kind):
+    """A moment record must have its parameter's shape; a (7,) moment for a
+    (3, 4) parameter would otherwise load and fail only inside AdamW."""
+    params, opt = _small_state()
+    getattr(opt, kind)["enc.w"] = np.zeros(7, dtype=np.float32)
+    p = tmp_path / "c.mmck"
+    tr.save_checkpoint(params, opt, 1, bytes(32), p)
+    with pytest.raises(tr.CheckpointFormatError, match=f"'{kind}:enc.w'"):
         tr.load_checkpoint(p)
 
 
