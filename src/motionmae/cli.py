@@ -179,6 +179,9 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("data speeds must satisfy 1 <= min_speed <= max_speed")
     if len(data["crop_scale"]) != 2:
         raise ConfigError("data.crop_scale must be a list of two numbers")
+    for key, values in cfg["ablate"].items():
+        if not values:
+            raise ConfigError(f"ablate.{key} must list at least one setting")
 
 
 def load_config(path: str | None) -> dict:
@@ -427,6 +430,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     from .evalviz import metrics_report
+    from .training import write_atomic
 
     data = _finetune_data(cfg)
     init_from = None if args.init in (None, "none") else args.init
@@ -435,7 +439,7 @@ def cmd_finetune(args) -> int:
     out["train_top1"] = report["train_top1"]
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(out, indent=2) + "\n")
+    write_atomic(out_dir / "report.json", (json.dumps(out, indent=2) + "\n").encode())
     print(json.dumps(out))
     return 0
 
@@ -519,19 +523,18 @@ def _primitive_checks():
     yield check("huber", unary(lambda x: nm.huber(x, 1.0)), (3, 4))
     yield check("matmul", lambda t: nm.sum_all(nm.matmul(t[0], t[1])),
                 (3, 4), (4, 5))
-    yield check("matmul_batched", lambda t: nm.sum_all(nm.matmul(t[0], t[1])),
-                (2, 3, 4), (2, 4, 5))
     yield check("matmul_broadcast", lambda t: nm.sum_all(nm.mul(
                 nm.matmul(t[0], t[1]), nm.matmul(t[0], t[1]))), (2, 3, 4), (4, 5))
+    yield check("linear", lambda t: nm.sum_all(nm.mul(
+                t[3], nm.linear(t[0], t[1], t[2]))), (2, 3, 4), (4, 5), (5,), (2, 3, 5))
     yield check("softmax", unary(lambda x: nm.mul(x, nm.softmax(x))), (3, 5))
+    yield check("attention", lambda t: nm.sum_all(nm.mul(
+                t[3], nm.attention(t[0], t[1], t[2], 2))),
+                (2, 3, 4), (2, 3, 4), (2, 3, 4), (2, 3, 4))
     yield check("gelu", unary(nm.gelu), (3, 4))
     yield check("layer_norm",
                 lambda t: nm.sum_all(nm.mul(t[0], nm.layer_norm(t[0], t[1], t[2]))),
                 (3, 6), (6,), (6,))
-    yield check("reshape", unary(lambda x: nm.mul(x, nm.reshape(nm.reshape(
-                x, (12,)), (3, 4)))), (3, 4))
-    yield check("transpose", lambda t: nm.sum_all(nm.mul(
-                t[0], nm.transpose(t[1], (1, 0)))), (4, 3), (3, 4))
     # (N,) bits, and (B, N) bits selecting a different set in each row
     one = np.array([1, 0, 1, 1], dtype=bool)
     two = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=bool)

@@ -210,29 +210,16 @@ def params_dtype(params: dict[str, Tensor]):
 
 
 def _linear(x: Tensor, params, prefix: str) -> Tensor:
-    return nm.add(nm.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return nm.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     """Multi-head self-attention over the rows of (..., N, E), each leading
     index (one sample of a batch) attending only within itself."""
-    lead, (n, dim) = x.shape[:-2], x.shape[-2:]
-    r = len(lead)
-    dh = dim // heads
-    swap_heads = tuple(range(r)) + (r + 1, r, r + 2)  # its own inverse
-    swap_last = tuple(range(r + 1)) + (r + 2, r + 1)
-
-    def split(t):  # (..., N, E) -> (..., heads, N, dh)
-        return nm.transpose(nm.reshape(t, lead + (n, heads, dh)), swap_heads)
-
-    q = split(nm.add(nm.matmul(x, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]))
-    k = split(nm.add(nm.matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"]))
-    v = split(nm.add(nm.matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"]))
-
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, swap_last)), 1.0 / math.sqrt(dh))
-    probs = nm.softmax(scores, axis=-1)
-    mixed = nm.reshape(nm.transpose(nm.matmul(probs, v), swap_heads), lead + (n, dim))
-    return nm.add(nm.matmul(mixed, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    q, k, v = (nm.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
+               for n in "qkv")
+    mixed = nm.attention(q, k, v, heads)
+    return nm.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
@@ -243,9 +230,8 @@ def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
 
 
 def _mlp(h: Tensor, params, prefix: str) -> Tensor:
-    h = nm.add(nm.matmul(h, params[f"{prefix}.mlp.w1"]), params[f"{prefix}.mlp.b1"])
-    h = nm.gelu(h)
-    return nm.add(nm.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
+    h = nm.gelu(nm.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    return nm.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
 
 
 def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor:

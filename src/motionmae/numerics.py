@@ -172,9 +172,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     ash, bsh = a.data.shape, b.data.shape
+    ta, tb = a.tape is not None, b.tape is not None
 
     def rule(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return (_unbroadcast(g, ash) if ta else None,
+                _unbroadcast(g, bsh) if tb else None)
 
     return _result(a.data + b.data, (a, b), rule)
 
@@ -182,9 +184,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     ash, bsh = a.data.shape, b.data.shape
+    ta, tb = a.tape is not None, b.tape is not None
 
     def rule(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
+        return (_unbroadcast(g, ash) if ta else None,
+                _unbroadcast(-g, bsh) if tb else None)
 
     return _result(a.data - b.data, (a, b), rule)
 
@@ -192,9 +196,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     ad, bd = a.data, b.data
+    ta, tb = a.tape is not None, b.tape is not None
 
     def rule(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (_unbroadcast(g * bd, ad.shape) if ta else None,
+                _unbroadcast(g * ad, bd.shape) if tb else None)
 
     return _result(ad * bd, (a, b), rule)
 
@@ -232,17 +238,6 @@ def huber(a: Tensor, delta: float = 1.0) -> Tensor:
         return (g * np.clip(ad, -delta, delta),)
 
     return _result(out.astype(ad.dtype, copy=False), (a,), rule)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def _row_count(bits) -> int:
@@ -321,27 +316,15 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of (..., N, D) @ (D, E), or of two stacks of matrices
-    with equal leading (batch) dims.
-
-    Against a 2-d weight the leading dims fold into the rows of one GEMM, and
-    the weight gradient sums over them in one GEMM too.
+    """Matrix product of (..., N, D) @ (D, E): the leading dims fold into the
+    rows of one GEMM, and the weight gradient sums over them in one GEMM too.
     """
     _check_dtypes(a, b)
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim not in (2, ad.ndim):
+    if ad.ndim < 2 or bd.ndim != 2:
         raise ValueError(f"matmul rank mismatch: {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.shape[-1] != bd.shape[0]:
         raise ValueError(f"matmul inner dimension mismatch: {ad.shape} @ {bd.shape}")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ValueError(f"matmul batch dimension mismatch: {ad.shape} @ {bd.shape}")
-
-    if bd.ndim > 2:
-        def rule(g):
-            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
-
-        return _result(ad @ bd, (a, b), rule)
-
     d, e = bd.shape
     a2 = ad.reshape(-1, d)
 
@@ -352,20 +335,98 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result((a2 @ bd).reshape(ad.shape[:-1] + (e,)), (a, b), rule)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for (..., D) rows, a (D, E) weight and an (E,) bias, as one
+    record: the leading dims fold into the rows of one GEMM. A non-finite
+    product stays non-finite after a finite bias, so one check covers both.
+    The input gradient is computed only when a tape tracks `x`."""
+    _check_dtypes(x, w)
+    _check_dtypes(x, b)
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.shape != wd.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {xd.shape} @ {wd.shape} + {b.shape}")
+    d, e = wd.shape
+    x2 = xd.reshape(-1, d)
+    out = x2 @ wd
+    out += b.data
+    lead = tuple(range(xd.ndim - 1))
+    tx = x.tape is not None
+
+    def rule(g):
+        g2 = g.reshape(-1, e)
+        gx = (g2 @ wd.T).reshape(xd.shape) if tx else None
+        return gx, x2.T @ g2, np.add.reduce(g, axis=lead)
+
+    return _result(out.reshape(xd.shape[:-1] + (e,)), (x, w, b), rule)
+
+
+def _softmax_rows(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax of an array along an axis."""
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The input gradient of a softmax with output `out` along an axis."""
+    dot = np.add.reduce(out * g, axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along an axis; rows are nonnegative and sum to 1."""
     xd = x.data
     if not -xd.ndim <= axis < xd.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {xd.shape}")
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_rows(xd, axis)
+    return _result(out, (x,), lambda g: (_softmax_grad(out, g, axis),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (..., N, E) queries, keys
+    and values, each leading index (one sample of a batch) attending only
+    within itself, as one record: split into heads, scaled scores, row
+    softmax, mix and merge.
+
+    Besides the output it checks the scaled scores: the softmax maps a
+    single -inf score to a weight of 0, which would hide it.
+    """
+    _check_dtypes(q, k)
+    _check_dtypes(q, v)
+    shape = q.shape
+    if len(shape) < 2 or k.shape != shape or v.shape != shape:
+        raise ValueError(f"attention needs equal (..., N, E) inputs, got "
+                         f"{shape}, {k.shape}, {v.shape}")
+    lead, (n, dim) = shape[:-2], shape[-2:]
+    if heads < 1 or dim % heads:
+        raise ValueError(f"heads {heads} do not divide width {dim}")
+    dh = dim // heads
+    r = len(lead)
+    swap_heads = tuple(range(r)) + (r + 1, r, r + 2)  # its own inverse
+
+    def split(t):  # (..., N, E) -> (..., heads, N, dh), a view
+        return t.reshape(lead + (n, heads, dh)).transpose(swap_heads)
+
+    def merge(t):  # (..., heads, N, dh) -> (..., N, E)
+        return t.transpose(swap_heads).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / math.sqrt(dh)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= c
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("attention produced non-finite scores")
+    probs = _softmax_rows(scores)
 
     def rule(g):
-        dot = (out * g).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        gm = split(g)
+        gs = _softmax_grad(probs, gm @ vh.swapaxes(-1, -2))
+        gs *= c
+        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return merge(gs @ kh), merge(gk), merge(probs.swapaxes(-1, -2) @ gm)
 
-    return _result(out, (x,), rule)
+    return _result(merge(probs @ vh), (q, k, v), rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -378,20 +439,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     if gd.shape != (d,) or bd.shape != (d,):
         raise ValueError(f"layer_norm affine shape mismatch: x has D={d}, "
                          f"gamma {gd.shape}, beta {bd.shape}")
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+
+    def mean(a):  # of the last axis, kept
+        s = np.add.reduce(a, axis=-1, keepdims=True)
+        s /= d
+        return s
+
+    xc = xd - mean(xd)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
     xhat = xc * inv
     out = xhat * gd + bd
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=lead)
-        gbeta = g.sum(axis=lead)
+        ggamma = np.add.reduce(g * xhat, axis=lead)
+        gbeta = np.add.reduce(g, axis=lead)
         gxh = g * gd
-        gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
-                    - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+        gx = inv * (gxh - mean(gxh) - xhat * mean(gxh * xhat))
         return gx, ggamma, gbeta
 
     return _result(out, (x, gamma, beta), rule)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -443,7 +444,22 @@ def save_checkpoint(
         body.append(_pack_record(f"m:{name}", opt.m[name]))
         body.append(_pack_record(f"v:{name}", opt.v[name]))
     blob = b"".join(body)
-    Path(path).write_bytes(blob + hashlib.sha256(blob).digest())
+    write_atomic(path, blob + hashlib.sha256(blob).digest())
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
+    and `os.replace`: a write that fails or is interrupted leaves the old
+    file as it was and removes its temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expect_digest: bytes | None = None):

@@ -267,6 +267,15 @@ def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("axis", ["gap", "ratio", "decoder"])
+def test_exit_code_ablate_empty_list(tmp_path, capsys, axis):
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, ablate={axis: []})  # rejected at load, by any command
+    assert main(["ablate", "--config", cfg, "--axis", axis]) == 2
+    assert f"ablate.{axis}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"ablate_{axis}.csv").exists()
+
+
 def test_exit_code_ablate_list_item_of_wrong_type(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ablate={"gap": [1, "x"]})
     assert main(["ablate", "--config", cfg, "--axis", "gap"]) == 2
@@ -443,9 +452,9 @@ def test_primitive_check_suite_passes():
 def test_gradcheck_covers_every_op():
     names = {name for name, _ in _primitive_checks()}
     expected = {"add", "sub", "mul", "scale", "exp", "log", "absolute",
-                "huber", "matmul", "matmul_batched", "softmax", "gelu",
-                "layer_norm", "reshape", "transpose", "gather_rows",
-                "scatter_rows", "sum_all", "mean_all", "mean_axis"}
+                "huber", "matmul", "linear", "softmax", "attention", "gelu",
+                "layer_norm", "gather_rows", "scatter_rows", "sum_all",
+                "mean_all", "mean_axis"}
     assert expected <= names
 
 

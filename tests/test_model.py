@@ -98,14 +98,14 @@ def test_attention_rows_sum_to_one_every_layer(monkeypatch):
     clip, grid, enc, dec, params, mask = _tiny_setup(ratio=0.5)
     tokens, _ = tk.patchify(clip, 2, 4)
     sink = []
-    real_softmax = nm.softmax
+    real_kernel = nm._softmax_rows
 
-    def softmax(x, axis=-1):
-        out = real_softmax(x, axis)
-        sink.append(out.data.copy())
+    def softmax_rows(x, axis=-1):
+        out = real_kernel(x, axis)
+        sink.append(out.copy())
         return out
 
-    monkeypatch.setattr(md.nm, "softmax", softmax)
+    monkeypatch.setattr(nm, "_softmax_rows", softmax_rows)
     md.encode(tokens, mask, grid, enc, params)
     assert len(sink) == enc.depth
     for probs in sink:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,15 +62,6 @@ def test_matmul_dim_mismatch():
         nm.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
-def test_matmul_batched():
-    r = _rng(4)
-    a = r.normal(size=(6, 3, 4))
-    b = r.normal(size=(6, 4, 2))
-    out = nm.matmul(Tensor(a), Tensor(b)).data
-    for i in range(6):
-        np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-12)
-
-
 def test_matmul_broadcast_weight_is_one_gemm_per_batch():
     r = _rng(5)
     a = r.normal(size=(3, 4, 5))
@@ -126,6 +119,172 @@ def test_gather_scatter_rows_reject_values_that_do_not_fit():
         nm.scatter_rows(Tensor(np.ones((2, 3, 2))), bits)  # 3 rows, 2 selected
     with pytest.raises(ValueError, match="do not fit"):
         nm.scatter_rows(Tensor(np.ones((3, 2, 2))), bits)
+
+
+# ---- linear ----
+
+
+def _grads(build, arrays, g):
+    """Gradients of sum(build(*arrays) * g) with respect to each array."""
+    ts = [Tensor(a) for a in arrays]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    backward(nm.sum_all(nm.mul(build(*ts), Tensor(g))), tape)
+    return [t.grad for t in ts]
+
+
+def test_linear_is_matmul_plus_bias_bit_for_bit():
+    r = _rng(12)
+    arrays = [r.normal(size=s).astype(np.float32)
+              for s in [(3, 5, 4), (4, 6), (6,), (3, 5, 6)]]
+    x, w, b, g = arrays
+    fused = nm.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    apart = nm.add(nm.matmul(Tensor(x), Tensor(w)), Tensor(b)).data
+    np.testing.assert_array_equal(fused, apart)
+    got = _grads(nm.linear, arrays[:3], g)
+    want = _grads(lambda x, w, b: nm.add(nm.matmul(x, w), b), arrays[:3], g)
+    for got_g, want_g in zip(got, want):
+        np.testing.assert_array_equal(got_g, want_g)
+
+
+def test_linear_computes_no_gradient_for_a_constant_input():
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    tape = Tape()
+    tape.watch(w)
+    tape.watch(b)
+    nm.linear(Tensor(np.ones((4, 3))), w, b)
+    rule = tape._records[-1][2]
+    gx, gw, gb = rule(np.ones((4, 2)))
+    assert gx is None
+    np.testing.assert_array_equal(gw, np.full((3, 2), 4.0))
+    np.testing.assert_array_equal(gb, [4.0, 4.0])
+
+
+def test_untracked_operands_get_no_gradient():
+    """add, sub and mul compute nothing for an operand no tape tracks."""
+    x, c = Tensor(np.ones((2, 3))), Tensor(np.full(3, 2.0))
+    tape = Tape()
+    tape.watch(x)
+    for op in (nm.add, nm.sub, nm.mul):
+        op(x, c)
+        gx, gc = tape._records[-1][2](np.ones((2, 3)))
+        assert gc is None and gx.shape == (2, 3)
+
+
+def test_linear_rejects_misfit_shapes():
+    for shapes in [((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)),
+                   ((2, 3), (3,), (3,))]:
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            nm.linear(*[Tensor(np.ones(s)) for s in shapes])
+
+
+def test_linear_inf_weight_raises():
+    w = Tensor(np.ones((3, 2)))
+    w.data[1, 0] = np.inf  # a parameter an update has blown up
+    with pytest.raises(NonFiniteError):
+        nm.linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+
+
+# ---- attention ----
+
+
+def _attention_reference(q, k, v, heads):
+    """Per sample and head, with explicit loops."""
+    out = np.zeros_like(q)
+    dh = q.shape[-1] // heads
+    for i in range(q.shape[0]):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[i, :, cols] @ k[i, :, cols].T / np.sqrt(dh)
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            out[i, :, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[i, :, cols]
+    return out
+
+
+def test_attention_matches_per_head_reference():
+    r = _rng(13)
+    q, k, v = (r.normal(size=(2, 5, 8)) for _ in range(3))
+    got = nm.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    np.testing.assert_allclose(got, _attention_reference(q, k, v, 2), atol=1e-12)
+    # one unbatched sample attends the same way
+    one = nm.attention(Tensor(q[1]), Tensor(k[1]), Tensor(v[1]), 2).data
+    np.testing.assert_allclose(one, got[1], atol=1e-12)
+
+
+def test_attention_bits_follow_the_unfused_graph():
+    """Forward and backward run the GEMMs of the unfused split, scale,
+    softmax and mix graph in its orientations, so they match it bit for bit.
+    The key gradient is (q^T gs)^T, as that graph computes it."""
+    r = _rng(14)
+    b, n, dim, heads = 2, 7, 12, 3
+    dh = dim // heads
+    q, k, v, g = (r.normal(size=(b, n, dim)).astype(np.float32) for _ in range(4))
+    sw = (0, 2, 1, 3)
+
+    def split(a):
+        return a.reshape(b, n, heads, dh).transpose(sw)
+
+    def merge(a):
+        return a.transpose(sw).reshape(b, n, dim)
+
+    c = 1.0 / math.sqrt(dh)  # a Python float keeps float32 arrays float32
+    kt = split(k).transpose(0, 1, 3, 2)
+    scores = (split(q) @ kt) * c
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    want = merge(probs @ split(v))
+    gm = g.reshape(b, n, heads, dh).transpose(sw)
+    gprobs = gm @ split(v).swapaxes(-1, -2)
+    gs = probs * (gprobs - (probs * gprobs).sum(axis=-1, keepdims=True)) * c
+    want_grads = [merge(gs @ kt.swapaxes(-1, -2)),
+                  merge((split(q).swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2)),
+                  merge(probs.swapaxes(-1, -2) @ gm)]
+
+    ts = [Tensor(a) for a in (q, k, v)]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    out = nm.attention(*ts, heads)
+    np.testing.assert_array_equal(out.data, want)
+    backward(nm.sum_all(nm.mul(out, Tensor(g))), tape)
+    for t, w in zip(ts, want_grads):
+        np.testing.assert_array_equal(t.grad, w)
+
+
+def test_attention_rejects_misfit_inputs():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match="heads"):
+        nm.attention(x, x, x, 3)
+    with pytest.raises(ValueError, match="equal"):
+        nm.attention(x, Tensor(np.ones((2, 4, 4))), x, 2)
+
+
+def test_attention_single_minus_inf_score_raises():
+    """One score overflows to -inf; the softmax gives it weight 0 and the
+    output stays finite, so only the check of the scores catches it."""
+    q = np.array([[1e200, 0.0], [0.5, 0.0]])
+    k = np.array([[-1e200, 0.0], [0.5, 0.0]])
+    v = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with np.errstate(over="ignore"):
+        scores = q @ k.T / np.sqrt(2.0)
+        assert np.isneginf(scores).sum() == 1
+        assert np.isfinite(nm._softmax_rows(scores) @ v).all()
+        with pytest.raises(NonFiniteError, match="scores"):
+            nm.attention(Tensor(q), Tensor(k), Tensor(v), 1)
+
+
+def test_attention_overflowing_output_raises():
+    """Scores (0, -37) give weights (1.0, 8.5e-17) in float64: their sum
+    rounds to 1, and 8.5e-17 * max is more than half an ulp of max, so
+    mixing two rows at the largest double overflows."""
+    big = np.finfo(np.float64).max
+    q = Tensor(np.ones((2, 1)))
+    k = Tensor(np.array([[0.0], [-37.0]]))
+    v = Tensor(np.full((2, 1), big))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        nm.attention(q, k, v, 1)
 
 
 # ---- softmax ----
@@ -195,6 +354,29 @@ def test_layer_norm_population_variance():
     out = nm.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
+
+
+def test_layer_norm_bits_match_the_mean_form():
+    """The reduce-and-divide means give the bits of ndarray.mean."""
+    r = _rng(15)
+    for shape in [(5, 16), (2, 9, 32), (3, 7), (4, 192)]:
+        x = r.normal(size=shape).astype(np.float32)
+        gd = r.normal(size=shape[-1]).astype(np.float32)
+        bd = r.normal(size=shape[-1]).astype(np.float32)
+        g = r.normal(size=shape).astype(np.float32)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-6)
+        xhat = xc * inv
+        gxh = g * gd
+        want_gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
+                         - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+        ts = [Tensor(x), Tensor(gd), Tensor(bd)]
+        tape = Tape()
+        tape.watch(ts[0])
+        out = nm.layer_norm(*ts)
+        np.testing.assert_array_equal(out.data, xhat * gd + bd)
+        backward(nm.sum_all(nm.mul(out, Tensor(g))), tape)
+        np.testing.assert_array_equal(ts[0].grad, want_gx)
 
 
 def test_layer_norm_shape_mismatch():
@@ -356,13 +538,6 @@ def test_grad_huber():
     assert finite_diff_check(lambda p: nm.sum_all(nm.huber(p[0], 1.0)), [x]) < 1e-4
 
 
-def test_grad_reshape_transpose():
-    def f(p):
-        y = nm.transpose(nm.reshape(p[0], (3, 4)), (1, 0))
-        return nm.sum_all(nm.mul(y, y))
-    _check(f, [(12,)], 29)
-
-
 def test_grad_gather_scatter():
     def f(p):
         got = nm.gather_rows(p[0], np.array([1, 0, 1, 1], dtype=bool))
@@ -376,8 +551,14 @@ def test_grad_means():
     _check(lambda p: nm.sum_all(nm.mean_axis(nm.mul(p[0], p[0]), 0)), [(3, 4)], 33)
 
 
-def test_grad_batched_matmul():
-    _check(lambda p: nm.sum_all(nm.matmul(p[0], p[1])), [(2, 3, 4), (2, 4, 2)], 34)
+def test_grad_linear():
+    _check(lambda p: nm.sum_all(nm.mul(nm.linear(p[0], p[1], p[2]), p[3])),
+           [(2, 3, 4), (4, 5), (5,), (2, 3, 5)], 34)
+
+
+def test_grad_attention():
+    _check(lambda p: nm.sum_all(nm.mul(nm.attention(p[0], p[1], p[2], 2), p[3])),
+           [(2, 4, 6)] * 4, 35)
 
 
 # ---- finiteness policing ----

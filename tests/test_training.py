@@ -351,6 +351,19 @@ def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
     assert sorted(calls) == ["make_targets", "patchify", "patchify", "patchify"]
 
 
+def test_tiny_batch_graph_records_fewer_than_100_ops():
+    """Fused linear and attention records keep a tiny batch-8 pretrain graph
+    (2 encoder blocks, two 1-block decoder stacks) under 100 tape ops."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(n_clips=8, batch_size=8)
+    params = md.init_params(enc, dec, seed=1)
+    masks = [tk.sample_mask(grid, 0.75, "random", seed=i) for i in range(8)]
+    tape = Tape()
+    for p in params.values():
+        tape.watch(p)
+    tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg)
+    assert len(tape) < 100
+
+
 def test_pretrain_step_builds_no_mask_index_arrays(monkeypatch):
     """A step addresses token rows by mask bits alone: neither a clip's mask
     nor the batch's builds its index arrays."""
@@ -555,6 +568,44 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert (arrays[name] == t.data).all()
         assert (opt2.m[name] == opt.m[name]).all()
         assert (opt2.v[name] == opt.v[name]).all()
+
+
+class _DiskFull:
+    """A file that takes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch,
+                                                               stage):
+    params, opt = _small_state()
+    digest = tr.config_digest(tr.TrainConfig())
+    p = tmp_path / "c.mmck"
+    tr.save_checkpoint(params, opt, 1, digest, p)
+    old = p.read_bytes()
+    if stage == "write":
+        monkeypatch.setattr(tr, "open", lambda *a: _DiskFull(open(*a)), raising=False)
+    else:
+        def replace(src, dst):
+            raise OSError("interrupted")
+        monkeypatch.setattr(tr.os, "replace", replace)
+    params["enc.w"].data += 1.0
+    with pytest.raises(OSError):
+        tr.save_checkpoint(params, opt, 2, digest, p)
+    assert p.read_bytes() == old
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.mmck"]
 
 
 def test_checkpoint_rejects_double_precision(tmp_path):
