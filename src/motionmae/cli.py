@@ -43,8 +43,6 @@ DEFAULT_CONFIG = {
         "H": 16,
         "W": 16,
         "channels": 1,
-        "min_speed": 1,
-        "max_speed": 3,
         "crop": False,
         "crop_scale": [0.5, 1.0],
         "flip": False,
@@ -175,8 +173,6 @@ def _validate(cfg: dict) -> None:
     for key in ("T", "H", "W", "channels", "num_clips"):
         if data[key] < 1:
             raise ConfigError(f"data.{key} must be >= 1")
-    if not (1 <= data["min_speed"] <= data["max_speed"]):
-        raise ConfigError("data speeds must satisfy 1 <= min_speed <= max_speed")
     if len(data["crop_scale"]) != 2:
         raise ConfigError("data.crop_scale must be a list of two numbers")
     for key, values in cfg["ablate"].items():
@@ -284,7 +280,7 @@ def _resolve(cfg: dict):
 
     from .targets import make_targets
     from .tokenizer import patchify, sample_mask
-    from .videodata import random_resized_crop
+    from .videodata import dataset_clip, random_resized_crop
 
     _validate(cfg)
     data, model = cfg["data"], cfg["model"]
@@ -294,14 +290,16 @@ def _resolve(cfg: dict):
     enc, dec = _build_model_cfgs(cfg, grid)
     pretrain = _build_train_cfg(cfg)
     finetune = _build_train_cfg(cfg, finetune=True)
-    # One crop, one mask and one target draw check the crop, mask and target
-    # fields where they are used. Whether a crop scale holds an integer crop
-    # does not depend on the seed, and every mask of a strategy hides the
-    # same count whatever its seed, so a draw that fails here would fail at
-    # every step.
-    with _field_errors({"scale": "data.crop_scale", "ratio": "mask.ratio",
-                        "strategy": "mask.strategy", "kind": "targets.kind",
-                        "gap": "targets.gap"}):
+    # One synthetic clip, one crop, one mask and one target draw check the
+    # frame, crop, mask and target fields where they are used. Whether a
+    # frame fits the square or a crop scale holds an integer crop does not
+    # depend on the seed, and every mask of a strategy hides the same count
+    # whatever its seed, so a draw that fails here would fail at every step.
+    with _field_errors({"frame": "data.H/data.W", "scale": "data.crop_scale",
+                        "ratio": "mask.ratio", "strategy": "mask.strategy",
+                        "kind": "targets.kind", "gap": "targets.gap"}):
+        dataset_clip(0, data["T"], data["H"], data["W"], cfg["seed"] + 1,
+                     data["channels"])
         random_resized_crop(blank, tuple(data["crop_scale"]), data["H"], data["W"],
                             seed=0)
         mask = sample_mask(grid, pretrain.mask_ratio, pretrain.mask_strategy, seed=0)
@@ -378,10 +376,8 @@ def cmd_gen_data(args) -> int:
     if count < 1:
         raise ConfigError("--count must be >= 1")
     data = cfg["data"]
-    entries = generate_dataset(
-        out, count, data["T"], data["H"], data["W"], seed=cfg["seed"] + 1,
-        channels=data["channels"], min_speed=data["min_speed"],
-        max_speed=data["max_speed"])
+    entries = generate_dataset(out, count, data["T"], data["H"], data["W"],
+                               seed=cfg["seed"] + 1, channels=data["channels"])
     print(f"wrote {len(entries)} clips to {out}")
     return 0
 
@@ -430,7 +426,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     from .evalviz import metrics_report
-    from .training import write_atomic
+    from .videodata import write_atomic
 
     data = _finetune_data(cfg)
     init_from = None if args.init in (None, "none") else args.init
@@ -446,13 +442,11 @@ def cmd_finetune(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
-    import numpy as np
-
     from .evalviz import render_reconstruction
     from .model import forward_pretrain, init_params
     from .tokenizer import sample_mask
     from .training import load_params
-    from .videodata import SyntheticSpec, generate_moving_square
+    from .videodata import dataset_clip
 
     grid, enc, dec, _, _ = _resolve(cfg)
     try:
@@ -468,14 +462,9 @@ def cmd_reconstruct(args) -> int:
     if data["dir"] is not None:
         clips, _ = _load_dataset(data["dir"], cfg)
         clip = clips[0]
-    else:
-        rng = np.random.default_rng(cfg["seed"] + 1)
-        side = min(data["H"], data["W"])
-        spec = SyntheticSpec(object_size=max(2, side // 3), velocity=(1, 0),
-                             background_level=0.1, object_level=0.9, label="right")
-        clip, _ = generate_moving_square(spec, data["T"], data["H"], data["W"],
-                                         seed=int(rng.integers(2 ** 31)),
-                                         channels=data["channels"])
+    else:  # the first clip gen-data would write
+        clip, _ = dataset_clip(0, data["T"], data["H"], data["W"], cfg["seed"] + 1,
+                               data["channels"])
     kind = cfg["targets"]["kind"]
     params = init_params(enc, dec, seed=cfg["seed"] + 3, target_kind=kind)
     if args.init not in (None, "none"):
@@ -623,12 +612,16 @@ def _apply_setting(cfg: dict, axis: str, value) -> dict:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
+    from .targets import TARGET_KINDS
+    from .training import LOSS_KINDS
+    from .videodata import write_atomic
+
     if args.axis not in _ABLATION_AXES:
         raise ConfigError(f"--axis must be one of {', '.join(_ABLATION_AXES)}")
     values = {
-        "target_kind": ["frame", "motion", "both"],
+        "target_kind": TARGET_KINDS,
         "gap": sorted(cfg["ablate"]["gap"]),
-        "loss_kind": ["mse", "l1", "smooth_l1"],
+        "loss_kind": LOSS_KINDS,
         "ratio": cfg["ablate"]["ratio"],
         "decoder": cfg["ablate"]["decoder"],
     }[args.axis]
@@ -647,10 +640,8 @@ def cmd_ablate(args) -> int:
         print(f"{args.axis}={value}: top1={top1:.4f}")
 
     csv_path = out_dir / f"ablate_{args.axis}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("setting,top1\n")
-        for value, top1 in rows:
-            fh.write(f"{value},{top1:.6f}\n")
+    lines = ["setting,top1\n"] + [f"{value},{top1:.6f}\n" for value, top1 in rows]
+    write_atomic(csv_path, "".join(lines).encode())
     print(f"wrote {csv_path}")
     return 0
 

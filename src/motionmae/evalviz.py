@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .tokenizer import Mask, TokenGrid, patchify, unpatchify
+from .videodata import write_atomic
 
 MOTION_RENDER_GAIN = 3.0  # raw temporal differences are faint; amplify for display
 
@@ -30,9 +31,7 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         raise ValueError(f"expected (H, W, 3) pixels, got {pixels.shape}")
     h, w, _ = pixels.shape
     quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(quantized.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + quantized.tobytes())
 
 
 class PPMFormatError(ValueError):

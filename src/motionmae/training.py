@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
+from .evalviz import topk_accuracy
 from .model import (
     DecoderConfig,
     EncoderConfig,
@@ -32,6 +32,7 @@ from .model import (
 from .numerics import NonFiniteError, OptimState, Tape, Tensor, adamw_step, backward
 from .targets import TargetConfig, make_targets
 from .tokenizer import Mask, TokenGrid, sample_mask
+from .videodata import write_atomic
 
 LOSS_KINDS = ("mse", "l1", "smooth_l1")
 
@@ -89,6 +90,10 @@ class TrainConfig:
         for name in ("lr", "weight_decay"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        # decoupled decay scales every parameter by 1 - lr * weight_decay a step
+        if self.lr * self.weight_decay >= 1.0:
+            raise ValueError(f"lr {self.lr} times weight_decay {self.weight_decay} "
+                             f"must be < 1")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
@@ -356,8 +361,7 @@ def evaluate_top1(
     logits = [row for i in range(0, len(clips), size)
               for row in classify(clips[i : i + size], grid, enc_cfg, params,
                                   num_classes).data]
-    hits = sum(int(np.argmax(row) == label) for row, label in zip(logits, labels))
-    return hits / len(clips), logits
+    return topk_accuracy(logits, labels, 1), logits
 
 
 def run_finetune(
@@ -445,21 +449,6 @@ def save_checkpoint(
         body.append(_pack_record(f"v:{name}", opt.v[name]))
     blob = b"".join(body)
     write_atomic(path, blob + hashlib.sha256(blob).digest())
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`: a write that fails or is interrupted leaves the old
-    file as it was and removes its temporary file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def load_checkpoint(path, expect_digest: bytes | None = None):

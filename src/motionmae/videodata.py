@@ -1,4 +1,5 @@
-"""Synthetic video generation, augmentations, and raw clip files.
+"""Synthetic video generation, augmentations, raw clip files, and the atomic
+file write every writer in the package goes through.
 
 Clips are float32 arrays of shape (T, H, W, C) with values in [0, 1]. The
 synthetic generator renders a translating square with integer per-frame
@@ -9,6 +10,7 @@ exact closed form we can test against.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,7 +186,22 @@ def save_raw_clip(clip: np.ndarray, path) -> None:
         raise ValueError(f"expected a (T, H, W, C) array, got shape {clip.shape}")
     arr = np.ascontiguousarray(clip, dtype="<f4")
     header = MAGIC + struct.pack("<B4I", FORMAT_VERSION, *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, header + arr.tobytes())
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
+    and `os.replace`: a write that fails or is interrupted leaves the old
+    file as it was and removes its temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_raw_clip(path) -> np.ndarray:
@@ -214,44 +231,47 @@ def load_raw_clip(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def dataset_clip(
+    index: int, T: int, H: int, W: int, seed: int, channels: int = 1
+) -> tuple[np.ndarray, str]:
+    """Clip `index` of the synthetic dataset drawn from `seed`: a square
+    moving 1-3 px/frame in direction class `index` mod 4. Returns (clip,
+    label)."""
+    side = min(H, W)
+    if side < 4:  # the square's side is drawn from [max(2, side // 4), side // 2]
+        raise ValueError(f"frame {H}x{W} is under 4 px on a side, too small "
+                         f"for the moving square")
+    label = DIRECTIONS[index % len(DIRECTIONS)]
+    rng = np.random.default_rng([seed, index])
+    speed = int(rng.integers(1, 4))
+    sx, sy = _VELOCITY_SIGNS[label]
+    spec = SyntheticSpec(
+        object_size=int(rng.integers(max(2, side // 4), side // 2 + 1)),
+        velocity=(sx * speed, sy * speed),
+        background_level=float(rng.uniform(0.0, 0.25)),
+        object_level=float(rng.uniform(0.75, 1.0)),
+        label=label,
+    )
+    return generate_moving_square(
+        spec, T, H, W, seed=int(rng.integers(0, 2 ** 31)), channels=channels
+    )
+
+
 def generate_dataset(
-    root,
-    num_clips: int,
-    T: int,
-    H: int,
-    W: int,
-    seed: int,
-    channels: int = 1,
-    min_speed: int = 1,
-    max_speed: int = 3,
+    root, num_clips: int, T: int, H: int, W: int, seed: int, channels: int = 1
 ) -> list[tuple[str, str]]:
-    """Write num_clips moving-square clips cycling through the four direction
-    classes; returns the (id, label) pairs in file order."""
+    """Write clips `dataset_clip(0..num_clips-1)`, which cycle through the
+    four direction classes; returns the (id, label) pairs in file order."""
     root = Path(root)
     (root / "clips").mkdir(parents=True, exist_ok=True)
-    side = min(H, W)
     entries = []
     for i in range(num_clips):
-        label = DIRECTIONS[i % len(DIRECTIONS)]
-        rng = np.random.default_rng([seed, i])
-        speed = int(rng.integers(min_speed, max_speed + 1))
-        sx, sy = _VELOCITY_SIGNS[label]
-        spec = SyntheticSpec(
-            object_size=int(rng.integers(max(2, side // 4), side // 2 + 1)),
-            velocity=(sx * speed, sy * speed),
-            background_level=float(rng.uniform(0.0, 0.25)),
-            object_level=float(rng.uniform(0.75, 1.0)),
-            label=label,
-        )
-        clip, _ = generate_moving_square(
-            spec, T, H, W, seed=int(rng.integers(0, 2 ** 31)), channels=channels
-        )
+        clip, label = dataset_clip(i, T, H, W, seed, channels)
         clip_id = f"{i:05d}"
         save_raw_clip(clip, root / "clips" / f"{clip_id}.mmae")
         entries.append((clip_id, label))
-    with open(root / "labels.tsv", "w") as fh:
-        for clip_id, label in entries:
-            fh.write(f"{clip_id}\t{label}\n")
+    rows = "".join(f"{clip_id}\t{label}\n" for clip_id, label in entries)
+    write_atomic(root / "labels.tsv", rows.encode())
     return entries
 
 

@@ -2,12 +2,16 @@
 
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionmae.cli import (DEFAULT_CONFIG, ConfigError, _cap_threads,
                            _primitive_checks, load_config, main)
 from motionmae.evalviz import read_ppm
+from motionmae.tokenizer import MASK_STRATEGIES
 from motionmae.videodata import load_raw_clip
 
 
@@ -185,6 +189,8 @@ def test_exit_code_bad_ablation_axis(tmp_path):
     ({"train": {"eps": 0.0}}, "train.eps"),
     ({"train": {"eps": -1e-8}}, "train.eps"),
     ({"train": {"warmup_steps": -1}}, "train.warmup_steps"),
+    ({"train": {"lr": 20}}, "train.lr"),  # lr * weight_decay = 1 zeroes each step
+    ({"train": {"finetune_lr": 20}}, "train.finetune_lr"),
 ])
 def test_exit_code_untrainable_config(tmp_path, capsys, sections, field):
     data = sections.get("data", {})
@@ -255,6 +261,20 @@ def test_exit_code_crop_scale_rejected_at_load(tmp_path, capsys, scale, crop):
     cfg = write_cfg(tmp_path, data={"crop": crop, "crop_scale": scale})
     assert main(["pretrain", "--config", cfg]) == 2
     assert "data.crop_scale" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,data", [
+    ("gen-data", {"H": 2, "W": 2}),
+    ("reconstruct", {"dir": None, "H": 1, "W": 1}),
+])
+def test_exit_code_frame_too_small_for_the_square(tmp_path, capsys, command, data):
+    """The synthetic square needs frames at least 4 px on a side: every
+    command rejects a smaller frame at load, with nothing written."""
+    cfg = write_cfg(tmp_path, data=data, model={"cube_p": 1})
+    assert main([command, "--config", cfg]) == 2
+    assert "data.H/data.W: frame" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
     assert not (tmp_path / "run").exists()
 
 
@@ -435,10 +455,14 @@ def test_reconstruct_init_must_fit_the_decoder(tmp_path, capsys):
 
 
 def test_reconstruct_from_dataset_clip(tmp_path):
+    """With no data.dir, reconstruct renders the first clip gen-data writes."""
     cfg = write_cfg(tmp_path)
     assert main(["gen-data", "--config", cfg]) == 0
     assert main(["reconstruct", "--config", cfg, "--ratio", "0.5"]) == 0
-    assert (tmp_path / "run" / "recon_50.ppm").exists()
+    from_disk = (tmp_path / "run" / "recon_50.ppm").read_bytes()
+    cfg = write_cfg(tmp_path, data={"dir": None})
+    assert main(["reconstruct", "--config", cfg, "--ratio", "0.5"]) == 0
+    assert (tmp_path / "run" / "recon_50.ppm").read_bytes() == from_disk
 
 
 # ---- gradcheck ----
@@ -482,6 +506,41 @@ def test_ablate_gap_axis_sorted(tmp_path):
     assert main(["ablate", "--config", cfg, "--axis", "gap"]) == 0
     rows = (tmp_path / "run" / "ablate_gap.csv").read_text().strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+
+
+# ---- small configs ----
+
+
+@st.composite
+def _small_frames(draw):
+    """(T, H, W, cube_t, cube_p): mostly whole cubes, sometimes one frame or
+    pixel over."""
+    cube_t, cube_p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    T, H, W = (draw(st.integers(1, 3)) * cube + draw(st.sampled_from([0, 0, 0, 1]))
+               for cube in (cube_t, cube_p, cube_p))
+    return T, H, W, cube_t, cube_p
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(frames=_small_frames(), strategy=st.sampled_from(MASK_STRATEGIES))
+def test_small_config_runs_or_is_rejected_at_load(tmp_path_factory, frames, strategy):
+    """A config either fails to load, with a message that starts with the
+    config path at fault, or runs every command to exit 0."""
+    T, H, W, cube_t, cube_p = frames
+    tmp_path = tmp_path_factory.mktemp("cfg")
+    cfg = write_cfg(tmp_path, data={"num_clips": 4, "T": T, "H": H, "W": W},
+                    model={"cube_t": cube_t, "cube_p": cube_p},
+                    mask={"strategy": strategy},
+                    train={"total_steps": 1, "warmup_steps": 0, "finetune_steps": 1})
+    try:
+        load_config(cfg)
+    except ConfigError as e:
+        assert re.match(r"(data|model|mask|targets|train)\.\w", str(e)), str(e)
+        return
+    ckpt = str(tmp_path / "run" / "checkpoint_final.mmck")
+    for argv in (["gen-data"], ["pretrain"], ["reconstruct", "--ratio", "0.75"],
+                 ["finetune", "--init", ckpt]):
+        assert main([*argv, "--config", cfg]) == 0, argv
 
 
 # ---- environment ----

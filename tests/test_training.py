@@ -1,10 +1,16 @@
+import argparse
+import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from motionmae import cli
+from motionmae import evalviz as ev
 from motionmae import model as md
 from motionmae import numerics as nm
 from motionmae import tokenizer as tk
@@ -587,25 +593,56 @@ class _DiskFull:
         raise OSError("no space left on device")
 
 
+def _write_ablate_csv(path):
+    cfg = path.parent.parent / "cfg.json"
+    cfg.write_text(json.dumps({
+        "out_dir": str(path.parent), "data": {"dir": str(path.parent.parent / "ds"),
+                                              "num_clips": 4, "T": 4, "H": 8, "W": 8},
+        "train": {"total_steps": 1, "warmup_steps": 0, "batch_size": 2,
+                  "finetune_steps": 1},
+        "ablate": {"ratio": [0.5]}}))
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 0
+    cli.cmd_ablate(argparse.Namespace(config=str(cfg), axis="ratio"))
+
+
+# writer -> (the file it writes, a call that writes it)
+_WRITERS = {
+    "checkpoint": ("c.mmck",
+                   lambda p: tr.save_checkpoint(*_small_state(), 1, bytes(32), p)),
+    "clip": ("c.mmae", lambda p: vd.save_raw_clip(np.zeros((2, 4, 4, 1)), p)),
+    "labels": ("labels.tsv",
+               lambda p: vd.generate_dataset(p.parent, 2, 2, 4, 4, seed=0)),
+    "ppm": ("r.ppm", lambda p: ev.write_ppm(np.zeros((2, 2, 3)), p)),
+    "ablate_csv": ("run/ablate_ratio.csv", _write_ablate_csv),
+}
+
+
 @pytest.mark.parametrize("stage", ["write", "replace"])
-def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch,
-                                                               stage):
-    params, opt = _small_state()
-    digest = tr.config_digest(tr.TrainConfig())
-    p = tmp_path / "c.mmck"
-    tr.save_checkpoint(params, opt, 1, digest, p)
-    old = p.read_bytes()
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch, writer,
+                                                    stage):
+    """A write or rename that fails on the file leaves its old bytes and no
+    temporary file; the writes of other files go through."""
+    name, write = _WRITERS[writer]
+    p = tmp_path / name
+    p.parent.mkdir(exist_ok=True)
+    p.write_bytes(b"old")
+    real_open, real_replace = open, os.replace
     if stage == "write":
-        monkeypatch.setattr(tr, "open", lambda *a: _DiskFull(open(*a)), raising=False)
+        def open_(file, *args):
+            fh = real_open(file, *args)
+            return _DiskFull(fh) if Path(file).name.startswith(f".{p.name}.") else fh
+        monkeypatch.setattr(vd, "open", open_, raising=False)
     else:
         def replace(src, dst):
-            raise OSError("interrupted")
-        monkeypatch.setattr(tr.os, "replace", replace)
-    params["enc.w"].data += 1.0
+            if Path(dst) == p:
+                raise OSError("interrupted")
+            real_replace(src, dst)
+        monkeypatch.setattr(vd.os, "replace", replace)
     with pytest.raises(OSError):
-        tr.save_checkpoint(params, opt, 2, digest, p)
-    assert p.read_bytes() == old
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.mmck"]
+        write(p)
+    assert p.read_bytes() == b"old"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_checkpoint_rejects_double_precision(tmp_path):

@@ -232,6 +232,18 @@ def test_generate_dataset_layout_and_labels(tmp_path):
     clip = vd.load_dataset_clip(tmp_path, "00003")
     assert clip.shape == (4, 12, 12, 1)
     assert clip.min() >= 0.0 and clip.max() <= 1.0
+    for i, (clip_id, label) in enumerate(entries):  # the files hold the recipe's clips
+        clip, want = vd.dataset_clip(i, T=4, H=12, W=12, seed=11)
+        assert label == want
+        assert vd.load_dataset_clip(tmp_path, clip_id).tobytes() == clip.tobytes()
+
+
+@pytest.mark.parametrize("H,W", [(3, 8), (8, 3), (1, 1)])
+def test_dataset_clip_rejects_frames_under_four_pixels(H, W):
+    with pytest.raises(ValueError, match="^frame"):
+        vd.dataset_clip(0, T=2, H=H, W=W, seed=0)
+    clip, _ = vd.dataset_clip(0, T=2, H=max(H, 4), W=max(W, 4), seed=0)
+    assert clip.shape == (2, max(H, 4), max(W, 4), 1)
 
 
 def test_generate_dataset_deterministic(tmp_path):
