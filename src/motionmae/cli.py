@@ -159,6 +159,9 @@ def _validate(cfg: dict) -> None:
     """The rules no config type owns. Every other field is checked by the
     type or function that uses it, when `_resolve` builds it."""
     model, data = cfg["model"], cfg["data"]
+    if cfg["seed"] < -1:  # numpy takes no negative seed
+        raise ConfigError(f"seed {cfg['seed']} must be >= -1: the data draws "
+                          f"from seed + 1")
     if cfg["train"]["total_steps"] < 1:  # finetune_steps may be 0
         raise ConfigError("train.total_steps must be >= 1")
     for key in ("enc_depth", "enc_dim", "enc_heads", "enc_mlp",
@@ -180,9 +183,11 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"ablate.{key} must list at least one setting")
 
 
-def load_config(path: str | None) -> dict:
-    """Parse and fully check a run config: every object a command builds
-    from it has been built once, so no later step rejects it."""
+def load_config(path: str | None) -> tuple[dict, tuple]:
+    """Parse and fully check a run config. Returns the config and what
+    `_resolve` built from it, which the command runs: every object a command
+    builds from the config has been built once, so no later step rejects
+    it."""
     if path is None:
         cfg = copy.deepcopy(DEFAULT_CONFIG)
     else:
@@ -197,8 +202,7 @@ def load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge_strict(DEFAULT_CONFIG, user)
-    _resolve(cfg)
-    return cfg
+    return cfg, _resolve(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def _make_augment(cfg: dict):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
+    cfg, _ = load_config(args.config)
     from .videodata import generate_dataset
 
     out = args.out if args.out else cfg["data"]["dir"]
@@ -382,11 +386,12 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _pretrain(cfg: dict, clips, out_dir: Path) -> Path:
-    """Pretrain under a loaded config; returns the final checkpoint path."""
+def _pretrain(cfg: dict, resolved: tuple, clips, out_dir: Path) -> Path:
+    """Pretrain under a loaded config and what `_resolve` built from it;
+    returns the final checkpoint path."""
     from .training import run_pretrain
 
-    grid, enc, dec, train_cfg, _ = _resolve(cfg)
+    grid, enc, dec, train_cfg, _ = resolved
     _, _, final = run_pretrain(clips, grid, enc, dec, train_cfg, out_dir,
                                augment=_make_augment(cfg))
     return final
@@ -400,23 +405,23 @@ def _finetune_data(cfg: dict) -> tuple:
     return (*train, *val)
 
 
-def _finetune(cfg: dict, data: tuple, init_from) -> dict:
-    """Finetune under a loaded config on `_finetune_data`; returns the
-    run_finetune report."""
+def _finetune(resolved: tuple, data: tuple, init_from) -> dict:
+    """Finetune under what `_resolve` built from a config, on
+    `_finetune_data`; returns the run_finetune report."""
     from .training import run_finetune
     from .videodata import DIRECTIONS
 
-    grid, enc, _, _, train_cfg = _resolve(cfg)
+    grid, enc, _, _, train_cfg = resolved
     report, _ = run_finetune(*data, grid, enc, train_cfg,
                              num_classes=len(DIRECTIONS), init_from=init_from)
     return report
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config)
+    cfg, resolved = load_config(args.config)
     clips, _ = _load_dataset(cfg["data"]["dir"], cfg)
     out_dir = Path(cfg["out_dir"])
-    final = _pretrain(cfg, clips, out_dir)
+    final = _pretrain(cfg, resolved, clips, out_dir)
     last = (out_dir / "loss.csv").read_text().strip().splitlines()[-1]
     print(f"final_loss={last.split(',')[1]}")
     print(f"checkpoint={final}")
@@ -424,31 +429,31 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = load_config(args.config)
+    cfg, resolved = load_config(args.config)
     from .evalviz import metrics_report
     from .videodata import write_atomic
 
     data = _finetune_data(cfg)
     init_from = None if args.init in (None, "none") else args.init
-    report = _finetune(cfg, data, init_from)
+    report = _finetune(resolved, data, init_from)
     out = metrics_report(report["val_logits"], data[3])
     out["train_top1"] = report["train_top1"]
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "report.json", (json.dumps(out, indent=2) + "\n").encode())
+    text = json.dumps(out, indent=2) + "\n"
+    write_atomic(out_dir / "report.json", (text.encode(),))
     print(json.dumps(out))
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = load_config(args.config)
+    cfg, (grid, enc, dec, _, _) = load_config(args.config)
     from .evalviz import render_reconstruction
     from .model import forward_pretrain, init_params
     from .tokenizer import sample_mask
     from .training import load_params
     from .videodata import dataset_clip
 
-    grid, enc, dec, _, _ = _resolve(cfg)
     try:
         ratios = [float(r) for r in args.ratio.split(",") if r]
         masks = [sample_mask(grid, r, cfg["mask"]["strategy"], seed=cfg["seed"] + 2)
@@ -611,7 +616,7 @@ def _apply_setting(cfg: dict, axis: str, value) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
+    cfg, _ = load_config(args.config)
     from .targets import TARGET_KINDS
     from .training import LOSS_KINDS
     from .videodata import write_atomic
@@ -626,22 +631,22 @@ def cmd_ablate(args) -> int:
         "decoder": cfg["ablate"]["decoder"],
     }[args.axis]
     settings = [_apply_setting(cfg, args.axis, value) for value in values]
-    for sub in settings:  # reject any setting before the first run
-        _resolve(sub)
+    # reject any setting before the first run
+    resolved = [_resolve(sub) for sub in settings]
 
     data = _finetune_data(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, sub in zip(values, settings):
-        ckpt = _pretrain(sub, data[0], out_dir / f"{args.axis}_{value}")
-        top1 = _finetune(sub, data, ckpt)["val_top1"]
+    for value, sub, built in zip(values, settings, resolved):
+        ckpt = _pretrain(sub, built, data[0], out_dir / f"{args.axis}_{value}")
+        top1 = _finetune(built, data, ckpt)["val_top1"]
         rows.append((value, top1))
         print(f"{args.axis}={value}: top1={top1:.4f}")
 
     csv_path = out_dir / f"ablate_{args.axis}.csv"
     lines = ["setting,top1\n"] + [f"{value},{top1:.6f}\n" for value, top1 in rows]
-    write_atomic(csv_path, "".join(lines).encode())
+    write_atomic(csv_path, ("".join(lines).encode(),))
     print(f"wrote {csv_path}")
     return 0
 

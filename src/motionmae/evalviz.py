@@ -31,7 +31,7 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         raise ValueError(f"expected (H, W, 3) pixels, got {pixels.shape}")
     h, w, _ = pixels.shape
     quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + quantized.tobytes())
+    write_atomic(path, (f"P6\n{w} {h}\n255\n".encode(), quantized.tobytes()))
 
 
 class PPMFormatError(ValueError):

@@ -9,7 +9,7 @@ verifies its output is finite and raises NonFiniteError otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,23 +59,35 @@ class Tensor:
 class Tape:
     """Topologically ordered record of operations for one backward pass."""
 
-    __slots__ = ("_records", "_next_id", "_watched", "_consumed")
+    __slots__ = ("_records", "_next_id", "_watched", "_sinks", "_consumed")
 
     def __init__(self):
         self._records = []
         self._next_id = 0
         self._watched = []
+        self._sinks = {}
         self._consumed = False
 
-    def watch(self, tensor: Tensor) -> None:
-        """Register a leaf tensor so backward() will populate its grad."""
+    def watch(self, tensor: Tensor, into: np.ndarray | None = None) -> None:
+        """Register a leaf tensor so backward() will populate its grad.
+
+        With `into`, an array of the tensor's shape and dtype (its view of a
+        gradient arena), backward() accumulates the gradient there and makes
+        it the tensor's grad, rather than allocating one.
+        """
         if tensor.tape is self:
             return
         if tensor.tape is not None:
             raise ValueError("tensor is already attached to another tape")
+        if into is not None and (into.shape != tensor.shape
+                                 or into.dtype != tensor.dtype):
+            raise ValueError(f"gradient buffer {into.shape} {into.dtype} does not "
+                             f"fit tensor {tensor.shape} {tensor.dtype}")
         tensor.tape = self
         tensor.node_id = self._alloc()
         self._watched.append(tensor)
+        if into is not None:
+            self._sinks[tensor.node_id] = into
 
     def _alloc(self) -> int:
         nid = self._next_id
@@ -116,8 +128,14 @@ def _result(arr: np.ndarray, inputs: tuple, rule) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grad on every watched leaf by replaying the tape in reverse.
 
-    Gradient accumulation never mutates stored buffers (contributions are
-    combined with fresh allocations), so rules may safely return views.
+    Rules may return views of what they hold, so a node's first gradient
+    contribution is stored as it is and never written into. The second is
+    added out of place, which gives the node an accumulator of its own, and
+    later ones are added into that in place. A leaf watched `into` a buffer
+    accumulates there from its first contribution. Every op keeps its
+    inputs' dtype, so contributions carry their node's dtype and each sum is
+    the same in place or out of place.
+
     Consumes the tape: each record is dropped once replayed, which frees the
     forward arrays its rule holds, and watched tensors are detached
     afterwards.
@@ -129,6 +147,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.tape is not tape:
         raise ValueError("loss was not produced through this tape (detached graph)")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    sinks = tape._sinks
+    owned = set()  # nodes whose accumulator backward may add into
     records = tape._records
     while records:
         out_id, in_ids, rule = records.pop()
@@ -139,10 +159,28 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if nid is None or contrib is None:
                 continue
             acc = grads.get(nid)
-            grads[nid] = contrib if acc is None else acc + contrib
+            if acc is None:
+                into = sinks.get(nid)
+                if into is not None:
+                    np.copyto(into, contrib)
+                    contrib = into
+                    owned.add(nid)
+                grads[nid] = contrib
+            elif nid in owned:
+                acc += contrib
+            else:
+                grads[nid] = acc + contrib
+                owned.add(nid)
     for t in tape._watched:
         g = grads.get(t.node_id)
-        if g is None:
+        into = sinks.get(t.node_id)
+        if into is not None:
+            if g is None:
+                into.fill(0)
+            elif g is not into:  # the loss itself is the leaf
+                np.copyto(into, g)
+            t.grad = into
+        elif g is None:
             t.grad = np.zeros_like(t.data)
         else:
             t.grad = np.ascontiguousarray(g, dtype=t.data.dtype)
@@ -490,21 +528,60 @@ def _check_dtypes(a: Tensor, b: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OptimState:
-    """AdamW moments, keyed like the parameter dict, plus the step counter."""
+# Elements per pass of the flat AdamW update. 2**16 float32 values are
+# 256 KiB per operand, so the six arrays a chunk touches (1.5 MiB) stay in a
+# 2 MiB L2; a whole-buffer pass at millions of parameters spills its
+# temporaries out of cache. Fixed by size, never by a timing, so every host
+# runs the same passes.
+ADAMW_CHUNK = 2**16
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+@dataclass(eq=False)
+class OptimState:
+    """AdamW state over one flat parameter arena.
+
+    The parameters, their gradients and the two moments are each laid out
+    in one contiguous buffer (`flat_param`, `flat_grad`, `flat_m`,
+    `flat_v`), tensor after tensor in the parameter dict's order. `param`,
+    `grad`, `m` and `v` map each name to its view into those buffers, and
+    `t` counts the updates. Each parameter tensor's `data` is its `param`
+    view: load new values into it in place, since a rebound tensor would
+    leave the arena and stop being trained.
+    """
+
+    flat_param: np.ndarray
+    flat_grad: np.ndarray
+    flat_m: np.ndarray
+    flat_v: np.ndarray
+    param: dict[str, np.ndarray]
+    grad: dict[str, np.ndarray]
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    scratch: np.ndarray  # two chunk-sized rows for the update's temporaries
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "OptimState":
-        return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-            t=0,
-        )
+        """Move every tensor of `params` into a fresh arena, with zero
+        gradients and moments. All tensors must share one dtype."""
+        dtypes = {p.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"an arena holds one dtype; the parameters mix "
+                             f"{sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        total = sum(p.size for p in params.values())
+        flat = (np.empty(total, dtype), np.zeros(total, dtype),
+                np.zeros(total, dtype), np.zeros(total, dtype))
+        views = ({}, {}, {}, {})
+        off = 0
+        for name, p in params.items():
+            for buf, named in zip(flat, views):
+                named[name] = buf[off : off + p.size].reshape(p.shape)
+            off += p.size
+            views[0][name][...] = p.data
+            p.data = views[0][name]
+        scratch = np.empty((2, min(ADAMW_CHUNK, total)), dtype)
+        return cls(*flat, *views, scratch=scratch)
 
 
 def adamw_step(
@@ -517,32 +594,62 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One bias-corrected AdamW update, in place.
+    """One bias-corrected AdamW update, in place, as one pass over the arena.
 
-    Decoupled weight decay shrinks the parameter before the Adam delta is
-    applied. Iteration order is the dict order of `params`, so repeated calls
-    with identical inputs are bit-deterministic.
+    `params` are the tensors `state` was built for, each still on its arena
+    view. A gradient in `grads` that is not its arena view (backward()
+    writes the watched ones there) is copied in first. Decoupled weight
+    decay shrinks the parameters before the Adam delta is applied.
+
+    The pass walks the flat buffers ADAMW_CHUNK elements at a time and
+    writes every temporary into the state's scratch rows, so a step
+    allocates nothing. AdamW is elementwise, and each element goes through
+    the same float operations in the same order as in a tensor-by-tensor
+    update, so the result is bit-identical to one and bit-deterministic.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("betas must lie in [0, 1)")
+    if params.keys() != state.param.keys():
+        raise ValueError("params are not the tensors this optimizer state holds")
+    for name, p in params.items():
+        if p.data is not state.param[name]:
+            raise ValueError(f"parameter {name!r} is not its arena view; load "
+                             f"values into it in place instead of rebinding it")
+        g, view = grads[name], state.grad[name]
+        if g is not view:
+            if g.shape != view.shape:
+                raise ValueError(f"gradient shape mismatch for '{name}': "
+                                 f"{g.shape} vs {view.shape}")
+            view[...] = g
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for '{name}': "
-                             f"{g.shape} vs {p.data.shape}")
+    flat_p, flat_g, flat_m, flat_v = (state.flat_param, state.flat_grad,
+                                      state.flat_m, state.flat_v)
+    for lo in range(0, flat_p.size, ADAMW_CHUNK):
+        p = flat_p[lo : lo + ADAMW_CHUNK]
+        g = flat_g[lo : lo + ADAMW_CHUNK]
+        m = flat_m[lo : lo + ADAMW_CHUNK]
+        v = flat_v[lo : lo + ADAMW_CHUNK]
+        a, b = state.scratch[:, : p.size]
         if weight_decay != 0.0:
-            p.data *= 1.0 - lr * weight_decay
-        m = state.m[name]
-        v = state.v[name]
+            p *= 1.0 - lr * weight_decay
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 # ---------------------------------------------------------------------------

@@ -261,16 +261,17 @@ def _update(params: dict[str, Tensor], opt: OptimState, cfg: TrainConfig,
             step: int, objective) -> tuple:
     """One optimizer update of either phase: record `objective()`, a tuple
     whose first item is the loss, on a fresh tape, backpropagate it, apply
-    AdamW at the step's learning rate, and return the tuple."""
+    AdamW at the step's learning rate, and return the tuple. The gradients
+    land in `opt`'s arena, where AdamW reads them."""
     tape = Tape()
-    for p in params.values():
-        tape.watch(p)
+    for name, p in params.items():
+        tape.watch(p, into=opt.grad[name])
     try:
         parts = objective()
         backward(parts[0], tape)
     except NonFiniteError as e:
         raise NonFiniteError(f"non-finite value during step {step}: {e}") from e
-    adamw_step(params, {k: p.grad for k, p in params.items()}, opt,
+    adamw_step(params, opt.grad, opt,
                lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.eps, weight_decay=cfg.weight_decay)
     return parts
@@ -301,10 +302,10 @@ def run_pretrain(
     digest = config_digest(cfg)
     params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + 3,
                          target_kind=cfg.target_kind)
+    opt = OptimState.for_params(params)
+    start_step = 0
     if resume_from is not None:
-        opt, start_step = load_params(resume_from, params, expect_digest=digest)
-    else:
-        opt, start_step = OptimState.for_params(params), 0
+        start_step = load_params(resume_from, params, expect_digest=digest, opt=opt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "loss.csv"
@@ -386,9 +387,9 @@ def run_finetune(
         raise ValueError("need at least two classes")
     params = init_params(enc_cfg, None, seed=cfg.seed + 3,
                          num_classes=num_classes)
+    opt = OptimState.for_params(params)
     if init_from is not None:
         load_params(init_from, params, prefixes=("enc.", "patch_proj."))
-    opt = OptimState.for_params(params)
 
     for step in range(cfg.total_steps):
         clips = _batch_at(train_clips, step, cfg.batch_size)
@@ -415,12 +416,14 @@ def run_finetune(
 # ---------------------------------------------------------------------------
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
+def _record(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A record's header and its float32 little-endian payload, which is
+    `arr` itself when it already is one (an arena view)."""
     nb = name.encode()
     payload = np.ascontiguousarray(arr, dtype="<f4")
     head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", payload.ndim)
     head += struct.pack(f"<{payload.ndim}I", *payload.shape)
-    return head + payload.tobytes()
+    return head, payload
 
 
 def save_checkpoint(
@@ -432,6 +435,8 @@ def save_checkpoint(
 ) -> None:
     """Serialize parameters and optimizer moments as float32 records.
 
+    The records are written straight from the arrays, through one running
+    digest, so the file's content is never joined in memory.
     Single-precision state only: the format stores float32 payloads, and a
     silent down-cast would break bit-exact resume.
     """
@@ -441,18 +446,22 @@ def save_checkpoint(
         if p.data.dtype != np.float32:
             raise ValueError(f"checkpoint stores float32 only; {name!r} is "
                              f"{p.data.dtype}")
-    body = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION),
-            config_digest_bytes, struct.pack("<Q", step)]
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION),
+              config_digest_bytes, struct.pack("<Q", step)]
     for name, p in params.items():
-        body.append(_pack_record(f"param:{name}", p.data))
-        body.append(_pack_record(f"m:{name}", opt.m[name]))
-        body.append(_pack_record(f"v:{name}", opt.v[name]))
-    blob = b"".join(body)
-    write_atomic(path, blob + hashlib.sha256(blob).digest())
+        chunks += _record(f"param:{name}", p.data)
+        chunks += _record(f"m:{name}", opt.m[name])
+        chunks += _record(f"v:{name}", opt.v[name])
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    chunks.append(digest.digest())
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path, expect_digest: bytes | None = None):
-    """Read a checkpoint; returns (param arrays by name, OptimState, step)."""
+    """Read a checkpoint; returns (param arrays by name, (first moments,
+    second moments) by name, step)."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: missing {CHECKPOINT_MAGIC!r} magic")
@@ -506,37 +515,37 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
                                         f"numpy cannot shape") from e
         off += nbytes
 
-    params: dict[str, np.ndarray] = {}
-    opt = OptimState(t=step)
+    kinds: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
     for name, arr in arrays.items():
         kind, _, pname = name.partition(":")
-        if kind == "param":
-            params[pname] = arr
-        elif kind == "m":
-            opt.m[pname] = arr
-        elif kind == "v":
-            opt.v[pname] = arr
-        else:
+        if kind not in kinds:
             raise CheckpointFormatError(f"{path}: unknown record kind {kind!r}")
-    missing = set(params) ^ set(opt.m) | set(params) ^ set(opt.v)
+        kinds[kind][pname] = arr
+    params, m, v = kinds.values()
+    missing = set(params) ^ set(m) | set(params) ^ set(v)
     if missing:
         raise CheckpointFormatError(f"{path}: incomplete records for {sorted(missing)}")
     for name, arr in params.items():
-        for kind, moments in (("m", opt.m), ("v", opt.v)):
+        for kind, moments in (("m", m), ("v", v)):
             if moments[name].shape != arr.shape:
                 raise CheckpointFormatError(
                     f"{path}: record '{kind}:{name}' has shape {moments[name].shape}, "
                     f"its parameter {arr.shape}")
-    return params, opt, step
+    return params, (m, v), step
 
 
 def load_params(path, params: dict[str, Tensor], prefixes=("",),
-                expect_digest: bytes | None = None) -> tuple[OptimState, int]:
-    """Replace the `params` named under `prefixes` by a checkpoint's arrays
-    and return its (OptimState, step). The checkpoint must hold exactly those
-    names, each in the model's shape; otherwise a ValueError names the first
-    misfits and `params` is left untouched."""
-    arrays, opt, step = load_checkpoint(path, expect_digest=expect_digest)
+                expect_digest: bytes | None = None,
+                opt: OptimState | None = None) -> int:
+    """Copy a checkpoint's arrays into the `params` named under `prefixes`
+    and return its step; with `opt`, also copy their moments into `opt` and
+    set its update count to the step.
+
+    Values go into the tensors' own arrays, so tensors homed in an arena
+    stay there and keep training. The checkpoint must hold exactly those
+    names, each in the model's shape and finite; otherwise a ValueError
+    names the first misfits and nothing is written."""
+    arrays, (m, v), step = load_checkpoint(path, expect_digest=expect_digest)
     want = {k: p.shape for k, p in params.items() if k.startswith(prefixes)}
     have = {k: a.shape for k, a in arrays.items() if k.startswith(prefixes)}
     misfits = [f"{k}: checkpoint {have.get(k, 'absent')}, model {want.get(k, 'absent')}"
@@ -544,5 +553,14 @@ def load_params(path, params: dict[str, Tensor], prefixes=("",),
     if misfits:
         raise ValueError(f"checkpoint {path} does not fit the model ({len(misfits)} "
                          f"misfit(s)): {'; '.join(misfits[:3])}")
-    params.update({k: Tensor(arrays[k]) for k in want})
-    return opt, step
+    for k in want:
+        if not np.isfinite(arrays[k]).all():
+            raise NonFiniteError(f"checkpoint {path}: {k} holds non-finite values")
+    for k in want:
+        params[k].data[...] = arrays[k]
+        if opt is not None:
+            opt.m[k][...] = m[k]
+            opt.v[k][...] = v[k]
+    if opt is not None:
+        opt.t = step
+    return step

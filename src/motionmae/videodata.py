@@ -186,18 +186,20 @@ def save_raw_clip(clip: np.ndarray, path) -> None:
         raise ValueError(f"expected a (T, H, W, C) array, got shape {clip.shape}")
     arr = np.ascontiguousarray(clip, dtype="<f4")
     header = MAGIC + struct.pack("<B4I", FORMAT_VERSION, *arr.shape)
-    write_atomic(path, header + arr.tobytes())
+    write_atomic(path, (header, arr))
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`: a write that fails or is interrupted leaves the old
-    file as it was and removes its temporary file."""
+def write_atomic(path, chunks) -> None:
+    """Write a sequence of bytes-like chunks, one after another, to `path`
+    through a temporary file in the same directory and `os.replace`: a write
+    that fails or is interrupted leaves the old file as it was and removes
+    its temporary file. A C-contiguous array is a chunk of its raw bytes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -271,7 +273,7 @@ def generate_dataset(
         save_raw_clip(clip, root / "clips" / f"{clip_id}.mmae")
         entries.append((clip_id, label))
     rows = "".join(f"{clip_id}\t{label}\n" for clip_id, label in entries)
-    write_atomic(root / "labels.tsv", rows.encode())
+    write_atomic(root / "labels.tsv", (rows.encode(),))
     return entries
 
 

@@ -40,7 +40,7 @@ def write_cfg(tmp_path, **sections):
 
 
 def test_default_config_is_valid():
-    cfg = load_config(None)
+    cfg, _ = load_config(None)
     assert cfg == DEFAULT_CONFIG
     cfg["train"]["lr"] = 999.0
     assert DEFAULT_CONFIG["train"]["lr"] != 999.0
@@ -70,7 +70,7 @@ def test_wrong_leaf_type_rejected(tmp_path):
 def test_int_accepted_where_float_expected(tmp_path):
     p = tmp_path / "c.json"
     p.write_text('{"targets": {"lambda": 2}}')
-    cfg = load_config(str(p))
+    cfg, _ = load_config(str(p))
     assert cfg["targets"]["lambda"] == 2.0
     assert isinstance(cfg["targets"]["lambda"], float)
 
@@ -98,7 +98,7 @@ def test_explicit_dims_accepted_without_preset(tmp_path):
         "preset": None, "enc_depth": 1, "enc_dim": 8, "enc_heads": 2,
         "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
         "dec_mlp": 2.0}}))
-    cfg = load_config(str(p))
+    cfg, _ = load_config(str(p))
     assert cfg["model"]["enc_dim"] == 8
 
 
@@ -157,6 +157,34 @@ def test_exit_code_truncated_init_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert main(["finetune", "--config", cfg, "--init", str(ckpt)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_exit_code_seed_whose_data_seed_is_negative(tmp_path, capsys):
+    """gen-data draws from seed + 1, which numpy takes only when >= 0: seed
+    -2 is rejected naming the seed, and nothing is written; -1 runs."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path, seed=-2)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
+    assert not (tmp_path / "ds").exists()
+    assert main(["gen-data", "--config", write_cfg(tmp_path, seed=-1)]) == 0
+
+
+def test_each_command_resolves_its_config_once(tmp_path, monkeypatch):
+    """pretrain, finetune and reconstruct run what load_config resolved,
+    rather than resolving the config a second time."""
+    import motionmae.cli as cli
+
+    cfg = write_cfg(tmp_path, train={"total_steps": 1, "warmup_steps": 0,
+                                     "finetune_steps": 1})
+    assert main(["gen-data", "--config", cfg]) == 0
+    calls = []
+    real = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda c: calls.append(1) or real(c))
+    ckpt = str(tmp_path / "run" / "checkpoint_final.mmck")
+    for argv in (["pretrain"], ["finetune", "--init", ckpt],
+                 ["reconstruct", "--init", ckpt, "--ratio", "0.75"]):
+        calls.clear()
+        assert main([*argv, "--config", cfg]) == 0, argv
+        assert len(calls) == 1, argv
 
 
 def test_exit_code_missing_checkpoint_file(tmp_path):

@@ -438,6 +438,39 @@ def test_backward_accumulates_shared_node():
     np.testing.assert_allclose(x.grad, 1.0 + 2.0 * x.data, rtol=1e-12)
 
 
+@pytest.mark.parametrize("into", [False, True], ids=["node", "arena"])
+def test_backward_adds_a_third_contribution_in_place(into):
+    """A node with three consumers gets the bits of the out-of-place sum, in
+    replay order, and the arrays the rules returned are left as they were;
+    a leaf watched into a buffer accumulates there the same way."""
+    rng = _rng(12)
+    x = Tensor(rng.normal(size=(4, 5)).astype(np.float32))
+    contribs = [rng.normal(size=(4, 5)).astype(np.float32) for _ in range(3)]
+    kept = [c.copy() for c in contribs]
+    buf = np.full((4, 5), 7.0, np.float32)
+    tape = Tape()
+    tape.watch(x, into=buf if into else None)
+    node = x if into else nm.scale(x, 1.0)
+    outs = [nm._result(node.data.copy(), (node,), lambda g, c=c: (c,))
+            for c in contribs]
+    loss = nm.add(nm.add(nm.sum_all(outs[0]), nm.sum_all(outs[1])),
+                  nm.sum_all(outs[2]))
+    backward(loss, tape)
+    want = (kept[2] + kept[1]) + kept[0]  # the last consumer replays first
+    assert x.grad.tobytes() == want.tobytes()
+    assert (x.grad is buf) == into
+    for c, k in zip(contribs, kept):
+        assert c.tobytes() == k.tobytes()
+
+
+def test_watch_rejects_a_buffer_that_does_not_fit():
+    x = Tensor(np.ones((2, 3), np.float32))
+    with pytest.raises(ValueError, match="does not fit"):
+        Tape().watch(x, into=np.zeros((3, 2), np.float32))
+    with pytest.raises(ValueError, match="does not fit"):
+        Tape().watch(x, into=np.zeros((2, 3), np.float64))
+
+
 def test_backward_rejects_nonscalar_loss():
     x = Tensor(np.ones(3))
     tape = Tape()
@@ -633,6 +666,67 @@ def test_adamw_rejects_shape_mismatch():
     p = {"w": Tensor(np.ones(2))}
     with pytest.raises(ValueError):
         adamw_step(p, {"w": np.ones(3)}, OptimState.for_params(p), lr=0.1)
+
+
+def _adamw_per_tensor(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """The tensor-by-tensor AdamW update: the oracle of the arena pass."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if weight_decay != 0.0:
+            p *= 1.0 - lr * weight_decay
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
+    """Over more than one chunk, with a partial last chunk, several steps of
+    the arena pass give the per-tensor update's bits, and the parameters and
+    moments are the arena's views, laid out in dict order."""
+    shapes = {"w1": (301, 250), "b1": (250,), "w2": (129, 40), "s": (3,)}
+    total = sum(math.prod(s) for s in shapes.values())
+    assert total > nm.ADAMW_CHUNK and total % nm.ADAMW_CHUNK
+    rng = _rng(13)
+    ref = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    params = {k: Tensor(a.copy()) for k, a in ref.items()}
+    state = OptimState.for_params(params)
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    for step in range(1, 5):
+        grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        for name, g in grads.items():
+            state.grad[name][...] = g
+        lr = 1e-2 / step
+        adamw_step(params, state.grad, state, lr=lr, beta1=0.9, beta2=0.95,
+                   eps=1e-8, weight_decay=weight_decay)
+        _adamw_per_tensor(ref, grads, m, v, step, lr, 0.9, 0.95, 1e-8, weight_decay)
+    assert state.t == 4
+    for name in shapes:
+        assert params[name].data is state.param[name]
+        assert params[name].data.tobytes() == ref[name].tobytes()
+    for flat, want in ((state.flat_param, ref), (state.flat_m, m), (state.flat_v, v)):
+        assert flat.tobytes() == b"".join(want[k].tobytes() for k in shapes)
+
+
+def test_adamw_rejects_a_parameter_moved_off_its_arena_view():
+    """A rebound tensor would silently stop being trained."""
+    p = {"w": Tensor(np.ones(3))}
+    state = OptimState.for_params(p)
+    p["w"].data = p["w"].data.copy()
+    with pytest.raises(ValueError, match="arena view"):
+        adamw_step(p, {"w": np.ones(3)}, state, lr=0.1)
+
+
+def test_arena_rejects_mixed_dtypes():
+    p = {"a": Tensor(np.ones(2, np.float32)), "b": Tensor(np.ones(2))}
+    with pytest.raises(ValueError, match="one dtype"):
+        OptimState.for_params(p)
 
 
 # ---- finite_diff_check ----

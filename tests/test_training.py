@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -450,11 +452,14 @@ def test_load_params_replaces_every_named_param(tmp_path):
     tr.save_checkpoint(params, opt, 3, bytes(32), tmp_path / "c.mmck")
     target, _ = _small_state(seed=2)
     target["cls.w"] = Tensor(np.ones((4, 2), np.float32))
-    got_opt, step = tr.load_params(tmp_path / "c.mmck", target, prefixes=("enc.",))
+    got_opt = OptimState.for_params(target)
+    step = tr.load_params(tmp_path / "c.mmck", target, prefixes=("enc.",),
+                          opt=got_opt)
     assert step == 3 and got_opt.t == 3
     for name in params:
         np.testing.assert_array_equal(target[name].data, params[name].data)
         np.testing.assert_array_equal(got_opt.m[name], opt.m[name])
+        np.testing.assert_array_equal(got_opt.v[name], opt.v[name])
     assert (target["cls.w"].data == 1.0).all()  # outside the prefixes
 
 
@@ -568,12 +573,90 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     digest = tr.config_digest(tr.TrainConfig())
     p = tmp_path / "c.mmck"
     tr.save_checkpoint(params, opt, 17, digest, p)
-    arrays, opt2, step = tr.load_checkpoint(p, expect_digest=digest)
-    assert step == 17 and opt2.t == 17
+    arrays, (m2, v2), step = tr.load_checkpoint(p, expect_digest=digest)
+    assert step == 17
     for name, t in params.items():
         assert (arrays[name] == t.data).all()
-        assert (opt2.m[name] == opt.m[name]).all()
-        assert (opt2.v[name] == opt.v[name]).all()
+        assert (m2[name] == opt.m[name]).all()
+        assert (v2[name] == opt.v[name]).all()
+
+
+def test_checkpoint_bytes_match_the_joined_form(tmp_path):
+    """The streamed checkpoint has the bytes of the whole blob joined in
+    memory, record by record, with its digest appended."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=2)
+    params = md.init_params(enc, dec, seed=1)
+    opt = OptimState.for_params(params)
+    tr.pretrain_step(clips[:2], params, opt, grid, enc, dec, cfg, 0)
+    digest = tr.config_digest(cfg)
+    tr.save_checkpoint(params, opt, 1, digest, tmp_path / "c.mmck")
+
+    def record(name, arr):
+        nb = name.encode()
+        head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
+        head += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        return head + arr.astype("<f4").tobytes()
+
+    body = [tr.CHECKPOINT_MAGIC, struct.pack("<B", tr.CHECKPOINT_VERSION), digest,
+            struct.pack("<Q", 1)]
+    for name, p in params.items():
+        body += [record(f"param:{name}", p.data), record(f"m:{name}", opt.m[name]),
+                 record(f"v:{name}", opt.v[name])]
+    blob = b"".join(body)
+    assert (tmp_path / "c.mmck").read_bytes() == blob + hashlib.sha256(blob).digest()
+
+
+def _spy_first_update(monkeypatch, seen):
+    """Wrap training.adamw_step: on the first update, record whether every
+    parameter, gradient and moment is a view into the arena, and the
+    parameters before and after the step."""
+    real = tr.adamw_step
+
+    def spy(params, grads, state, **kw):
+        if seen:
+            return real(params, grads, state, **kw)
+        seen["homed"] = all(
+            p.data is state.param[k] and np.shares_memory(p.data, state.flat_param)
+            and p.grad is grads[k] is state.grad[k]
+            and np.shares_memory(state.m[k], state.flat_m)
+            and np.shares_memory(state.v[k], state.flat_v)
+            for k, p in params.items())
+        seen["before"] = {k: p.data.copy() for k, p in params.items()}
+        seen["t"] = state.t
+        real(params, grads, state, **kw)
+        seen["after"] = {k: p.data.copy() for k, p in params.items()}
+
+    monkeypatch.setattr(tr, "adamw_step", spy)
+
+
+def test_loaded_weights_stay_in_the_arena_and_keep_training(tmp_path, monkeypatch):
+    """On resume and on a finetune warm start, load_params copies into the
+    arena's views, and the first step updates the loaded values."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=4,
+                                                   checkpoint_interval=2)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "run")
+    ckpt = tmp_path / "run" / "checkpoint_000002.mmck"
+    arrays, _, step = tr.load_checkpoint(ckpt)
+
+    seen = {}
+    _spy_first_update(monkeypatch, seen)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "resumed", resume_from=ckpt)
+    assert seen["homed"] and seen["t"] == step == 2
+    for k, arr in arrays.items():
+        assert seen["before"][k].tobytes() == arr.tobytes()
+        assert not np.array_equal(seen["after"][k], arr), k
+
+    seen.clear()
+    labels = [0, 1, 2, 3]
+    tr.run_finetune(clips, labels, clips, labels, grid, enc,
+                    tr.TrainConfig(total_steps=1, batch_size=2, seed=3),
+                    num_classes=4, init_from=ckpt)
+    assert seen["homed"] and seen["t"] == 0
+    loaded = [k for k in seen["before"] if k.startswith(("enc.", "patch_proj."))]
+    assert loaded and len(loaded) == len(seen["before"]) - 2  # all but cls.*
+    for k in loaded:
+        assert seen["before"][k].tobytes() == arrays[k].tobytes()
+        assert not np.array_equal(seen["after"][k], arrays[k]), k
 
 
 class _DiskFull:
@@ -697,7 +780,8 @@ def test_checkpoint_duplicate_record_rejected(tmp_path):
     x = np.arange(3, dtype=np.float32)
     body = [tr.CHECKPOINT_MAGIC, struct.pack("<B", tr.CHECKPOINT_VERSION), bytes(32),
             struct.pack("<Q", 1)]
-    body += [tr._pack_record(name, x) for name in ("param:x", "m:x", "v:x", "param:x")]
+    body += [b"".join(tr._record(name, x))
+             for name in ("param:x", "m:x", "v:x", "param:x")]
     content = b"".join(body)
     p = tmp_path / "dup.mmck"
     p.write_bytes(content + hashlib.sha256(content).digest())
@@ -739,7 +823,7 @@ def _header(step=1):
 
 def test_checkpoint_non_utf8_record_name_is_format_error(tmp_path):
     x = np.arange(3, dtype=np.float32)
-    record = tr._pack_record("param:x", x)
+    record = b"".join(tr._record("param:x", x))
     record = record[:2] + b"\xff" + record[3:]  # first name byte
     p = tmp_path / "name.mmck"
     p.write_bytes(_redigested(_header() + record))
