@@ -324,18 +324,19 @@ def _load_dataset(root, cfg: dict):
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory {root} does not exist")
+    want = (cfg["data"]["T"], cfg["data"]["H"], cfg["data"]["W"], cfg["data"]["channels"])
     clips, labels = [], []
     for clip_id, label in read_labels(root):
         if label not in DIRECTIONS:
             raise ConfigError(f"dataset label {label!r} is not a direction class")
-        clips.append(load_dataset_clip(root, clip_id))
+        clip = load_dataset_clip(root, clip_id)
+        if clip.shape != want:
+            raise ConfigError(f"dataset clip {clip_id} at {root} has shape "
+                              f"{clip.shape}, config says {want}")
+        clips.append(clip)
         labels.append(DIRECTIONS.index(label))
     if not clips:
         raise ConfigError(f"dataset at {root} is empty")
-    want = (cfg["data"]["T"], cfg["data"]["H"], cfg["data"]["W"], cfg["data"]["channels"])
-    if clips[0].shape != want:
-        raise ConfigError(f"dataset clips have shape {clips[0].shape}, config "
-                          f"says {want}")
     return clips, labels
 
 
@@ -507,14 +508,8 @@ def _primitive_checks():
         return lambda t: nm.sum_all(fn(t[0]))
 
     yield check("add", lambda t: nm.sum_all(nm.add(t[0], t[1])), (3, 4), (3, 4))
-    yield check("sub", lambda t: nm.sum_all(nm.sub(t[0], t[1])), (3, 4), (3, 4))
     yield check("mul", lambda t: nm.sum_all(nm.mul(t[0], t[1])), (3, 4), (3, 4))
     yield check("scale", unary(lambda x: nm.scale(x, 1.7)), (3, 4))
-    yield check("exp", unary(nm.exp), (3, 4))
-    yield check("log", lambda t: nm.sum_all(nm.log(nm.add(nm.mul(t[0], t[0]),
-                nm.scale(nm.exp(nm.scale(t[0], 0.0)), 1.0)))), (3, 4))
-    yield check("absolute", unary(nm.absolute), (3, 4))
-    yield check("huber", unary(lambda x: nm.huber(x, 1.0)), (3, 4))
     yield check("matmul", lambda t: nm.sum_all(nm.matmul(t[0], t[1])),
                 (3, 4), (4, 5))
     yield check("matmul_broadcast", lambda t: nm.sum_all(nm.mul(
@@ -532,16 +527,18 @@ def _primitive_checks():
     # (N,) bits, and (B, N) bits selecting a different set in each row
     one = np.array([1, 0, 1, 1], dtype=bool)
     two = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=bool)
-    yield check("gather_rows", lambda t: nm.add(
-                nm.sum_all(nm.mul(t[1], nm.gather_rows(t[0], one))),
-                nm.sum_all(nm.mul(t[3], nm.gather_rows(t[2], two)))),
-                (4, 3), (3, 3), (2, 4, 3), (2, 3, 3))
+    # differences fall on both sides of the smooth-L1 penalty's |x| = 1
+    targets = (rng.uniform(0.0, 1.8, (3, 3)), rng.uniform(-1.8, 0.0, (2, 3, 3)))
+    for kind in nm.LOSS_KINDS:
+        yield check(f"masked_penalty_{kind}", lambda t, kind=kind: nm.add(
+                    nm.masked_penalty(t[0], targets[0], one, kind),
+                    nm.masked_penalty(t[1], targets[1], two, kind)), (4, 3), (2, 4, 3))
+    yield check("cross_entropy", lambda t: nm.cross_entropy(t[0], [2, 0, 4]), (3, 5))
     yield check("scatter_rows", lambda t: nm.add(
                 nm.sum_all(nm.mul(t[1], nm.scatter_rows(t[0], one))),
                 nm.sum_all(nm.mul(t[3], nm.scatter_rows(t[2], two)))),
                 (3, 2), (4, 2), (2, 3, 2), (2, 4, 2))
     yield check("sum_all", unary(nm.sum_all), (3, 4))
-    yield check("mean_all", unary(nm.mean_all), (3, 4))
     yield check("mean_axis", lambda t: nm.sum_all(nm.mul(
                 nm.mean_axis(t[0], 0), nm.mean_axis(t[0], 0))), (4, 3))
 

@@ -219,18 +219,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    ash, bsh = a.data.shape, b.data.shape
-    ta, tb = a.tape is not None, b.tape is not None
-
-    def rule(g):
-        return (_unbroadcast(g, ash) if ta else None,
-                _unbroadcast(-g, bsh) if tb else None)
-
-    return _result(a.data - b.data, (a, b), rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     ad, bd = a.data, b.data
@@ -248,36 +236,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), lambda g: (g * c,))
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    ad = a.data
-    return _result(out, (a,), lambda g: (g / ad,))
-
-
-def absolute(a: Tensor) -> Tensor:
-    ad = a.data
-    return _result(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
-
-
-def huber(a: Tensor, delta: float = 1.0) -> Tensor:
-    """Elementwise Huber penalty: x^2/2 inside |x|<=delta, linear outside."""
-    ad = a.data
-    absx = np.abs(ad)
-    out = np.where(absx <= delta, 0.5 * ad * ad, delta * (absx - 0.5 * delta))
-
-    def rule(g):
-        return (g * np.clip(ad, -delta, delta),)
-
-    return _result(out.astype(ad.dtype, copy=False), (a,), rule)
-
-
 def _row_count(bits) -> int:
     """The rows each (..., N) row of boolean `bits` selects; bits that are
     not boolean, or whose rows select different counts, are rejected."""
@@ -291,26 +249,10 @@ def _row_count(bits) -> int:
     return m
 
 
-def gather_rows(a: Tensor, bits: np.ndarray) -> Tensor:
-    """The (..., M, K) rows of an (..., N, K) tensor that (..., N) boolean
-    bits select, in ascending order; every row of bits selects M."""
-    ad = a.data
-    m, r = _row_count(bits), bits.ndim
-    if ad.shape[:r] != bits.shape:
-        raise ValueError(f"bits {bits.shape} do not fit the rows of {ad.shape}")
-    rest = ad.shape[r:]
-
-    def rule(g):
-        buf = np.zeros_like(ad)
-        buf[bits] = g.reshape((-1,) + rest)
-        return (buf,)
-
-    return _result(ad[bits].reshape(bits.shape[:-1] + (m,) + rest), (a,), rule)
-
-
 def scatter_rows(values: Tensor, bits: np.ndarray) -> Tensor:
-    """Inverse of gather_rows: place (..., M, K) rows at the positions that
-    (..., N) boolean bits select in a zero-filled (..., N, K) tensor."""
+    """Place (..., M, K) rows at the positions that (..., N) boolean bits
+    select, in ascending order, in a zero-filled (..., N, K) tensor; every
+    row of bits selects M."""
     vd = values.data
     m, r = _row_count(bits), bits.ndim
     if vd.shape[:r] != bits.shape[:-1] + (m,):
@@ -325,17 +267,6 @@ def scatter_rows(values: Tensor, bits: np.ndarray) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     sh = a.data.shape
     return _result(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, sh),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    sh = a.data.shape
-    out = np.asarray(a.data.sum() / n)
-
-    def rule(g):
-        return (np.broadcast_to(g / n, sh),)
-
-    return _result(out.astype(a.dtype, copy=False), (a,), rule)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -515,6 +446,93 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
     return _result(out, (x,), rule)
+
+
+# ---------------------------------------------------------------------------
+# Losses
+# ---------------------------------------------------------------------------
+
+
+LOSS_KINDS = ("mse", "l1", "smooth_l1")
+
+
+def masked_penalty(pred: Tensor, target: np.ndarray, bits: np.ndarray,
+                   kind: str) -> Tensor:
+    """Mean `kind` penalty ("mse", "l1" or "smooth_l1", which is Huber with
+    delta 1) of the (..., N, K) prediction rows that (..., N) boolean bits
+    select, in ascending order, against (..., M, K) targets, as one record;
+    every row of bits selects the same M >= 1 rows. It runs the float
+    operations of gathering, subtracting, penalizing and averaging as
+    separate ops, in that order, so value and gradient match them bit for
+    bit."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
+    pd = pred.data
+    m, r = _row_count(bits), bits.ndim
+    if m == 0:
+        raise ValueError("loss undefined with zero masked rows")
+    if pd.shape[:r] != bits.shape:
+        raise ValueError(f"bits {bits.shape} do not fit the rows of {pd.shape}")
+    rest = pd.shape[r:]
+    rows = bits.shape[:-1] + (m,)
+    if target.shape != rows + rest:
+        raise ValueError(f"target {target.shape} does not pair with "
+                         f"{rows} masked rows of shape {rest}")
+    diff = pd[bits].reshape(rows + rest) - np.asarray(target, dtype=pd.dtype)
+    if kind == "mse":
+        pen = diff * diff
+    elif kind == "l1":
+        pen = np.abs(diff)
+    else:
+        absx = np.abs(diff)
+        pen = np.where(absx <= 1.0, 0.5 * diff * diff, absx - 0.5)
+    n = pen.size
+
+    def rule(g):
+        g = g / n
+        if kind == "mse":  # the two operands of diff * diff, summed
+            gd = g * diff
+            gd += gd
+        elif kind == "l1":
+            gd = g * np.sign(diff)
+        else:
+            gd = g * np.clip(diff, -1.0, 1.0)
+        buf = np.zeros_like(pd)
+        buf[bits] = gd.reshape((-1,) + rest)
+        return (buf,)
+
+    return _result(np.asarray(pen.sum() / n), (pred,), rule)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean stable cross-entropy of (B, C) logit rows against B integer
+    labels, as one record; one int label pairs with a single (1, C) row.
+
+    It runs the float operations of the graph it replaces in the same order,
+    so values and gradients match that graph bit for bit: a row's
+    log-sum-exp is the log of the mean of its exponentials times C, and the
+    label logits are summed through a one-hot product.
+    """
+    xd = logits.data
+    b, c = xd.shape
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    if labels.shape != (b,):
+        raise ValueError(f"{labels.size} labels for {b} logit rows")
+    if ((labels < 0) | (labels >= c)).any():
+        raise ValueError(f"labels {labels.tolist()} out of range for {c} classes")
+    shifted = xd - xd.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    scaled = e.mean(axis=1) * float(c)
+    onehot = np.zeros((b, c), dtype=xd.dtype)
+    onehot[np.arange(b), labels] = 1.0
+    out = (np.log(scaled).sum() - (shifted * onehot).sum()) * (1.0 / b)
+
+    def rule(g):
+        g = g * (1.0 / b)
+        ge = np.expand_dims(g / scaled * float(c) / c, 1) * e
+        return (-g * onehot + ge,)
+
+    return _result(np.asarray(out), (logits,), rule)
 
 
 def _check_dtypes(a: Tensor, b: Tensor) -> None:

@@ -29,12 +29,11 @@ from .model import (
     forward_pretrain,
     init_params,
 )
-from .numerics import NonFiniteError, OptimState, Tape, Tensor, adamw_step, backward
+from .numerics import (LOSS_KINDS, NonFiniteError, OptimState, Tape, Tensor,
+                       adamw_step, backward, cross_entropy)
 from .targets import TargetConfig, make_targets
 from .tokenizer import Mask, TokenGrid, sample_mask
 from .videodata import write_atomic
-
-LOSS_KINDS = ("mse", "l1", "smooth_l1")
 
 # float32 attention scores that one evaluation chunk may hold per block:
 # 2**18 of them are 1 MiB, which stays in cache
@@ -143,21 +142,7 @@ def masked_loss(pred: Tensor, target: np.ndarray, mask: Mask, kind: str) -> Tens
     (B, M, K) targets. Every sample hides M tokens, so the batch mean is the
     mean of the per-sample losses.
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-    if mask.num_masked == 0:
-        raise ValueError("loss undefined with zero masked tokens")
-    rows = mask.bits.shape[:-1] + (mask.num_masked,)
-    if target.shape != rows + pred.shape[-1:]:
-        raise ValueError(f"target {target.shape} does not pair with "
-                         f"{rows} masked rows of width {pred.shape[-1]}")
-    sel = nm.gather_rows(pred, mask.bits)
-    diff = nm.sub(sel, Tensor(np.asarray(target, dtype=pred.dtype)))
-    if kind == "mse":
-        return nm.mean_all(nm.mul(diff, diff))
-    if kind == "l1":
-        return nm.mean_all(nm.absolute(diff))
-    return nm.mean_all(nm.huber(diff, 1.0))
+    return nm.masked_penalty(pred, target, mask.bits, kind)
 
 
 def total_loss(space_loss: Tensor | None, time_loss: Tensor | None, lam: float) -> Tensor:
@@ -182,24 +167,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     span = max(cfg.total_steps - cfg.warmup_steps, 1)
     progress = (step - cfg.warmup_steps) / span
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean stable cross-entropy of (B, C) logit rows against B integer
-    labels; one int label pairs with a single (1, C) row."""
-    b, c = logits.shape
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    if labels.shape != (b,):
-        raise ValueError(f"{labels.size} labels for {b} logit rows")
-    if ((labels < 0) | (labels >= c)).any():
-        raise ValueError(f"labels {labels.tolist()} out of range for {c} classes")
-    shifted = nm.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
-    # log-sum-exp of each row: the mean of its exponentials times C
-    lse = nm.log(nm.scale(nm.mean_axis(nm.exp(shifted), axis=1), float(c)))
-    onehot = np.zeros((b, c), dtype=logits.dtype)
-    onehot[np.arange(b), labels] = 1.0
-    picked = nm.sum_all(nm.mul(shifted, Tensor(onehot)))
-    return nm.scale(nm.sub(nm.sum_all(lse), picked), 1.0 / b)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +428,8 @@ def save_checkpoint(
 
 def load_checkpoint(path, expect_digest: bytes | None = None):
     """Read a checkpoint; returns (param arrays by name, (first moments,
-    second moments) by name, step)."""
+    second moments) by name, step). The arrays are read-only views of the
+    file's bytes, which are held once."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: missing {CHECKPOINT_MAGIC!r} magic")
@@ -471,8 +439,8 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: version {version}, expected "
                                      f"{CHECKPOINT_VERSION}")
-    content, trailer = blob[:-32], blob[-32:]
-    if hashlib.sha256(content).digest() != trailer:
+    end = len(blob) - 32
+    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
         raise CheckpointDigestError(f"{path}: content digest mismatch")
     stored_digest = blob[5:37]
     if expect_digest is not None and stored_digest != expect_digest:
@@ -482,34 +450,33 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
 
     arrays: dict[str, np.ndarray] = {}
     off = 45
-    end = len(content)
     while off < end:
         if off + 2 > end:
             raise CheckpointTruncatedError(f"{path}: record header cut short")
-        (name_len,) = struct.unpack_from("<H", content, off)
+        (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
         if off + name_len + 1 > end:
             raise CheckpointTruncatedError(f"{path}: record name cut short")
         try:
-            name = content[off : off + name_len].decode()
+            name = blob[off : off + name_len].decode()
         except UnicodeDecodeError as e:
             raise CheckpointFormatError(f"{path}: record name is not UTF-8") from e
         if name in arrays:
             raise CheckpointFormatError(f"{path}: duplicate record {name!r}")
         off += name_len
-        rank = content[off]
+        rank = blob[off]
         off += 1
         if off + 4 * rank > end:
             raise CheckpointTruncatedError(f"{path}: record dims cut short")
-        dims = struct.unpack_from(f"<{rank}I", content, off)
+        dims = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
         count = math.prod(dims)  # a Python int: huge dims cannot wrap
         nbytes = 4 * count
         if off + nbytes > end:
             raise CheckpointTruncatedError(f"{path}: record payload cut short")
-        payload = np.frombuffer(content, dtype="<f4", count=count, offset=off)
+        payload = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
         try:  # numpy caps the rank, and the size even when a dim is 0
-            arrays[name] = payload.reshape(dims).copy()
+            arrays[name] = payload.reshape(dims)
         except ValueError as e:
             raise CheckpointFormatError(f"{path}: record {name!r} has dims "
                                         f"numpy cannot shape") from e

@@ -207,7 +207,8 @@ def write_atomic(path, chunks) -> None:
 
 
 def load_raw_clip(path) -> np.ndarray:
-    """Read a clip written by save_raw_clip; bit-exact roundtrip."""
+    """Read a clip written by save_raw_clip; bit-exact roundtrip. A payload
+    holding NaN or Inf is rejected, as no clip the package writes has one."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: missing {MAGIC!r} magic")
@@ -222,6 +223,8 @@ def load_raw_clip(path) -> np.ndarray:
     if len(blob) > expected:
         raise TruncatedFileError(f"{path}: {len(blob) - expected} trailing bytes")
     payload = np.frombuffer(blob, dtype="<f4", offset=21)
+    if not np.isfinite(payload).all():
+        raise ClipFileError(f"{path}: payload holds non-finite values")
     try:  # numpy caps the size even when a dim is 0
         return payload.reshape(T, H, W, C).copy()
     except ValueError as e:
@@ -278,15 +281,21 @@ def generate_dataset(
 
 
 def read_labels(root) -> list[tuple[str, str]]:
-    """Parse labels.tsv into (id, label) pairs, preserving file order."""
+    """Parse labels.tsv into (id, label) pairs, preserving file order; a
+    non-empty line that is not `<id>\\t<label>` raises a ClipFileError naming
+    the file and the line."""
+    path = Path(root) / "labels.tsv"
     entries = []
-    with open(Path(root) / "labels.tsv") as fh:
-        for line in fh:
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            clip_id, label = line.split("\t")
-            entries.append((clip_id, label))
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ClipFileError(f"{path}:{lineno}: expected <id>\\t<label>, "
+                                    f"got {line!r}")
+            entries.append(tuple(fields))
     return entries
 
 

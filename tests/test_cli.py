@@ -4,6 +4,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from motionmae.cli import (DEFAULT_CONFIG, ConfigError, _cap_threads,
                            _primitive_checks, load_config, main)
 from motionmae.evalviz import read_ppm
 from motionmae.tokenizer import MASK_STRATEGIES
-from motionmae.videodata import load_raw_clip
+from motionmae.videodata import load_raw_clip, save_raw_clip
 
 
 def write_cfg(tmp_path, **sections):
@@ -132,6 +133,41 @@ def test_exit_code_unknown_key(tmp_path):
 def test_exit_code_missing_dataset(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["pretrain", "--config", cfg]) == 3
+
+
+def test_exit_code_mis_shaped_clip_named_before_any_step(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    save_raw_clip(np.zeros((4, 8, 10, 1), np.float32),
+                  tmp_path / "ds" / "clips" / "00003.mmae")
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg]) == 2
+    assert "clip 00003" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_exit_code_non_finite_clip_named_before_any_step(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    clip = np.zeros((4, 8, 8, 1), np.float32)
+    clip[0, 0, 0, 0] = np.nan
+    save_raw_clip(clip, tmp_path / "ds" / "clips" / "00002.mmae")
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg]) == 3
+    assert "00002.mmae" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_exit_code_damaged_labels_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    labels = tmp_path / "ds" / "labels.tsv"
+    rows = labels.read_text().splitlines()
+    rows[4] = rows[4].replace("\t", " ")
+    labels.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg]) == 3
+    assert f"{labels}:5:" in capsys.readouterr().err
 
 
 def test_exit_code_reconstruct_ratio_out_of_range(tmp_path):
@@ -503,10 +539,10 @@ def test_primitive_check_suite_passes():
 
 def test_gradcheck_covers_every_op():
     names = {name for name, _ in _primitive_checks()}
-    expected = {"add", "sub", "mul", "scale", "exp", "log", "absolute",
-                "huber", "matmul", "linear", "softmax", "attention", "gelu",
-                "layer_norm", "gather_rows", "scatter_rows", "sum_all",
-                "mean_all", "mean_axis"}
+    expected = {"add", "mul", "scale", "matmul", "linear", "softmax",
+                "attention", "gelu", "layer_norm", "masked_penalty_mse",
+                "masked_penalty_l1", "masked_penalty_smooth_l1", "cross_entropy",
+                "scatter_rows", "sum_all", "mean_axis"}
     assert expected <= names
 
 

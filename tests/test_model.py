@@ -266,7 +266,7 @@ def test_end_to_end_gradient_spot_check():
 
         def f(_):
             ps, pt = md.forward_pretrain(clip, mask, grid, enc, dec, params)
-            return nm.add(nm.mean_all(nm.mul(ps, ps)), nm.mean_all(nm.mul(pt, pt)))
+            return nm.add(nm.sum_all(nm.mul(ps, ps)), nm.sum_all(nm.mul(pt, pt)))
 
         err = nm.finite_diff_check(f, [params[k] for k in probe])
         assert err < 1e-4, f"{arch}: max relative gradient error {err:.3e}"

@@ -82,13 +82,13 @@ def test_matmul_broadcast_weight_is_one_gemm_per_batch():
 
 
 def test_gather_scatter_rows_per_sample_indices():
+    """Rows that boolean bits gather per sample, as masked_penalty gathers
+    them, land where other bits place them."""
     r = _rng(6)
     a = r.normal(size=(2, 5, 3))
     bits = np.zeros((2, 5), dtype=bool)
     bits[0, [0, 2, 4]] = bits[1, [1, 2, 3]] = True
-    got = nm.gather_rows(Tensor(a), bits).data
-    np.testing.assert_array_equal(got[0], a[0][[0, 2, 4]])
-    np.testing.assert_array_equal(got[1], a[1][[1, 2, 3]])
+    got = a[bits].reshape(2, 3, 3)
     place = np.zeros((2, 6), dtype=bool)
     place[0, [1, 3]] = place[1, [2, 5]] = True
     placed = nm.scatter_rows(Tensor(got[:, 1:]), place).data
@@ -104,17 +104,22 @@ def test_gather_scatter_rows_per_sample_indices():
 ])
 def test_gather_scatter_rows_reject_bad_bits(bits, match):
     with pytest.raises(ValueError, match=match):
-        nm.gather_rows(Tensor(np.ones((2, 4, 3))), bits)
+        nm.masked_penalty(Tensor(np.ones((2, 4, 3))), np.ones((2, 2, 3)), bits, "mse")
     with pytest.raises(ValueError, match=match):
         nm.scatter_rows(Tensor(np.ones((2, 1, 3))), bits)
 
 
 def test_gather_scatter_rows_reject_values_that_do_not_fit():
     bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
-    with pytest.raises(ValueError, match="do not fit"):
-        nm.gather_rows(Tensor(np.ones((3, 3, 2))), bits)  # 3 samples, 2 bit rows
-    with pytest.raises(ValueError, match="do not fit"):
-        nm.gather_rows(Tensor(np.ones((2, 4, 2))), bits)  # 4 rows, 3 bits
+    target = np.ones((2, 2, 2))
+    with pytest.raises(ValueError, match="do not fit"):  # 3 samples, 2 bit rows
+        nm.masked_penalty(Tensor(np.ones((3, 3, 2))), target, bits, "mse")
+    with pytest.raises(ValueError, match="do not fit"):  # 4 rows, 3 bits
+        nm.masked_penalty(Tensor(np.ones((2, 4, 2))), target, bits, "mse")
+    with pytest.raises(ValueError, match="does not pair"):  # 3 targets, 2 rows
+        nm.masked_penalty(Tensor(np.ones((2, 3, 2))), np.ones((2, 3, 2)), bits, "mse")
+    with pytest.raises(ValueError, match="loss kind"):
+        nm.masked_penalty(Tensor(np.ones((2, 3, 2))), target, bits, "l2")
     with pytest.raises(ValueError, match="do not fit"):
         nm.scatter_rows(Tensor(np.ones((2, 3, 2))), bits)  # 3 rows, 2 selected
     with pytest.raises(ValueError, match="do not fit"):
@@ -162,11 +167,11 @@ def test_linear_computes_no_gradient_for_a_constant_input():
 
 
 def test_untracked_operands_get_no_gradient():
-    """add, sub and mul compute nothing for an operand no tape tracks."""
+    """add and mul compute nothing for an operand no tape tracks."""
     x, c = Tensor(np.ones((2, 3))), Tensor(np.full(3, 2.0))
     tape = Tape()
     tape.watch(x)
-    for op in (nm.add, nm.sub, nm.mul):
+    for op in (nm.add, nm.mul):
         op(x, c)
         gx, gc = tape._records[-1][2](np.ones((2, 3)))
         assert gc is None and gx.shape == (2, 3)
@@ -285,6 +290,114 @@ def test_attention_overflowing_output_raises():
     v = Tensor(np.full((2, 1), big))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         nm.attention(q, k, v, 1)
+
+
+# ---- losses ----
+
+
+def _composed_masked_penalty(pred, target, bits, kind, g):
+    """The graph masked_penalty replaced (gather the rows, subtract,
+    penalize, mean), op by op in plain numpy: its value, and the gradient
+    of the prediction when the value's gradient is g."""
+    m = int(bits.sum(axis=-1).max())
+    rest = pred.shape[bits.ndim:]
+    sel = pred[bits].reshape(bits.shape[:-1] + (m,) + rest)
+    diff = sel - np.asarray(target, dtype=pred.dtype)
+    if kind == "mse":
+        pen = diff * diff
+    elif kind == "l1":
+        pen = np.abs(diff)
+    else:
+        absx = np.abs(diff)
+        pen = np.where(absx <= 1.0, 0.5 * diff * diff, 1.0 * (absx - 0.5 * 1.0))
+    n = pen.size
+    value = np.asarray(pen.sum() / n).astype(pred.dtype, copy=False)
+    g = np.broadcast_to(g / n, pen.shape)
+    if kind == "mse":  # each operand of diff * diff, then their sum
+        gdiff = g * diff + g * diff
+    elif kind == "l1":
+        gdiff = g * np.sign(diff)
+    else:
+        gdiff = g * np.clip(diff, -1.0, 1.0)
+    gpred = np.zeros_like(pred)
+    gpred[bits] = gdiff.reshape((-1,) + rest)
+    return value, gpred
+
+
+def _composed_cross_entropy(x, labels, g):
+    """The graph cross_entropy replaced, op by op in plain numpy: its value,
+    and the gradient of the logits when the value's gradient is g."""
+    b, c = x.shape
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    scaled = e.mean(axis=1) * float(c)
+    lse = np.log(scaled)
+    onehot = np.zeros((b, c), dtype=x.dtype)
+    onehot[np.arange(b), labels] = 1.0
+    picked = np.asarray((shifted * onehot).sum())
+    value = (np.asarray(lse.sum()) - picked) * (1.0 / b)
+    g = g * (1.0 / b)
+    g_picked = np.broadcast_to(-g, (b, c)) * onehot  # replayed first
+    g_scaled = np.broadcast_to(g, (b,)) / scaled * float(c)
+    g_exp = np.broadcast_to(np.expand_dims(g_scaled / c, 1), (b, c)) * e
+    return value, g_picked + g_exp
+
+
+def _record(build, x, lam):
+    """Value and input gradient of build(x) scaled by lam, and how many
+    records build(x) took on the tape."""
+    t = Tensor(x)
+    tape = Tape()
+    tape.watch(t)
+    loss = build(t)
+    records = len(tape)
+    backward(nm.scale(loss, lam), tape)
+    return loss.data, t.grad, records
+
+
+def _bits(r, shape, m):
+    bits = np.zeros(shape, dtype=bool)
+    for row in bits.reshape(-1, shape[-1]):
+        row[r.choice(shape[-1], m, replace=False)] = True
+    return bits
+
+
+@pytest.mark.parametrize("kind", nm.LOSS_KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_penalty_bits_follow_the_composed_graph(dtype, kind):
+    r = _rng(15)
+    for bits_shape in [(9,), (3, 9)] * 10:
+        k, m = int(r.integers(1, 6)), int(r.integers(1, 10))
+        bits = _bits(r, bits_shape, m)
+        pred = (r.normal(size=bits_shape + (k,)) * 1.5).astype(dtype)
+        target = r.normal(size=bits_shape[:-1] + (m, k)).astype(np.float32)
+        lam = float(r.uniform(0.1, 3.0))
+        value, grad, records = _record(
+            lambda t: nm.masked_penalty(t, target, bits, kind), pred, lam)
+        want_value, want_grad = _composed_masked_penalty(
+            pred, target, bits, kind, np.ones((), dtype) * lam)
+        assert records == 1
+        assert value.dtype == want_value.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_bits_follow_the_composed_graph(dtype):
+    r = _rng(16)
+    for _ in range(20):
+        b, c = int(r.integers(1, 9)), int(r.integers(2, 9))
+        logits = (r.normal(size=(b, c)) * 3.0).astype(dtype)
+        labels = r.integers(0, c, size=b)
+        lam = float(r.uniform(0.1, 3.0))
+        value, grad, records = _record(
+            lambda t: nm.cross_entropy(t, labels), logits, lam)
+        want_value, want_grad = _composed_cross_entropy(
+            logits, labels, np.ones((), dtype) * lam)
+        assert records == 1
+        assert value.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(grad, want_grad)
 
 
 # ---- softmax ----
@@ -529,11 +642,6 @@ def test_grad_add_broadcast():
     _check(lambda p: nm.sum_all(nm.add(p[0], p[1])), [(3, 4), (4,)], 20)
 
 
-def test_grad_sub():
-    _check(lambda p: nm.sum_all(nm.mul(nm.sub(p[0], p[1]), nm.sub(p[0], p[1]))),
-           [(3, 4), (3, 4)], 21)
-
-
 def test_grad_mul():
     _check(lambda p: nm.sum_all(nm.mul(p[0], p[1])), [(2, 5), (2, 5)], 22)
 
@@ -552,35 +660,38 @@ def test_grad_gelu():
     _check(lambda p: nm.sum_all(nm.mul(nm.gelu(p[0]), p[0])), [(3, 3)], 25)
 
 
-def test_grad_exp_log():
-    def f(p):
-        return nm.sum_all(nm.log(nm.add(nm.exp(p[0]), nm.exp(nm.scale(p[0], -1.0)))))
-    _check(f, [(4,)], 26)
-
-
 def test_grad_absolute():
-    # keep inputs away from the kink at 0
+    """The absolute difference of the l1 penalty, away from its kink at 0."""
     r = np.random.default_rng(27)
-    x = Tensor(np.sign(r.normal(size=8)) * (0.5 + r.uniform(size=8)))
-    assert finite_diff_check(lambda p: nm.sum_all(nm.absolute(p[0])), [x]) < 1e-4
+    x = Tensor(np.sign(r.normal(size=(2, 4))) * (0.5 + r.uniform(size=(2, 4))))
+    bits = np.ones(2, dtype=bool)
+    err = finite_diff_check(
+        lambda p: nm.masked_penalty(p[0], np.zeros((2, 4)), bits, "l1"), [x])
+    assert err < 1e-4
 
 
 def test_grad_huber():
+    """The smooth-L1 (Huber) penalty, with differences on both sides of 1."""
     r = np.random.default_rng(28)
-    x = Tensor(r.normal(size=10) * 2.0)
-    assert finite_diff_check(lambda p: nm.sum_all(nm.huber(p[0], 1.0)), [x]) < 1e-4
+    x = Tensor(r.normal(size=(5, 2)) * 2.0)
+    bits = np.ones(5, dtype=bool)
+    err = finite_diff_check(
+        lambda p: nm.masked_penalty(p[0], np.zeros((5, 2)), bits, "smooth_l1"), [x])
+    assert err < 1e-4
 
 
 def test_grad_gather_scatter():
+    """Rows scattered into place, then gathered by other bits for a penalty."""
+    target = np.random.default_rng(31).normal(size=(4, 3))
+
     def f(p):
-        got = nm.gather_rows(p[0], np.array([1, 0, 1, 1], dtype=bool))
-        spread = nm.scatter_rows(got, np.array([1, 0, 0, 0, 1, 1], dtype=bool))
-        return nm.sum_all(nm.mul(spread, spread))
+        spread = nm.scatter_rows(p[0], np.array([1, 0, 1, 1, 1, 0], dtype=bool))
+        return nm.masked_penalty(spread, target,
+                                 np.array([1, 1, 0, 1, 0, 1], dtype=bool), "mse")
     _check(f, [(4, 3)], 30)
 
 
 def test_grad_means():
-    _check(lambda p: nm.mean_all(nm.mul(p[0], p[0])), [(3, 4)], 32)
     _check(lambda p: nm.sum_all(nm.mean_axis(nm.mul(p[0], p[0]), 0)), [(3, 4)], 33)
 
 
@@ -597,14 +708,16 @@ def test_grad_attention():
 # ---- finiteness policing ----
 
 
-def test_log_of_negative_raises():
-    with pytest.raises(NonFiniteError):
-        nm.log(Tensor([-1.0]))
-
-
-def test_exp_overflow_raises():
-    with pytest.raises(NonFiniteError):
-        nm.exp(Tensor([1e308]))
+@np.errstate(over="ignore", invalid="ignore")
+def test_loss_records_raise_on_overflow():
+    big, rows = np.float32(3e38), np.ones(2, dtype=bool)
+    pred = Tensor(np.full((2, 3), big))
+    with pytest.raises(NonFiniteError):  # the difference overflows float32
+        nm.masked_penalty(pred, np.full((2, 3), -big), rows, "l1")
+    with pytest.raises(NonFiniteError):  # the squared difference does
+        nm.masked_penalty(pred, np.zeros((2, 3), np.float32), rows, "mse")
+    with pytest.raises(NonFiniteError):  # so does the shift by the row max
+        nm.cross_entropy(Tensor(np.array([[-big, big]])), 0)
 
 
 def test_tensor_rejects_nan():

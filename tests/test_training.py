@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,32 @@ def test_checkpoint_bytes_match_the_joined_form(tmp_path):
                  record(f"v:{name}", opt.v[name])]
     blob = b"".join(body)
     assert (tmp_path / "c.mmck").read_bytes() == blob + hashlib.sha256(blob).digest()
+
+
+def test_checkpoint_loads_hold_one_copy_of_the_file(tmp_path):
+    """Reading a checkpoint allocates about one file's worth of memory: the
+    records are read-only views of the file's bytes, and load_params copies
+    them once, into the arena built beforehand."""
+    rng = np.random.default_rng(4)
+    params = {f"enc.w{i}": Tensor(rng.normal(size=(256, 256)).astype(np.float32))
+              for i in range(4)}
+    opt = OptimState.for_params(params)
+    p = tmp_path / "c.mmck"
+    tr.save_checkpoint(params, opt, 3, bytes(32), p)
+    size = p.stat().st_size
+    for load in (lambda: tr.load_checkpoint(p)[0],
+                 lambda: tr.load_params(p, params, opt=opt)):
+        tracemalloc.start()
+        try:
+            got = load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, f"peak {peak} bytes for a {size}-byte file"
+    assert got == 3 and opt.t == 3
+    arrays, (m, v), _ = tr.load_checkpoint(p)
+    assert not any(a.flags.writeable for a in (*arrays.values(), *m.values(),
+                                               *v.values()))
 
 
 def _spy_first_update(monkeypatch, seen):

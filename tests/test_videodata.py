@@ -196,6 +196,16 @@ def test_raw_clip_dims_numpy_cannot_shape(tmp_path):
         vd.load_raw_clip(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_clip_non_finite_payload_rejected(tmp_path, bad):
+    clip = np.zeros((2, 3, 3, 1), dtype=np.float32)
+    clip[1, 2, 0, 0] = bad
+    p = tmp_path / "x.mmae"
+    vd.save_raw_clip(clip, p)
+    with pytest.raises(vd.ClipFileError, match="x.mmae.*non-finite"):
+        vd.load_raw_clip(p)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -253,3 +263,10 @@ def test_generate_dataset_deterministic(tmp_path):
         a = vd.load_dataset_clip(tmp_path / "a", f"{i:05d}")
         b = vd.load_dataset_clip(tmp_path / "b", f"{i:05d}")
         assert (a == b).all()
+
+
+@pytest.mark.parametrize("line", ["00001 left", "00001\tleft\textra"])
+def test_read_labels_damaged_line_names_file_and_line(tmp_path, line):
+    (tmp_path / "labels.tsv").write_text(f"00000\tright\n\n{line}\n")
+    with pytest.raises(vd.ClipFileError, match=r"labels\.tsv:3: "):
+        vd.read_labels(tmp_path)
