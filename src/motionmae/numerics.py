@@ -279,6 +279,14 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     return _result(a.data.mean(axis=axis), (a,), rule)
 
 
+# Elements per pass of the blocked kernels (gelu, the softmax gradient,
+# adamw_step). 2**16 float32 values are 256 KiB per operand, so the six
+# arrays an AdamW chunk touches (1.5 MiB) stay in a 2 MiB L2; a whole-array
+# pass over millions of elements spills its temporaries out of cache. Fixed
+# by size, never by a timing, so every host runs the same passes.
+BLOCK = 2**16
+
+
 # ---------------------------------------------------------------------------
 # Neural-network operations
 # ---------------------------------------------------------------------------
@@ -330,25 +338,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax of an array along an axis."""
-    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
-    return e
+    """Stable softmax of an array along an axis, written into the array: the
+    max shift, the exp and the normalization each run in place."""
+    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=axis, keepdims=True)
+    return x
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The input gradient of a softmax with output `out` along an axis."""
-    dot = np.add.reduce(out * g, axis=axis, keepdims=True)
-    return out * (g - dot)
+    """The input gradient `out * (g - sum(out * g))` of a softmax along an
+    axis with output `out`, written into `g`, a C-contiguous upstream
+    gradient the caller owns. Both are viewed as (lead, n, rest) with the
+    softmax axis in the middle and walked in blocks of whole lead rows, at
+    most BLOCK elements where a row fits, so the products for the sums take
+    one block of scratch."""
+    k = axis % g.ndim
+    dims = (math.prod(g.shape[:k]), g.shape[k], math.prod(g.shape[k + 1 :]))
+    o3, g3 = out.reshape(dims), g.reshape(dims)
+    rows = max(1, BLOCK // max(dims[1] * dims[2], 1))
+    prod = np.empty((min(rows, dims[0]),) + dims[1:], g.dtype)
+    for lo in range(0, dims[0], rows):
+        ob, gb = o3[lo : lo + rows], g3[lo : lo + rows]
+        pb = prod[: len(gb)]
+        np.multiply(ob, gb, out=pb)
+        gb -= np.add.reduce(pb, axis=1, keepdims=True)
+        gb *= ob
+    return g
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along an axis; rows are nonnegative and sum to 1."""
+    """Stable softmax along an axis; rows are nonnegative and sum to 1. It
+    runs attention's kernels on copies, so it writes neither into its input
+    nor into the upstream gradient."""
     xd = x.data
     if not -xd.ndim <= axis < xd.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {xd.shape}")
-    out = _softmax_rows(xd, axis)
-    return _result(out, (x,), lambda g: (_softmax_grad(out, g, axis),))
+    out = _softmax_rows(xd.copy(), axis)
+    return _result(out, (x,), lambda g: (_softmax_grad(out, g.copy(), axis),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -385,7 +412,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scores *= c
     if not np.isfinite(scores).all():
         raise NonFiniteError("attention produced non-finite scores")
-    probs = _softmax_rows(scores)
+    probs = _softmax_rows(scores)  # in place: the scores become the weights
 
     def rule(g):
         gm = split(g)
@@ -435,15 +462,59 @@ _GELU_C = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU: 0.5*x*(1 + tanh(k*(x + 0.044715*x^3)))."""
+    """tanh-approximation GELU: 0.5*x*(1 + tanh(k*(x + 0.044715*x^3))).
+
+    One pass over the flattened input, BLOCK elements at a time, with each
+    block's temporaries in block-sized scratch rows. Every element goes
+    through the same IEEE operations in the same order as the whole-array
+    expressions `u = k*(x + c*((x*x)*x))`, `(0.5*x)*(1 + tanh(u))` forward
+    and `g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*(k*(1 + ((3c)*x)*x)))`
+    backward, so values and gradients are bit-identical to them. Only `x`
+    and `t = tanh(u)` are kept for the backward.
+    """
     xd = x.data
-    u = _GELU_K * (xd + _GELU_C * (xd * xd * xd))
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    xf = xd.reshape(-1)
+    t = np.empty(xd.shape, xd.dtype)
+    out = np.empty(xd.shape, xd.dtype)
+    tf, of = t.reshape(-1), out.reshape(-1)
+    a = np.empty(min(BLOCK, xf.size), xd.dtype)
+    for lo in range(0, xf.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        xb, tb, ob = xf[blk], tf[blk], of[blk]
+        ab = a[: xb.size]
+        np.multiply(xb, xb, out=ab)
+        ab *= xb
+        ab *= _GELU_C
+        ab += xb
+        ab *= _GELU_K
+        np.tanh(ab, out=tb)
+        np.multiply(xb, 0.5, out=ob)
+        np.add(tb, 1.0, out=ab)
+        ob *= ab
 
     def rule(g):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * xd * xd)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        gf = g.reshape(-1)
+        gx = np.empty(xd.shape, xd.dtype)
+        gxf = gx.reshape(-1)
+        a, b = np.empty((2, min(BLOCK, xf.size)), xd.dtype)
+        for lo in range(0, xf.size, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            xb, tb, gb, rb = xf[blk], tf[blk], gf[blk], gxf[blk]
+            ab, bb = a[: xb.size], b[: xb.size]
+            np.multiply(xb, 3.0 * _GELU_C, out=ab)  # du = k*(1 + ((3c)*x)*x)
+            ab *= xb
+            ab += 1.0
+            ab *= _GELU_K
+            np.multiply(tb, tb, out=bb)  # ((0.5*x)*(1 - t*t))*du
+            np.subtract(1.0, bb, out=bb)
+            np.multiply(xb, 0.5, out=rb)
+            rb *= bb
+            rb *= ab
+            np.add(tb, 1.0, out=ab)  # + 0.5*(1 + t)
+            ab *= 0.5
+            rb += ab
+            rb *= gb
+        return (gx,)
 
     return _result(out, (x,), rule)
 
@@ -546,14 +617,6 @@ def _check_dtypes(a: Tensor, b: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Elements per pass of the flat AdamW update. 2**16 float32 values are
-# 256 KiB per operand, so the six arrays a chunk touches (1.5 MiB) stay in a
-# 2 MiB L2; a whole-buffer pass at millions of parameters spills its
-# temporaries out of cache. Fixed by size, never by a timing, so every host
-# runs the same passes.
-ADAMW_CHUNK = 2**16
-
-
 @dataclass(eq=False)
 class OptimState:
     """AdamW state over one flat parameter arena.
@@ -598,7 +661,7 @@ class OptimState:
             off += p.size
             views[0][name][...] = p.data
             p.data = views[0][name]
-        scratch = np.empty((2, min(ADAMW_CHUNK, total)), dtype)
+        scratch = np.empty((2, min(BLOCK, total)), dtype)
         return cls(*flat, *views, scratch=scratch)
 
 
@@ -619,7 +682,7 @@ def adamw_step(
     writes the watched ones there) is copied in first. Decoupled weight
     decay shrinks the parameters before the Adam delta is applied.
 
-    The pass walks the flat buffers ADAMW_CHUNK elements at a time and
+    The pass walks the flat buffers BLOCK elements at a time and
     writes every temporary into the state's scratch rows, so a step
     allocates nothing. AdamW is elementwise, and each element goes through
     the same float operations in the same order as in a tensor-by-tensor
@@ -645,11 +708,11 @@ def adamw_step(
     c2 = 1.0 - beta2 ** t
     flat_p, flat_g, flat_m, flat_v = (state.flat_param, state.flat_grad,
                                       state.flat_m, state.flat_v)
-    for lo in range(0, flat_p.size, ADAMW_CHUNK):
-        p = flat_p[lo : lo + ADAMW_CHUNK]
-        g = flat_g[lo : lo + ADAMW_CHUNK]
-        m = flat_m[lo : lo + ADAMW_CHUNK]
-        v = flat_v[lo : lo + ADAMW_CHUNK]
+    for lo in range(0, flat_p.size, BLOCK):
+        p = flat_p[lo : lo + BLOCK]
+        g = flat_g[lo : lo + BLOCK]
+        m = flat_m[lo : lo + BLOCK]
+        v = flat_v[lo : lo + BLOCK]
         a, b = state.scratch[:, : p.size]
         if weight_decay != 0.0:
             p *= 1.0 - lr * weight_decay

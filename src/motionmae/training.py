@@ -282,8 +282,9 @@ def run_pretrain(
         logged = csv_path.read_text().splitlines(keepends=True)[1:]
         rows += [row for row in logged if int(row.split(",", 1)[0]) <= start_step]
     fmt = lambda v: "" if v is None else f"{v:.8e}"
-    with open(csv_path, "w") as fh:
-        fh.writelines(rows)
+    # a rewrite that fails leaves the old log; the new rows stream after it
+    write_atomic(csv_path, ("".join(rows).encode(),))
+    with open(csv_path, "a") as fh:
         for step in range(start_step, cfg.total_steps):
             batch = _batch_at(clips, step, cfg.batch_size)
             if augment is not None:

@@ -281,21 +281,27 @@ def generate_dataset(
 
 
 def read_labels(root) -> list[tuple[str, str]]:
-    """Parse labels.tsv into (id, label) pairs, preserving file order; a
-    non-empty line that is not `<id>\\t<label>` raises a ClipFileError naming
-    the file and the line."""
+    """Parse labels.tsv into (id, label) pairs, preserving file order. A
+    non-empty line that is not UTF-8, not `<id>\\t<label>`, or whose label is
+    not in DIRECTIONS raises a ClipFileError naming the file and the line."""
     path = Path(root) / "labels.tsv"
     entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ClipFileError(f"{path}:{lineno}: expected <id>\\t<label>, "
-                                    f"got {line!r}")
-            entries.append(tuple(fields))
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ClipFileError(f"{path}:{lineno}: not UTF-8 ({e.reason} at "
+                                f"byte {e.start})") from e
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ClipFileError(f"{path}:{lineno}: expected <id>\\t<label>, "
+                                f"got {line!r}")
+        if fields[1] not in DIRECTIONS:
+            raise ClipFileError(f"{path}:{lineno}: label {fields[1]!r} is not one "
+                                f"of {DIRECTIONS}")
+        entries.append(tuple(fields))
     return entries
 
 

@@ -170,6 +170,27 @@ def test_exit_code_damaged_labels_line(tmp_path, capsys):
     assert f"{labels}:5:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, says", [
+    (lambda row: row.replace(b"\t", b"\tsideways-"), "is not one of"),
+    (lambda row: row + b"\xff", "not UTF-8"),
+], ids=["label-outside-directions", "not-utf8"])
+def test_exit_code_bad_label_names_its_line(tmp_path, capsys, damage, says):
+    """A label outside the direction classes, or a line that is not UTF-8,
+    is a damaged dataset file: exit 3 naming the file and the line, before
+    any step writes loss.csv."""
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    labels = tmp_path / "ds" / "labels.tsv"
+    rows = labels.read_bytes().splitlines()
+    rows[2] = damage(rows[2])
+    labels.write_bytes(b"\n".join(rows) + b"\n")
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert f"{labels}:3:" in err and says in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_reconstruct_ratio_out_of_range(tmp_path):
     cfg = write_cfg(tmp_path, data={"dir": None})
     assert main(["reconstruct", "--config", cfg, "--ratio", "1.0"]) == 2

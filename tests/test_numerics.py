@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,12 +220,20 @@ def test_attention_matches_per_head_reference():
 
 def test_attention_bits_follow_the_unfused_graph():
     """Forward and backward run the GEMMs of the unfused split, scale,
-    softmax and mix graph in its orientations, so they match it bit for bit.
-    The key gradient is (q^T gs)^T, as that graph computes it."""
+    softmax and mix graph in its orientations, so they match it bit for bit,
+    in both precisions, also where the (b, heads, n, n) scores span more
+    than one BLOCK. The key gradient is (q^T gs)^T, as that graph computes
+    it."""
+    assert 2 * 2 * 192 * 192 > nm.BLOCK
+    for b, n, dim, heads in ((2, 7, 12, 3), (2, 192, 8, 2)):
+        for dtype in (np.float32, np.float64):
+            _assert_attention_bits(b, n, dim, heads, dtype)
+
+
+def _assert_attention_bits(b, n, dim, heads, dtype):
     r = _rng(14)
-    b, n, dim, heads = 2, 7, 12, 3
     dh = dim // heads
-    q, k, v, g = (r.normal(size=(b, n, dim)).astype(np.float32) for _ in range(4))
+    q, k, v, g = (r.normal(size=(b, n, dim)).astype(dtype) for _ in range(4))
     sw = (0, 2, 1, 3)
 
     def split(a):
@@ -252,10 +261,10 @@ def test_attention_bits_follow_the_unfused_graph():
     for t in ts:
         tape.watch(t)
     out = nm.attention(*ts, heads)
-    np.testing.assert_array_equal(out.data, want)
+    assert out.data.tobytes() == want.tobytes()
     backward(nm.sum_all(nm.mul(out, Tensor(g))), tape)
     for t, w in zip(ts, want_grads):
-        np.testing.assert_array_equal(t.grad, w)
+        assert t.grad.tobytes() == w.tobytes()
 
 
 def test_attention_rejects_misfit_inputs():
@@ -431,6 +440,38 @@ def test_softmax_rows_sum_to_one(seed):
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
 
+def _composed_softmax(x, g, axis):
+    """The whole-array softmax graph in plain numpy (shift by the row max,
+    exp, divide by the row sum): its value, and its input gradient for the
+    upstream gradient g."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+    return out, out * (g - (out * g).sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis", [((3, 7), -1), ((3, 200, 130), -1),
+                                         ((300, 40, 30), 1), ((70, 5, 300), 0)],
+                         ids=["rows", "rows-over-blocks", "middle-over-blocks",
+                              "first-axis"])
+def test_softmax_bits_follow_the_composed_graph(shape, axis, dtype):
+    """Value and gradient match the composed graph bit for bit along any
+    axis, also where the gradient runs in several blocks, and neither the
+    input nor the upstream gradient is written into."""
+    r = _rng(6)
+    x, g = (r.normal(size=shape).astype(dtype) for _ in range(2))
+    x0, g0 = x.copy(), g.copy()
+    want, want_grad = _composed_softmax(x, g, axis)
+    tape = Tape()
+    xt = Tensor(x)
+    tape.watch(xt)
+    out = nm.softmax(xt, axis)
+    (grad,) = tape._records[-1][2](g)
+    assert out.data.tobytes() == want.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert x.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
+
+
 def test_softmax_bad_axis():
     with pytest.raises(ValueError):
         nm.softmax(Tensor(np.ones((2, 2))), axis=5)
@@ -504,6 +545,100 @@ def test_gelu_fixed_points():
     assert float(nm.gelu(Tensor(0.0)).data) == 0.0
     assert abs(float(nm.gelu(Tensor(10.0)).data) - 10.0) < 1e-6
     assert abs(float(nm.gelu(Tensor(-10.0)).data)) < 1e-6
+
+
+def _composed_gelu(x, g):
+    """The whole-array GELU expressions in plain numpy: the value, and the
+    input gradient for the upstream gradient g."""
+    k, c = math.sqrt(2.0 / math.pi), 0.044715
+    u = k * (x + c * (x * x * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+    du = k * (1.0 + 3.0 * c * x * x)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (3, 1000), (2 * nm.BLOCK + 123,)],
+                         ids=["0d", "one-block", "blocks-and-remainder"])
+def test_gelu_bits_follow_the_whole_array_expressions(shape, dtype):
+    """Value and gradient match the whole-array expressions bit for bit,
+    including where their intermediates overflow (x*x*x, and 2x under a
+    wrong order such as 0.5*(x*(1+t))) or fall below the normal range; the
+    upstream gradient is not written into."""
+    fi = np.finfo(dtype)
+    r = _rng(21)
+    x = np.asarray(3.0 * r.normal(size=shape), dtype)  # 0-d stays an array
+    g = np.asarray(r.normal(size=shape), dtype)
+    edges = np.array([0.75 * fi.max, -0.75 * fi.max, 3 * fi.tiny,
+                      5 * fi.smallest_subnormal, 0.0, -0.0], dtype)
+    if x.ndim:
+        x.reshape(-1)[: edges.size] = edges
+        x.reshape(-1)[-edges.size :] = edges
+    else:
+        x[...] = edges[0]
+    g0 = g.copy()
+    with np.errstate(all="ignore"):
+        want, want_grad = _composed_gelu(x, g)
+        tape = Tape()
+        xt = Tensor(x)
+        tape.watch(xt)
+        out = nm.gelu(xt)
+        (grad,) = tape._records[-1][2](g)
+    assert out.data.shape == shape and grad.shape == shape
+    assert out.data.tobytes() == np.asarray(want).tobytes()
+    assert grad.tobytes() == np.asarray(want_grad).tobytes()
+    assert g.tobytes() == g0.tobytes()
+
+
+def _traced_peak(fn):
+    """The peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gelu_forward_and_backward_peak_memory():
+    """On a 3 MiB float32 array, forward plus backward allocate tanh, the
+    output, the gradient, a finite check's flags and block-sized scratch:
+    under 3 times the array (the whole-array expressions peaked at 6 times)."""
+    r = _rng(22)
+    x, g = (r.normal(size=(4, 256, 768)).astype(np.float32) for _ in range(2))
+
+    def run():
+        tape = Tape()
+        xt = Tensor(x)
+        tape.watch(xt)
+        nm.gelu(xt)
+        tape._records[-1][2](g)
+
+    peak = _traced_peak(run)
+    assert peak < 3 * x.nbytes, f"peak {peak / x.nbytes:.2f} x the input"
+
+
+def test_attention_forward_and_backward_peak_memory():
+    """One attention call owns its scores: the softmax runs in them, and its
+    gradient in the product it is applied to, so forward plus backward peak
+    under 2.5 times the (B, heads, N, N) scores: the weights, that product
+    and small arrays (the composed softmax peaked at 3 times)."""
+    r = _rng(23)
+    b, n, dim, heads = 4, 256, 32, 4
+    q, k, v, g = (r.normal(size=(b, n, dim)).astype(np.float32) for _ in range(4))
+    scores = b * heads * n * n * 4
+
+    def run():
+        ts = [Tensor(a) for a in (q, k, v)]
+        tape = Tape()
+        for t in ts:
+            tape.watch(t)
+        nm.attention(*ts, heads)
+        tape._records[-1][2](g)
+
+    peak = _traced_peak(run)
+    assert peak < 2.5 * scores, f"peak {peak / scores:.2f} x the scores"
 
 
 # ---- backward ----
@@ -804,7 +939,7 @@ def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
     moments are the arena's views, laid out in dict order."""
     shapes = {"w1": (301, 250), "b1": (250,), "w2": (129, 40), "s": (3,)}
     total = sum(math.prod(s) for s in shapes.values())
-    assert total > nm.ADAMW_CHUNK and total % nm.ADAMW_CHUNK
+    assert total > nm.BLOCK and total % nm.BLOCK
     rng = _rng(13)
     ref = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
     params = {k: Tensor(a.copy()) for k, a in ref.items()}

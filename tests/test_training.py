@@ -436,6 +436,28 @@ def test_resume_into_same_dir_rewrites_loss_csv_identically(tmp_path):
     assert (tmp_path / "loss.csv").read_bytes() == uninterrupted
 
 
+def test_resume_whose_loss_csv_rewrite_fails_keeps_the_old_log(tmp_path, monkeypatch):
+    """On resume, the kept rows of loss.csv are rewritten through a temporary
+    file: a write that fails midway leaves the old log whole."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=8, log_interval=1,
+                                                   checkpoint_interval=4)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path)
+    old = (tmp_path / "loss.csv").read_bytes()
+    real_open = open
+
+    def open_(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _DiskFull(fh) if "loss.csv" in Path(file).name else fh
+
+    for module in (tr, vd):
+        monkeypatch.setattr(module, "open", open_, raising=False)
+    with pytest.raises(OSError):
+        tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path,
+                        resume_from=tmp_path / "checkpoint_000004.mmck")
+    assert (tmp_path / "loss.csv").read_bytes() == old
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_resume_rejects_checkpoint_of_another_decoder(tmp_path):
     """A parallel-decoder checkpoint shares the shared decoder's config
     digest but not its parameters: rejected before loss.csv is opened."""
@@ -701,6 +723,9 @@ class _DiskFull:
     def write(self, data):
         self.fh.write(data[: len(data) // 2])
         raise OSError("no space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
 
 
 def _write_ablate_csv(path):
