@@ -519,6 +519,9 @@ def _primitive_checks():
                 t[3], nm.attention(t[0], t[1], t[2], 2))),
                 (2, 3, 4), (2, 3, 4), (2, 3, 4), (2, 3, 4))
     yield check("gelu", unary(nm.gelu), (3, 4))
+    yield check("mlp", lambda t: nm.sum_all(nm.mul(
+                t[5], nm.mlp(t[0], t[1], t[2], t[3], t[4]))),
+                (2, 3, 4), (4, 6), (6,), (6, 5), (5,), (2, 3, 5))
     yield check("layer_norm",
                 lambda t: nm.sum_all(nm.mul(t[0], nm.layer_norm(t[0], t[1], t[2]))),
                 (3, 6), (6,), (6,))

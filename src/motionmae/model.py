@@ -110,13 +110,20 @@ def preset_configs(name: str, grid: TokenGrid, arch: str = "parallel"):
 
 
 def _trunc_normal(rng, shape, std=0.02):
-    """Normal draws redrawn until they land within two standard deviations."""
+    """Normal draws redrawn until they land within two standard deviations.
+
+    Each round redraws the values still out of range, in index order, and
+    checks only those it redrew.
+    """
     vals = rng.normal(0.0, std, size=shape)
+    flat = vals.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
     for _ in range(100):
-        bad = np.abs(vals) > 2 * std
-        if not bad.any():
+        if not bad.size:
             break
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        redrawn = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2 * std]
     return np.clip(vals, -2 * std, 2 * std)
 
 
@@ -230,8 +237,7 @@ def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
 
 
 def _mlp(h: Tensor, params, prefix: str) -> Tensor:
-    h = nm.gelu(nm.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
-    return nm.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
+    return nm.mlp(h, *(params[f"{prefix}.mlp.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
 
 def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor:

@@ -338,9 +338,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax of an array along an axis, written into the array: the
-    max shift, the exp and the normalization each run in place."""
-    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    """Stable softmax of a finite array along an axis, written into the
+    array: the max shift, the exp and the normalization each run in place.
+    The row max is picked by argmax, which is faster than a max reduction
+    and exact; where -0 and +0 tie for it, the shift moves only zeros, and
+    exp maps either zero to 1."""
+    x -= np.take_along_axis(x, np.argmax(x, axis, keepdims=True), axis)
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=axis, keepdims=True)
     return x
@@ -441,17 +444,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         s /= d
         return s
 
-    xc = xd - mean(xd)
-    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
-    xhat = xc * inv
-    out = xhat * gd + bd
+    # The IEEE operations and order of xc = x - mean(x),
+    # inv = 1/sqrt(mean(xc*xc) + eps), xhat = xc*inv, out = xhat*gamma + beta,
+    # written into two full-size buffers: xc becomes xhat, xc*xc the output.
+    xhat = xd - mean(xd)
+    out = xhat * xhat
+    inv = mean(out)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gd, out=out)
+    out += bd
 
     def rule(g):
+        # gx = inv*(gxh - mean(gxh) - xhat*mean(gxh*xhat)) with gxh = g*gamma,
+        # in the g*xhat buffer and the gxh buffer
         lead = tuple(range(g.ndim - 1))
-        ggamma = np.add.reduce(g * xhat, axis=lead)
+        prod = g * xhat
+        ggamma = np.add.reduce(prod, axis=lead)
         gbeta = np.add.reduce(g, axis=lead)
-        gxh = g * gd
-        gx = inv * (gxh - mean(gxh) - xhat * mean(gxh * xhat))
+        gx = g * gd
+        m = mean(gx)
+        np.multiply(gx, xhat, out=prod)
+        np.multiply(xhat, mean(prod), out=prod)
+        gx -= m
+        gx -= prod
+        gx *= inv
         return gx, ggamma, gbeta
 
     return _result(out, (x, gamma, beta), rule)
@@ -459,6 +478,47 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+
+
+def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
+    """t = tanh(u), u = k*(x + c*((x*x)*x)), for one block x, u taking t."""
+    np.multiply(x, x, out=t)
+    t *= x
+    t *= _GELU_C
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+
+
+def _gelu_fwd(x: np.ndarray, t: np.ndarray, out: np.ndarray,
+              a: np.ndarray) -> None:
+    """GELU of one block x into out, `(0.5*x)*(1 + t)`, leaving t = tanh(u)
+    in t; a is block scratch."""
+    _gelu_tanh(x, t)
+    np.multiply(x, 0.5, out=out)
+    np.add(t, 1.0, out=a)
+    out *= a
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> None:
+    """Multiply g, one block of the upstream gradient, in place by GELU's
+    derivative `0.5*(1 + t) + ((0.5*x)*(1 - t*t))*(k*(1 + ((3c)*x)*x))` at x,
+    given t = tanh(u); a and b are block scratch. IEEE products and sums
+    commute, so the factors may be formed in any operand order."""
+    np.multiply(x, 0.5, out=a)  # (0.5*x)*(1 - t*t)
+    np.multiply(t, t, out=b)
+    np.subtract(1.0, b, out=b)
+    a *= b
+    np.multiply(x, 3.0 * _GELU_C, out=b)  # *k*(1 + ((3c)*x)*x)
+    b *= x
+    b += 1.0
+    b *= _GELU_K
+    a *= b
+    np.add(t, 1.0, out=b)  # + 0.5*(1 + t)
+    b *= 0.5
+    a += b
+    g *= a
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -480,43 +540,85 @@ def gelu(x: Tensor) -> Tensor:
     a = np.empty(min(BLOCK, xf.size), xd.dtype)
     for lo in range(0, xf.size, BLOCK):
         blk = slice(lo, lo + BLOCK)
-        xb, tb, ob = xf[blk], tf[blk], of[blk]
-        ab = a[: xb.size]
-        np.multiply(xb, xb, out=ab)
-        ab *= xb
-        ab *= _GELU_C
-        ab += xb
-        ab *= _GELU_K
-        np.tanh(ab, out=tb)
-        np.multiply(xb, 0.5, out=ob)
-        np.add(tb, 1.0, out=ab)
-        ob *= ab
+        _gelu_fwd(xf[blk], tf[blk], of[blk], a[: xf[blk].size])
 
     def rule(g):
-        gf = g.reshape(-1)
-        gx = np.empty(xd.shape, xd.dtype)
+        gx = np.array(g, xd.dtype, order="C")
         gxf = gx.reshape(-1)
         a, b = np.empty((2, min(BLOCK, xf.size)), xd.dtype)
         for lo in range(0, xf.size, BLOCK):
             blk = slice(lo, lo + BLOCK)
-            xb, tb, gb, rb = xf[blk], tf[blk], gf[blk], gxf[blk]
-            ab, bb = a[: xb.size], b[: xb.size]
-            np.multiply(xb, 3.0 * _GELU_C, out=ab)  # du = k*(1 + ((3c)*x)*x)
-            ab *= xb
-            ab += 1.0
-            ab *= _GELU_K
-            np.multiply(tb, tb, out=bb)  # ((0.5*x)*(1 - t*t))*du
-            np.subtract(1.0, bb, out=bb)
-            np.multiply(xb, 0.5, out=rb)
-            rb *= bb
-            rb *= ab
-            np.add(tb, 1.0, out=ab)  # + 0.5*(1 + t)
-            ab *= 0.5
-            rb += ab
-            rb *= gb
+            n = xf[blk].size
+            _gelu_grad(xf[blk], tf[blk], gxf[blk], a[:n], b[:n])
         return (gx,)
 
     return _result(out, (x,), rule)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 for (..., D) rows, a (D, H) and an (H, E)
+    weight, as one record: the GEMMs, reductions and GELU kernels of
+    `linear`, `gelu`, `linear`, so values and gradients match those three
+    records bit for bit.
+
+    The record keeps the rows and the pre-activation h, and not tanh(u) or
+    the GELU output: the backward recomputes the output block by block for
+    the second weight's gradient, frees it, and runs the GELU gradient in
+    place in the gradient of the output, recomputing tanh(u) per block. So
+    at most one (rows, H) array lives beside h. The input gradient is
+    computed only when a tape tracks `x`.
+    """
+    for p in (w1, b1, w2, b2):
+        _check_dtypes(x, p)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if (w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1:] != w1d.shape[:1]
+            or b1.shape != w1d.shape[1:] or w2d.shape[:1] != w1d.shape[1:]
+            or b2.shape != w2d.shape[1:]):
+        raise ValueError(f"mlp shape mismatch: {xd.shape} @ {w1d.shape} + "
+                         f"{b1.shape} @ {w2d.shape} + {b2.shape}")
+    d, hid = w1d.shape
+    e = w2d.shape[1]
+    x2 = xd.reshape(-1, d)
+    h = x2 @ w1d
+    h += b1.data
+    # GELU maps finite values to finite ones (an overflowing x*x*x saturates
+    # tanh) and inf or NaN to inf or NaN, so this check covers its output too
+    if not np.isfinite(h).all():
+        raise NonFiniteError("operation produced non-finite values")
+    hf = h.reshape(-1)
+    width = min(BLOCK, hf.size)  # of the block scratch rows
+
+    def activate():  # the GELU output of h, block by block
+        act = np.empty_like(h)
+        af = act.reshape(-1)
+        t, a = np.empty((2, width), h.dtype)
+        for lo in range(0, hf.size, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            n = hf[blk].size
+            _gelu_fwd(hf[blk], t[:n], af[blk], a[:n])
+        return act
+
+    out = activate() @ w2d
+    out += b2.data
+    lead = tuple(range(xd.ndim - 1))
+    tx = x.tape is not None
+
+    def rule(g):
+        g2 = g.reshape(-1, e)
+        gw2 = activate().T @ g2
+        ga = g2 @ w2d.T
+        gaf = ga.reshape(-1)
+        t, a, b = np.empty((3, width), h.dtype)
+        for lo in range(0, hf.size, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            n = hf[blk].size
+            _gelu_tanh(hf[blk], t[:n])
+            _gelu_grad(hf[blk], t[:n], gaf[blk], a[:n], b[:n])
+        gx = (ga @ w1d.T).reshape(xd.shape) if tx else None
+        gb1 = np.add.reduce(ga.reshape(xd.shape[:-1] + (hid,)), axis=lead)
+        return (gx, x2.T @ ga, gb1, gw2, np.add.reduce(g, axis=lead))
+
+    return _result(out.reshape(xd.shape[:-1] + (e,)), (x, w1, b1, w2, b2), rule)
 
 
 # ---------------------------------------------------------------------------

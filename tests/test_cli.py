@@ -561,7 +561,7 @@ def test_primitive_check_suite_passes():
 def test_gradcheck_covers_every_op():
     names = {name for name, _ in _primitive_checks()}
     expected = {"add", "mul", "scale", "matmul", "linear", "softmax",
-                "attention", "gelu", "layer_norm", "masked_penalty_mse",
+                "attention", "gelu", "mlp", "layer_norm", "masked_penalty_mse",
                 "masked_penalty_l1", "masked_penalty_smooth_l1", "cross_entropy",
                 "scatter_rows", "sum_all", "mean_axis"}
     assert expected <= names

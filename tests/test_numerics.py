@@ -472,6 +472,32 @@ def test_softmax_bits_follow_the_composed_graph(shape, axis, dtype):
     assert x.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
 
 
+def _max_reduce_softmax_rows(x, axis):
+    """The in-place softmax kernel with the row max taken by a max
+    reduction."""
+    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=axis, keepdims=True)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis", [((16, 4, 64, 64), -1), ((3, 9, 5), 1),
+                                         ((7, 4), 0)])
+def test_softmax_rows_argmax_max_matches_the_max_reduction(shape, axis, dtype):
+    """The row max picked by argmax gives the kernel the bits of a max
+    reduction, also in rows where -0 and +0 tie for the max."""
+    x = _rng(16).normal(size=shape).astype(dtype)
+    rows = np.moveaxis(x, axis, -1)  # a view: writes land in x
+    rows[0, ...] = -np.abs(rows[0, ...])
+    rows[0, ..., :2] = (-0.0, 0.0)  # max of the row, tied between -0 and +0
+    rows[-1, ...] = -np.abs(rows[-1, ...])
+    rows[-1, ..., :2] = (0.0, -0.0)
+    want = _max_reduce_softmax_rows(x.copy(), axis)
+    got = nm._softmax_rows(x.copy(), axis)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_softmax_bad_axis():
     with pytest.raises(ValueError):
         nm.softmax(Tensor(np.ones((2, 2))), axis=5)
@@ -533,6 +559,48 @@ def test_layer_norm_bits_match_the_mean_form():
         np.testing.assert_array_equal(ts[0].grad, want_gx)
 
 
+def _expression_layer_norm(x, gd, bd, g, eps=1e-6):
+    """layer_norm as whole-array expressions, each a fresh array: the value
+    and the x, gamma and beta gradients for the upstream gradient g."""
+    d = x.shape[-1]
+
+    def mean(a):
+        s = np.add.reduce(a, axis=-1, keepdims=True)
+        s /= d
+        return s
+
+    xc = x - mean(x)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
+    xhat = xc * inv
+    lead = tuple(range(g.ndim - 1))
+    gxh = g * gd
+    gx = inv * (gxh - mean(gxh) - xhat * mean(gxh * xhat))
+    return (xhat * gd + bd, gx, np.add.reduce(g * xhat, axis=lead),
+            np.add.reduce(g, axis=lead))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6,), (3, 7), (4, 256, 96), (1, 256, 192)])
+def test_layer_norm_in_place_bits_follow_the_expressions(shape, dtype):
+    """The in-place forward and backward run the expressions' IEEE
+    operations in their order, so value and all three gradients match them
+    bit for bit; the upstream gradient is not written into."""
+    r = _rng(17)
+    x, g = (r.normal(loc=0.5, scale=3.0, size=shape).astype(dtype) for _ in range(2))
+    gd, bd = (r.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+    g0 = g.copy()
+    want = _expression_layer_norm(x, gd, bd, g)
+    ts = [Tensor(a) for a in (x, gd, bd)]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    out = nm.layer_norm(*ts)
+    got = (out.data,) + tuple(tape._records[-1][2](g))
+    for a, w in zip(got, want):
+        assert a.dtype == dtype and a.tobytes() == w.tobytes()
+    assert g.tobytes() == g0.tobytes()
+
+
 def test_layer_norm_shape_mismatch():
     with pytest.raises(ValueError):
         nm.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
@@ -589,6 +657,87 @@ def test_gelu_bits_follow_the_whole_array_expressions(shape, dtype):
     assert out.data.tobytes() == np.asarray(want).tobytes()
     assert grad.tobytes() == np.asarray(want_grad).tobytes()
     assert g.tobytes() == g0.tobytes()
+
+
+def _mlp_value_and_grads(op, arrs, g, track_x=True):
+    """Value of op(x, w1, b1, w2, b2) and the gradients backward() gives
+    each input for the upstream gradient g, with the tape's record count;
+    x untracked gets no gradient."""
+    ts = [Tensor(a) for a in arrs]
+    tape = Tape()
+    for t in ts[not track_x:]:
+        tape.watch(t)
+    out = op(*ts)
+    records = len(tape)
+    backward(nm.sum_all(nm.mul(out, Tensor(g))), tape)
+    return out.data, [t.grad for t in ts], records
+
+
+def _linear_gelu_linear(x, w1, b1, w2, b2):
+    return nm.linear(nm.gelu(nm.linear(x, w1, b1)), w2, b2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, d, hid, e", [((3, 5), 8, 12, 6),
+                                             ((2, 100), 16, 700, 12),
+                                             ((130,), 6, 1024, 5)],
+                         ids=["one-block", "blocks-and-remainder", "whole-blocks"])
+def test_mlp_bits_follow_linear_gelu_linear(lead, d, hid, e, dtype):
+    """One record whose value and five gradients match the three records
+    linear, gelu, linear bit for bit, also where the hidden activations
+    span several GELU blocks; the input gradient is skipped when no tape
+    tracks x."""
+    r = _rng(25)
+    arrs = [r.normal(size=lead + (d,)), 0.5 * r.normal(size=(d, hid)),
+            r.normal(size=hid), 0.3 * r.normal(size=(hid, e)), r.normal(size=e)]
+    arrs = [a.astype(dtype) for a in arrs]
+    g = r.normal(size=lead + (e,)).astype(dtype)
+    want, want_grads, _ = _mlp_value_and_grads(_linear_gelu_linear, arrs, g)
+    got, grads, records = _mlp_value_and_grads(nm.mlp, arrs, g)
+    assert records == 1
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    for a, w in zip(grads, want_grads):
+        assert a.shape == w.shape and a.tobytes() == w.tobytes()
+    _, grads, _ = _mlp_value_and_grads(nm.mlp, arrs, g, track_x=False)
+    assert grads[0] is None
+    for a, w in zip(grads[1:], want_grads[1:]):
+        assert a.tobytes() == w.tobytes()
+
+
+def test_mlp_rejects_misfit_shapes():
+    x = Tensor(np.ones((2, 4)))
+    w1, b1 = Tensor(np.ones((4, 6))), Tensor(np.zeros(6))
+    w2, b2 = Tensor(np.ones((6, 3))), Tensor(np.zeros(3))
+    assert nm.mlp(x, w1, b1, w2, b2).shape == (2, 3)
+    for args in [(x, w1, b1, Tensor(np.ones((5, 3))), b2),
+                 (x, w1, Tensor(np.zeros(5)), w2, b2),
+                 (x, w1, b1, w2, Tensor(np.zeros(4))),
+                 (Tensor(np.ones((2, 5))), w1, b1, w2, b2)]:
+        with pytest.raises(ValueError, match="mlp shape mismatch"):
+            nm.mlp(*args)
+
+
+def test_gelu_keeps_finiteness():
+    """GELU is finite exactly where its input is, so mlp checks only the
+    pre-activation: values whose cube overflows saturate, and inf, -inf and
+    NaN stay non-finite."""
+    for dtype in (np.float32, np.float64):
+        fi = np.finfo(dtype)
+        x = np.array([fi.max, -fi.max, 1e13, -1e13, fi.tiny, -0.0,
+                      np.inf, -np.inf, np.nan], dtype)
+        out, t, a = (np.empty_like(x) for _ in range(3))
+        with np.errstate(all="ignore"):
+            nm._gelu_fwd(x, t, out, a)
+        np.testing.assert_array_equal(np.isfinite(out), np.isfinite(x))
+
+
+def test_mlp_overflowing_pre_activation_raises():
+    big = np.finfo(np.float64).max
+    x = Tensor(np.full((1, 2), big))
+    w1, b1 = Tensor(np.ones((2, 3))), Tensor(np.zeros(3))
+    w2, b2 = Tensor(np.ones((3, 1))), Tensor(np.zeros(1))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        nm.mlp(x, w1, b1, w2, b2)
 
 
 def _traced_peak(fn):
