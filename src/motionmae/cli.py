@@ -3,8 +3,8 @@
 Subcommands: gen-data, pretrain, finetune, reconstruct, gradcheck, ablate.
 All behavior is driven by a strict JSON config (unknown keys are errors);
 every default is visible in `motionmae --help`. One config seed feeds the
-whole pipeline through a fixed fan-out: data uses seed+1, masks seed+2,
-parameter init seed+3.
+whole pipeline through a fixed fan-out (`training.SEED_DATA`, `SEED_MASKS`,
+`SEED_INIT`): data uses seed+1, masks seed+2, parameter init seed+3.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O error,
 4 numerical error.
@@ -284,6 +284,7 @@ def _resolve(cfg: dict):
 
     from .targets import make_targets
     from .tokenizer import patchify, sample_mask
+    from .training import SEED_DATA
     from .videodata import dataset_clip, random_resized_crop
 
     _validate(cfg)
@@ -302,7 +303,7 @@ def _resolve(cfg: dict):
     with _field_errors({"frame": "data.H/data.W", "scale": "data.crop_scale",
                         "ratio": "mask.ratio", "strategy": "mask.strategy",
                         "kind": "targets.kind", "gap": "targets.gap"}):
-        dataset_clip(0, data["T"], data["H"], data["W"], cfg["seed"] + 1,
+        dataset_clip(0, data["T"], data["H"], data["W"], cfg["seed"] + SEED_DATA,
                      data["channels"])
         random_resized_crop(blank, tuple(data["crop_scale"]), data["H"], data["W"],
                             seed=0)
@@ -344,12 +345,12 @@ def _make_augment(cfg: dict):
         return None
     import numpy as np
 
-    from .training import derive_seed
+    from .training import SEED_DATA, derive_seed
     from .videodata import hflip, random_resized_crop
 
     scale = tuple(data["crop_scale"])
     h, w = data["H"], data["W"]
-    base = cfg["seed"] + 1
+    base = cfg["seed"] + SEED_DATA
 
     def augment(clip, step, j):
         rng = np.random.default_rng(derive_seed(base, step, j))
@@ -370,6 +371,7 @@ def _make_augment(cfg: dict):
 
 def cmd_gen_data(args) -> int:
     cfg, _ = load_config(args.config)
+    from .training import SEED_DATA
     from .videodata import generate_dataset
 
     out = args.out if args.out else cfg["data"]["dir"]
@@ -380,7 +382,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("--count must be >= 1")
     data = cfg["data"]
     entries = generate_dataset(out, count, data["T"], data["H"], data["W"],
-                               seed=cfg["seed"] + 1, channels=data["channels"])
+                               seed=cfg["seed"] + SEED_DATA, channels=data["channels"])
     print(f"wrote {len(entries)} clips to {out}")
     return 0
 
@@ -450,13 +452,13 @@ def cmd_reconstruct(args) -> int:
     from .evalviz import render_reconstruction
     from .model import forward_pretrain, init_params
     from .tokenizer import sample_mask
-    from .training import load_params
+    from .training import SEED_DATA, SEED_INIT, SEED_MASKS, load_params
     from .videodata import dataset_clip
 
     try:
         ratios = [float(r) for r in args.ratio.split(",") if r]
-        masks = [sample_mask(grid, r, cfg["mask"]["strategy"], seed=cfg["seed"] + 2)
-                 for r in ratios]
+        masks = [sample_mask(grid, r, cfg["mask"]["strategy"],
+                             seed=cfg["seed"] + SEED_MASKS) for r in ratios]
     except ValueError as e:
         raise ConfigError(f"--ratio: {e}") from e
     if not ratios:
@@ -467,10 +469,10 @@ def cmd_reconstruct(args) -> int:
         clips, _ = _load_dataset(data["dir"], cfg)
         clip = clips[0]
     else:  # the first clip gen-data would write
-        clip, _ = dataset_clip(0, data["T"], data["H"], data["W"], cfg["seed"] + 1,
-                               data["channels"])
+        clip, _ = dataset_clip(0, data["T"], data["H"], data["W"],
+                               cfg["seed"] + SEED_DATA, data["channels"])
     kind = cfg["targets"]["kind"]
-    params = init_params(enc, dec, seed=cfg["seed"] + 3, target_kind=kind)
+    params = init_params(enc, dec, seed=cfg["seed"] + SEED_INIT, target_kind=kind)
     if args.init not in (None, "none"):
         load_params(args.init, params)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import Mask, TokenGrid, patchify, unpatchify
+from .tokenizer import Mask, TokenGrid, check_clip, patchify, unpatchify
 from .videodata import write_atomic
 
 MOTION_RENDER_GAIN = 3.0  # raw temporal differences are faint; amplify for display
@@ -106,9 +106,8 @@ def build_recon_grid(
 ) -> np.ndarray:
     """Four-row frame grid as a float (4H, TW, 3) buffer in [0, 1]."""
     T, H, W, _ = clip.shape
-    tokens, got = patchify(clip, grid.ct, grid.cp)
-    if got != grid:
-        raise ValueError(f"clip tokenizes to {got}, expected {grid}")
+    check_clip(clip, grid)
+    tokens, _ = patchify(clip, grid.ct, grid.cp)
     hidden = mask.bits
 
     masked_tokens = tokens.copy()

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .tokenizer import Mask, TokenGrid, patchify, sincos_posenc
+from .tokenizer import Mask, TokenGrid, check_clip, patchify, sincos_posenc
 
 DECODER_ARCHS = ("parallel", "shared")
 HEADS = ("space", "time")
@@ -167,6 +167,12 @@ def _stack_params(out, prefix, depth, dim, mlp_dim, rng, dtype):
     out[f"{prefix}.ln_out.b"] = Tensor(np.zeros(dim, dtype=dtype))
 
 
+def _decoder_stacks(arch: str, heads: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """The decoder's stacks, in build order, each with the heads it feeds:
+    one "shared" stack feeding every head, or one stack per head."""
+    return {"shared": heads} if arch == "shared" else {h: (h,) for h in heads}
+
+
 def init_params(
     enc: EncoderConfig,
     dec: DecoderConfig | None,
@@ -187,8 +193,7 @@ def init_params(
 
     if dec is not None:
         heads = HEADS_OF_KIND[target_kind]
-        stacks = ("shared",) if dec.arch == "shared" else heads
-        for stack in stacks:
+        for stack in _decoder_stacks(dec.arch, heads):
             params[f"dec.{stack}.embed.w"] = Tensor(
                 _proj_init(rng, (enc.embed_dim, dec.embed_dim)).astype(dtype))
             params[f"dec.{stack}.embed.b"] = Tensor(np.zeros(dec.embed_dim, dtype=dtype))
@@ -262,10 +267,9 @@ def _posenc(grid: TokenGrid, dim: int, dtype: np.dtype) -> np.ndarray:
 
 def _tokens(clips, grid: TokenGrid) -> np.ndarray:
     """Cube tokens of one clip (N, D), or of a stack of clips (B, N, D)."""
-    tokens, got = patchify(np.asarray(clips), grid.ct, grid.cp)
-    if got != grid:
-        raise ValueError(f"clip tokenizes to {got}, expected {grid}")
-    return tokens
+    clips = np.asarray(clips)
+    check_clip(clips, grid)
+    return patchify(clips, grid.ct, grid.cp)[0]
 
 
 def encode(
@@ -320,9 +324,8 @@ def decode(
     hidden = Tensor(bits[..., None].astype(dtype))  # 1 at hidden positions
     pos = Tensor(_posenc(grid, cfg.embed_dim, dtype))
 
-    stacks = {"shared": heads} if cfg.arch == "shared" else {h: (h,) for h in heads}
     preds = {}
-    for stack, fed in stacks.items():
+    for stack, fed in _decoder_stacks(cfg.arch, heads).items():
         y = _linear(latents, params, f"dec.{stack}.embed")
         placed = nm.scatter_rows(y, ~bits)
         placed = nm.add(placed, nm.mul(hidden, params[f"dec.{stack}.mask_token"]))

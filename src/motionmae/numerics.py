@@ -71,23 +71,23 @@ class Tape:
     def watch(self, tensor: Tensor, into: np.ndarray | None = None) -> None:
         """Register a leaf tensor so backward() will populate its grad.
 
-        With `into`, an array of the tensor's shape and dtype (its view of a
-        gradient arena), backward() accumulates the gradient there and makes
-        it the tensor's grad, rather than allocating one.
+        backward() accumulates the gradient in `into`, an array of the
+        tensor's shape and dtype (its view of a gradient arena), or in a
+        zero buffer allocated here, and makes that array the tensor's grad.
         """
         if tensor.tape is self:
             return
         if tensor.tape is not None:
             raise ValueError("tensor is already attached to another tape")
-        if into is not None and (into.shape != tensor.shape
-                                 or into.dtype != tensor.dtype):
+        if into is None:
+            into = np.zeros_like(tensor.data)
+        elif into.shape != tensor.shape or into.dtype != tensor.dtype:
             raise ValueError(f"gradient buffer {into.shape} {into.dtype} does not "
                              f"fit tensor {tensor.shape} {tensor.dtype}")
         tensor.tape = self
         tensor.node_id = self._alloc()
         self._watched.append(tensor)
-        if into is not None:
-            self._sinks[tensor.node_id] = into
+        self._sinks[tensor.node_id] = into
 
     def _alloc(self) -> int:
         nid = self._next_id
@@ -131,8 +131,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Rules may return views of what they hold, so a node's first gradient
     contribution is stored as it is and never written into. The second is
     added out of place, which gives the node an accumulator of its own, and
-    later ones are added into that in place. A leaf watched `into` a buffer
-    accumulates there from its first contribution. Every op keeps its
+    later ones are added into that in place. A watched leaf accumulates in
+    its gradient buffer from its first contribution. Every op keeps its
     inputs' dtype, so contributions carry their node's dtype and each sum is
     the same in place or out of place.
 
@@ -172,18 +172,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 grads[nid] = acc + contrib
                 owned.add(nid)
     for t in tape._watched:
-        g = grads.get(t.node_id)
-        into = sinks.get(t.node_id)
-        if into is not None:
-            if g is None:
-                into.fill(0)
-            elif g is not into:  # the loss itself is the leaf
-                np.copyto(into, g)
-            t.grad = into
-        elif g is None:
-            t.grad = np.zeros_like(t.data)
-        else:
-            t.grad = np.ascontiguousarray(g, dtype=t.data.dtype)
+        g, into = grads.get(t.node_id), sinks[t.node_id]
+        if g is None:
+            into.fill(0)
+        elif g is not into:  # the loss itself is the leaf
+            np.copyto(into, g)
+        t.grad = into
         t.tape = None
         t.node_id = None
     tape._consumed = True
@@ -337,32 +331,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out.reshape(xd.shape[:-1] + (e,)), (x, w, b), rule)
 
 
-def _softmax_rows(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax of a finite array along an axis, written into the
-    array: the max shift, the exp and the normalization each run in place.
-    The row max is picked by argmax, which is faster than a max reduction
-    and exact; where -0 and +0 tie for it, the shift moves only zeros, and
-    exp maps either zero to 1."""
-    x -= np.take_along_axis(x, np.argmax(x, axis, keepdims=True), axis)
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Stable softmax of a finite array along its last axis, written into
+    the array: the max shift, the exp and the normalization each run in
+    place. The row max is picked by argmax, which is faster than a max
+    reduction and exact; where -0 and +0 tie for it, the shift moves only
+    zeros, and exp maps either zero to 1."""
+    x -= np.take_along_axis(x, np.argmax(x, -1, keepdims=True), -1)
     np.exp(x, out=x)
-    x /= np.add.reduce(x, axis=axis, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
-def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The input gradient `out * (g - sum(out * g))` of a softmax along an
-    axis with output `out`, written into `g`, a C-contiguous upstream
-    gradient the caller owns. Both are viewed as (lead, n, rest) with the
-    softmax axis in the middle and walked in blocks of whole lead rows, at
-    most BLOCK elements where a row fits, so the products for the sums take
-    one block of scratch."""
-    k = axis % g.ndim
-    dims = (math.prod(g.shape[:k]), g.shape[k], math.prod(g.shape[k + 1 :]))
-    o3, g3 = out.reshape(dims), g.reshape(dims)
-    rows = max(1, BLOCK // max(dims[1] * dims[2], 1))
-    prod = np.empty((min(rows, dims[0]),) + dims[1:], g.dtype)
-    for lo in range(0, dims[0], rows):
-        ob, gb = o3[lo : lo + rows], g3[lo : lo + rows]
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient `out * (g - sum(out * g))` of a last-axis softmax
+    with output `out`, written into `g`, a C-contiguous upstream gradient
+    the caller owns. Both are walked in blocks of whole rows, at most BLOCK
+    elements where a row fits, so the products for the sums take one block
+    of scratch."""
+    n = g.shape[-1]
+    o2, g2 = out.reshape(-1, n), g.reshape(-1, n)
+    rows = max(1, BLOCK // max(n, 1))
+    prod = np.empty((min(rows, len(g2)), n), g.dtype)
+    for lo in range(0, len(g2), rows):
+        ob, gb = o2[lo : lo + rows], g2[lo : lo + rows]
         pb = prod[: len(gb)]
         np.multiply(ob, gb, out=pb)
         gb -= np.add.reduce(pb, axis=1, keepdims=True)
@@ -370,15 +362,12 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
     return g
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along an axis; rows are nonnegative and sum to 1. It
-    runs attention's kernels on copies, so it writes neither into its input
-    nor into the upstream gradient."""
-    xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {xd.shape}")
-    out = _softmax_rows(xd.copy(), axis)
-    return _result(out, (x,), lambda g: (_softmax_grad(out, g.copy(), axis),))
+def softmax(x: Tensor) -> Tensor:
+    """Stable softmax along the last axis; rows are nonnegative and sum to
+    1. It runs attention's kernels on copies, so it writes neither into its
+    input nor into the upstream gradient."""
+    out = _softmax_rows(x.data.copy())
+    return _result(out, (x,), lambda g: (_softmax_grad(out, g.copy()),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -490,16 +479,6 @@ def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
     np.tanh(t, out=t)
 
 
-def _gelu_fwd(x: np.ndarray, t: np.ndarray, out: np.ndarray,
-              a: np.ndarray) -> None:
-    """GELU of one block x into out, `(0.5*x)*(1 + t)`, leaving t = tanh(u)
-    in t; a is block scratch."""
-    _gelu_tanh(x, t)
-    np.multiply(x, 0.5, out=out)
-    np.add(t, 1.0, out=a)
-    out *= a
-
-
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, a: np.ndarray,
                b: np.ndarray) -> None:
     """Multiply g, one block of the upstream gradient, in place by GELU's
@@ -521,38 +500,51 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, a: np.ndarray,
     g *= a
 
 
+def _gelu_forward(x: np.ndarray) -> np.ndarray:
+    """GELU of x, `(0.5*x)*(1 + tanh(u))`, as a new C-ordered array, written
+    BLOCK elements at a time with each block's temporaries in block-sized
+    scratch rows."""
+    xf = x.reshape(-1)
+    out = np.empty(x.shape, x.dtype)
+    of = out.reshape(-1)
+    t, a = np.empty((2, min(BLOCK, xf.size)), x.dtype)
+    for lo in range(0, xf.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        n = xf[blk].size
+        _gelu_tanh(xf[blk], t[:n])
+        np.multiply(xf[blk], 0.5, out=of[blk])
+        np.add(t[:n], 1.0, out=a[:n])
+        of[blk] *= a[:n]
+    return out
+
+
+def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Multiply g, a C-contiguous upstream gradient of x's shape that the
+    caller owns, in place by GELU's derivative at x, recomputing tanh(u)
+    BLOCK elements at a time; returns g."""
+    xf, gf = x.reshape(-1), g.reshape(-1)
+    t, a, b = np.empty((3, min(BLOCK, xf.size)), x.dtype)
+    for lo in range(0, xf.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        n = xf[blk].size
+        _gelu_tanh(xf[blk], t[:n])
+        _gelu_grad(xf[blk], t[:n], gf[blk], a[:n], b[:n])
+    return g
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU: 0.5*x*(1 + tanh(k*(x + 0.044715*x^3))).
 
-    One pass over the flattened input, BLOCK elements at a time, with each
-    block's temporaries in block-sized scratch rows. Every element goes
-    through the same IEEE operations in the same order as the whole-array
-    expressions `u = k*(x + c*((x*x)*x))`, `(0.5*x)*(1 + tanh(u))` forward
-    and `g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*(k*(1 + ((3c)*x)*x)))`
-    backward, so values and gradients are bit-identical to them. Only `x`
-    and `t = tanh(u)` are kept for the backward.
+    It runs `mlp`'s blocked walkers, whose every element goes through the
+    IEEE operations of the whole-array expressions `u = k*(x + c*((x*x)*x))`,
+    `(0.5*x)*(1 + tanh(u))` forward and
+    `g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*(k*(1 + ((3c)*x)*x)))` backward,
+    in their order, so values and gradients are bit-identical to them. Only
+    `x` is kept; the backward recomputes `t = tanh(u)` in a copy of `g`.
     """
     xd = x.data
-    xf = xd.reshape(-1)
-    t = np.empty(xd.shape, xd.dtype)
-    out = np.empty(xd.shape, xd.dtype)
-    tf, of = t.reshape(-1), out.reshape(-1)
-    a = np.empty(min(BLOCK, xf.size), xd.dtype)
-    for lo in range(0, xf.size, BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        _gelu_fwd(xf[blk], tf[blk], of[blk], a[: xf[blk].size])
-
-    def rule(g):
-        gx = np.array(g, xd.dtype, order="C")
-        gxf = gx.reshape(-1)
-        a, b = np.empty((2, min(BLOCK, xf.size)), xd.dtype)
-        for lo in range(0, xf.size, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            n = xf[blk].size
-            _gelu_grad(xf[blk], tf[blk], gxf[blk], a[:n], b[:n])
-        return (gx,)
-
-    return _result(out, (x,), rule)
+    return _result(_gelu_forward(xd), (x,), lambda g: (
+        _gelu_backward(xd, np.array(g, xd.dtype, order="C")),))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -585,35 +577,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     # tanh) and inf or NaN to inf or NaN, so this check covers its output too
     if not np.isfinite(h).all():
         raise NonFiniteError("operation produced non-finite values")
-    hf = h.reshape(-1)
-    width = min(BLOCK, hf.size)  # of the block scratch rows
-
-    def activate():  # the GELU output of h, block by block
-        act = np.empty_like(h)
-        af = act.reshape(-1)
-        t, a = np.empty((2, width), h.dtype)
-        for lo in range(0, hf.size, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            n = hf[blk].size
-            _gelu_fwd(hf[blk], t[:n], af[blk], a[:n])
-        return act
-
-    out = activate() @ w2d
+    out = _gelu_forward(h) @ w2d
     out += b2.data
     lead = tuple(range(xd.ndim - 1))
     tx = x.tape is not None
 
     def rule(g):
         g2 = g.reshape(-1, e)
-        gw2 = activate().T @ g2
-        ga = g2 @ w2d.T
-        gaf = ga.reshape(-1)
-        t, a, b = np.empty((3, width), h.dtype)
-        for lo in range(0, hf.size, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            n = hf[blk].size
-            _gelu_tanh(hf[blk], t[:n])
-            _gelu_grad(hf[blk], t[:n], gaf[blk], a[:n], b[:n])
+        gw2 = _gelu_forward(h).T @ g2
+        ga = _gelu_backward(h, g2 @ w2d.T)
         gx = (ga @ w1d.T).reshape(xd.shape) if tx else None
         gb1 = np.add.reduce(ga.reshape(xd.shape[:-1] + (hid,)), axis=lead)
         return (gx, x2.T @ ga, gb1, gw2, np.add.reduce(g, axis=lead))
@@ -766,10 +738,19 @@ class OptimState:
         scratch = np.empty((2, min(BLOCK, total)), dtype)
         return cls(*flat, *views, scratch=scratch)
 
+    def check_params(self, params: dict[str, Tensor]) -> None:
+        """Reject `params` unless they are the tensors this state was built
+        for, each still on its arena view."""
+        if params.keys() != self.param.keys():
+            raise ValueError("params are not the tensors this optimizer state holds")
+        for name, p in params.items():
+            if p.data is not self.param[name]:
+                raise ValueError(f"parameter {name!r} is not its arena view; load "
+                                 f"values into it in place instead of rebinding it")
+
 
 def adamw_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
     state: OptimState,
     lr: float,
     beta1: float = 0.9,
@@ -780,9 +761,9 @@ def adamw_step(
     """One bias-corrected AdamW update, in place, as one pass over the arena.
 
     `params` are the tensors `state` was built for, each still on its arena
-    view. A gradient in `grads` that is not its arena view (backward()
-    writes the watched ones there) is copied in first. Decoupled weight
-    decay shrinks the parameters before the Adam delta is applied.
+    view, and their gradients are read from the arena (backward() writes
+    the gradients of leaves watched `into` their views there). Decoupled
+    weight decay shrinks the parameters before the Adam delta is applied.
 
     The pass walks the flat buffers BLOCK elements at a time and
     writes every temporary into the state's scratch rows, so a step
@@ -792,18 +773,7 @@ def adamw_step(
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("betas must lie in [0, 1)")
-    if params.keys() != state.param.keys():
-        raise ValueError("params are not the tensors this optimizer state holds")
-    for name, p in params.items():
-        if p.data is not state.param[name]:
-            raise ValueError(f"parameter {name!r} is not its arena view; load "
-                             f"values into it in place instead of rebinding it")
-        g, view = grads[name], state.grad[name]
-        if g is not view:
-            if g.shape != view.shape:
-                raise ValueError(f"gradient shape mismatch for '{name}': "
-                                 f"{g.shape} vs {view.shape}")
-            view[...] = g
+    state.check_params(params)
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1 ** t

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokenizer import Mask, TokenGrid, patchify
+from .tokenizer import Mask, TokenGrid, check_clip, patchify
 
 TARGET_KINDS = ("frame", "motion", "both")
 
@@ -44,9 +44,8 @@ def make_space_target(
 ) -> np.ndarray:
     """Masked tokens' pixel content, optionally standardized per token row:
     (M, D) rows of one clip, or (..., M, D) of clips (..., T, H, W, C)."""
-    tokens, got = patchify(clip, grid.ct, grid.cp)
-    if got != grid:
-        raise ValueError(f"clip tokenizes to {got}, mask built for {grid}")
+    check_clip(clip, grid)
+    tokens, _ = patchify(clip, grid.ct, grid.cp)
     rows = mask.hidden(tokens).astype(np.float32, copy=False)
     if not normalize_per_patch:
         return rows
@@ -71,8 +70,7 @@ def make_motion_target(
 ) -> np.ndarray:
     """Temporal-difference patches at each masked token's anchor frame:
     (M, cp*cp*C) rows of one clip, or (..., M, cp*cp*C) of clips."""
-    if clip.shape[-4:] != grid.clip_shape:
-        raise ValueError(f"clip {clip.shape} does not match grid {grid.clip_shape}")
+    check_clip(clip, grid)
     anchors = difference_video(clip, gap)[..., :: grid.ct, :, :, :]  # frame ct*tau
     maps, _ = patchify(anchors, 1, grid.cp)
     return np.ascontiguousarray(mask.hidden(maps), dtype=np.float32)

@@ -120,6 +120,13 @@ def patchify(clip: np.ndarray, ct: int, cp: int) -> tuple[np.ndarray, TokenGrid]
     return np.ascontiguousarray(tokens), grid
 
 
+def check_clip(clip: np.ndarray, grid: TokenGrid) -> None:
+    """Reject a clip (T, H, W, C), or clips (..., T, H, W, C), that does not
+    cut into `grid`'s cubes; one that does patchifies to `grid`."""
+    if clip.shape[-4:] != grid.clip_shape:
+        raise ValueError(f"clip {clip.shape} does not tokenize to {grid}")
+
+
 def unpatchify(tokens: np.ndarray, grid: TokenGrid) -> np.ndarray:
     """Exact inverse of patchify."""
     if tokens.shape != (grid.num_tokens, grid.token_dim):

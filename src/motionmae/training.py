@@ -3,8 +3,9 @@
 Losses average over masked elements only. Pretraining optimizes
 L_space + lambda * L_time with AdamW under a warmup+cosine schedule;
 finetuning swaps the decoder for a mean-pool classifier trained with
-cross-entropy. Checkpoints are a binary record stream with a config digest
-and a trailing content digest, and training is bit-deterministic given
+cross-entropy. A checkpoint holds the flat parameter arena and its AdamW
+moments behind a table of names and shapes, between a config digest and a
+trailing content digest, and training is bit-deterministic given
 (seed, config, dataset), which makes mid-run resume reproduce the original
 trajectory exactly.
 """
@@ -39,8 +40,11 @@ from .videodata import write_atomic
 # 2**18 of them are 1 MiB, which stays in cache
 EVAL_SCORE_BUDGET = 2**18
 
+# offsets of the run seed's fan-out to the data, the masks and parameter init
+SEED_DATA, SEED_MASKS, SEED_INIT = 1, 2, 3
+
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -48,7 +52,8 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Missing magic bytes or malformed record structure."""
+    """Missing magic bytes, a malformed table, or payloads longer than the
+    table says."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -60,7 +65,7 @@ class CheckpointDigestError(CheckpointError):
 
 
 class CheckpointTruncatedError(CheckpointError):
-    """File ends before its records do."""
+    """File ends before its table or payloads do."""
 
 
 @dataclass(frozen=True)
@@ -211,12 +216,12 @@ def pretrain_step(
 ) -> tuple[float, float | None, float | None]:
     """One optimizer update on a batch; returns (loss, space part, time part).
 
-    Masks are drawn per sample from (seed + 2, step, position-in-batch) —
-    the mask branch of the run-seed fan-out — so a given step always sees
-    the same masks regardless of history.
+    Masks are drawn per sample from (seed + SEED_MASKS, step,
+    position-in-batch), the mask branch of the run-seed fan-out, so a given
+    step always sees the same masks regardless of history.
     """
     masks = [sample_mask(grid, cfg.mask_ratio, cfg.mask_strategy,
-                         seed=derive_seed(cfg.seed + 2, step, i))
+                         seed=derive_seed(cfg.seed + SEED_MASKS, step, i))
              for i in range(len(batch))]
     loss, ls, lt = _update(params, opt, cfg, step, lambda: pretrain_loss(
         batch, masks, params, grid, enc_cfg, dec_cfg, cfg))
@@ -238,8 +243,7 @@ def _update(params: dict[str, Tensor], opt: OptimState, cfg: TrainConfig,
         backward(parts[0], tape)
     except NonFiniteError as e:
         raise NonFiniteError(f"non-finite value during step {step}: {e}") from e
-    adamw_step(params, opt.grad, opt,
-               lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
+    adamw_step(params, opt, lr=lr_at(step, cfg), beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.eps, weight_decay=cfg.weight_decay)
     return parts
 
@@ -267,7 +271,7 @@ def run_pretrain(
     an uninterrupted run.
     """
     digest = config_digest(cfg)
-    params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + 3,
+    params = init_params(enc_cfg, dec_cfg, seed=cfg.seed + SEED_INIT,
                          target_kind=cfg.target_kind)
     opt = OptimState.for_params(params)
     start_step = 0
@@ -353,7 +357,7 @@ def run_finetune(
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
-    params = init_params(enc_cfg, None, seed=cfg.seed + 3,
+    params = init_params(enc_cfg, None, seed=cfg.seed + SEED_INIT,
                          num_classes=num_classes)
     opt = OptimState.for_params(params)
     if init_from is not None:
@@ -384,16 +388,6 @@ def run_finetune(
 # ---------------------------------------------------------------------------
 
 
-def _record(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """A record's header and its float32 little-endian payload, which is
-    `arr` itself when it already is one (an arena view)."""
-    nb = name.encode()
-    payload = np.ascontiguousarray(arr, dtype="<f4")
-    head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", payload.ndim)
-    head += struct.pack(f"<{payload.ndim}I", *payload.shape)
-    return head, payload
-
-
 def save_checkpoint(
     params: dict[str, Tensor],
     opt: OptimState,
@@ -401,25 +395,29 @@ def save_checkpoint(
     config_digest_bytes: bytes,
     path,
 ) -> None:
-    """Serialize parameters and optimizer moments as float32 records.
+    """Serialize the parameter arena and its AdamW moments: a table of the
+    parameters' names and shapes in arena order, then `opt.flat_param`,
+    `opt.flat_m` and `opt.flat_v` as three float32 payloads.
 
-    The records are written straight from the arrays, through one running
-    digest, so the file's content is never joined in memory.
+    `params` must be the tensors `opt` was built for, still on their arena
+    views. The payloads are written straight from the arena through one
+    running digest, so the file's content is never joined in memory.
     Single-precision state only: the format stores float32 payloads, and a
     silent down-cast would break bit-exact resume.
     """
     if len(config_digest_bytes) != 32:
         raise ValueError("config digest must be 32 bytes")
-    for name, p in params.items():
-        if p.data.dtype != np.float32:
-            raise ValueError(f"checkpoint stores float32 only; {name!r} is "
-                             f"{p.data.dtype}")
+    opt.check_params(params)
+    if opt.flat_param.dtype != np.float32:
+        raise ValueError(f"checkpoint stores float32 only; the parameters are "
+                         f"{opt.flat_param.dtype}")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION),
-              config_digest_bytes, struct.pack("<Q", step)]
-    for name, p in params.items():
-        chunks += _record(f"param:{name}", p.data)
-        chunks += _record(f"m:{name}", opt.m[name])
-        chunks += _record(f"v:{name}", opt.v[name])
+              config_digest_bytes, struct.pack("<QI", step, len(opt.param))]
+    for name, view in opt.param.items():
+        nb = name.encode()
+        chunks.append(struct.pack(f"<H{len(nb)}sB{view.ndim}I", len(nb), nb,
+                                  view.ndim, *view.shape))
+    chunks += [np.asarray(a, "<f4") for a in (opt.flat_param, opt.flat_m, opt.flat_v)]
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -434,7 +432,7 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: missing {CHECKPOINT_MAGIC!r} magic")
-    if len(blob) < 77:  # magic + version + digest + step + trailing digest
+    if len(blob) < 81:  # magic, version, digest, step, table size, trailing digest
         raise CheckpointTruncatedError(f"{path}: only {len(blob)} bytes")
     version = blob[4]
     if version != CHECKPOINT_VERSION:
@@ -447,58 +445,44 @@ def load_checkpoint(path, expect_digest: bytes | None = None):
     if expect_digest is not None and stored_digest != expect_digest:
         raise CheckpointDigestError(f"{path}: config digest mismatch (checkpoint "
                                     "was written under a different configuration)")
-    (step,) = struct.unpack("<Q", blob[37:45])
+    step, count = struct.unpack("<QI", blob[37:49])
+    off = 49  # the table's first entry
 
-    arrays: dict[str, np.ndarray] = {}
-    off = 45
-    while off < end:
-        if off + 2 > end:
-            raise CheckpointTruncatedError(f"{path}: record header cut short")
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if off + name_len + 1 > end:
-            raise CheckpointTruncatedError(f"{path}: record name cut short")
+    def take(n: int, what: str) -> bytes:  # the next n bytes of the table
+        nonlocal off
+        if off + n > end:
+            raise CheckpointTruncatedError(f"{path}: table {what} cut short")
+        off += n
+        return blob[off - n : off]
+
+    shapes: dict[str, tuple[int, ...]] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "entry"))
         try:
-            name = blob[off : off + name_len].decode()
+            name = take(name_len, "name").decode()
         except UnicodeDecodeError as e:
-            raise CheckpointFormatError(f"{path}: record name is not UTF-8") from e
-        if name in arrays:
-            raise CheckpointFormatError(f"{path}: duplicate record {name!r}")
-        off += name_len
-        rank = blob[off]
-        off += 1
-        if off + 4 * rank > end:
-            raise CheckpointTruncatedError(f"{path}: record dims cut short")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        count = math.prod(dims)  # a Python int: huge dims cannot wrap
-        nbytes = 4 * count
-        if off + nbytes > end:
-            raise CheckpointTruncatedError(f"{path}: record payload cut short")
-        payload = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        try:  # numpy caps the rank, and the size even when a dim is 0
-            arrays[name] = payload.reshape(dims)
-        except ValueError as e:
-            raise CheckpointFormatError(f"{path}: record {name!r} has dims "
-                                        f"numpy cannot shape") from e
-        off += nbytes
+            raise CheckpointFormatError(f"{path}: table name is not UTF-8") from e
+        if name in shapes:
+            raise CheckpointFormatError(f"{path}: duplicate name {name!r}")
+        rank = take(1, "rank")[0]
+        shapes[name] = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+    sizes = [math.prod(dims) for dims in shapes.values()]  # Python ints: no wrap
+    nbytes = 12 * sum(sizes)  # three float32 payloads
+    if end - off != nbytes:
+        error = CheckpointTruncatedError if end - off < nbytes else CheckpointFormatError
+        raise error(f"{path}: {end - off} payload bytes, the table needs {nbytes}")
 
-    kinds: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
-    for name, arr in arrays.items():
-        kind, _, pname = name.partition(":")
-        if kind not in kinds:
-            raise CheckpointFormatError(f"{path}: unknown record kind {kind!r}")
-        kinds[kind][pname] = arr
-    params, m, v = kinds.values()
-    missing = set(params) ^ set(m) | set(params) ^ set(v)
-    if missing:
-        raise CheckpointFormatError(f"{path}: incomplete records for {sorted(missing)}")
-    for name, arr in params.items():
-        for kind, moments in (("m", m), ("v", v)):
-            if moments[name].shape != arr.shape:
-                raise CheckpointFormatError(
-                    f"{path}: record '{kind}:{name}' has shape {moments[name].shape}, "
-                    f"its parameter {arr.shape}")
+    flat = np.frombuffer(blob, "<f4", count=nbytes // 4, offset=off).reshape(3, -1)
+    params, m, v = arrays = ({}, {}, {})
+    start = 0
+    for (name, dims), size in zip(shapes.items(), sizes):
+        for payload, named in zip(flat, arrays):
+            try:  # numpy caps the rank, and the size even when a dim is 0
+                named[name] = payload[start : start + size].reshape(dims)
+            except ValueError as e:
+                raise CheckpointFormatError(f"{path}: {name!r} has dims numpy "
+                                            f"cannot shape") from e
+        start += size
     return params, (m, v), step
 
 

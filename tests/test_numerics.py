@@ -425,8 +425,8 @@ def test_softmax_analytic():
 def test_softmax_shift_invariance():
     r = _rng(5)
     x = r.normal(size=(3, 7))
-    a = nm.softmax(Tensor(x), axis=-1).data
-    b = nm.softmax(Tensor(x + 123.456), axis=-1).data
+    a = nm.softmax(Tensor(x)).data
+    b = nm.softmax(Tensor(x + 123.456)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -435,49 +435,47 @@ def test_softmax_shift_invariance():
 def test_softmax_rows_sum_to_one(seed):
     """Stability invariant: holds even for magnitude-1e4 inputs."""
     x = np.random.default_rng(seed).uniform(-1e4, 1e4, size=(4, 9))
-    out = nm.softmax(Tensor(x), axis=-1).data
+    out = nm.softmax(Tensor(x)).data
     assert (out >= 0).all()
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def _composed_softmax(x, g, axis):
+def _composed_softmax(x, g):
     """The whole-array softmax graph in plain numpy (shift by the row max,
     exp, divide by the row sum): its value, and its input gradient for the
     upstream gradient g."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
-    return out, out * (g - (out * g).sum(axis=axis, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return out, out * (g - (out * g).sum(axis=-1, keepdims=True))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape, axis", [((3, 7), -1), ((3, 200, 130), -1),
-                                         ((300, 40, 30), 1), ((70, 5, 300), 0)],
-                         ids=["rows", "rows-over-blocks", "middle-over-blocks",
-                              "first-axis"])
-def test_softmax_bits_follow_the_composed_graph(shape, axis, dtype):
-    """Value and gradient match the composed graph bit for bit along any
-    axis, also where the gradient runs in several blocks, and neither the
-    input nor the upstream gradient is written into."""
+@pytest.mark.parametrize("shape", [(3, 7), (3, 200, 130), (3, nm.BLOCK + 5)],
+                         ids=["rows", "rows-over-blocks", "row-over-a-block"])
+def test_softmax_bits_follow_the_composed_graph(shape, dtype):
+    """Value and gradient match the composed graph bit for bit, also where
+    the gradient runs in several blocks or a row outgrows a block, and
+    neither the input nor the upstream gradient is written into."""
     r = _rng(6)
     x, g = (r.normal(size=shape).astype(dtype) for _ in range(2))
     x0, g0 = x.copy(), g.copy()
-    want, want_grad = _composed_softmax(x, g, axis)
+    want, want_grad = _composed_softmax(x, g)
     tape = Tape()
     xt = Tensor(x)
     tape.watch(xt)
-    out = nm.softmax(xt, axis)
+    out = nm.softmax(xt)
     (grad,) = tape._records[-1][2](g)
     assert out.data.tobytes() == want.tobytes()
     assert grad.tobytes() == want_grad.tobytes()
     assert x.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
 
 
-def _max_reduce_softmax_rows(x, axis):
+def _max_reduce_softmax_rows(x):
     """The in-place softmax kernel with the row max taken by a max
     reduction."""
-    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= np.add.reduce(x, axis=axis, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
@@ -486,21 +484,18 @@ def _max_reduce_softmax_rows(x, axis):
                                          ((7, 4), 0)])
 def test_softmax_rows_argmax_max_matches_the_max_reduction(shape, axis, dtype):
     """The row max picked by argmax gives the kernel the bits of a max
-    reduction, also in rows where -0 and +0 tie for the max."""
+    reduction, also in rows where -0 and +0 tie for the max, and in rows
+    strided through memory: the last axis of a view that moves `axis`
+    last."""
     x = _rng(16).normal(size=shape).astype(dtype)
     rows = np.moveaxis(x, axis, -1)  # a view: writes land in x
     rows[0, ...] = -np.abs(rows[0, ...])
     rows[0, ..., :2] = (-0.0, 0.0)  # max of the row, tied between -0 and +0
     rows[-1, ...] = -np.abs(rows[-1, ...])
     rows[-1, ..., :2] = (0.0, -0.0)
-    want = _max_reduce_softmax_rows(x.copy(), axis)
-    got = nm._softmax_rows(x.copy(), axis)
+    want = _max_reduce_softmax_rows(np.moveaxis(x.copy(), axis, -1))
+    got = nm._softmax_rows(np.moveaxis(x.copy(), axis, -1))
     assert got.tobytes() == want.tobytes()
-
-
-def test_softmax_bad_axis():
-    with pytest.raises(ValueError):
-        nm.softmax(Tensor(np.ones((2, 2))), axis=5)
 
 
 # ---- layer_norm ----
@@ -725,9 +720,8 @@ def test_gelu_keeps_finiteness():
         fi = np.finfo(dtype)
         x = np.array([fi.max, -fi.max, 1e13, -1e13, fi.tiny, -0.0,
                       np.inf, -np.inf, np.nan], dtype)
-        out, t, a = (np.empty_like(x) for _ in range(3))
         with np.errstate(all="ignore"):
-            nm._gelu_fwd(x, t, out, a)
+            out = nm._gelu_forward(x)
         np.testing.assert_array_equal(np.isfinite(out), np.isfinite(x))
 
 
@@ -751,21 +745,23 @@ def _traced_peak(fn):
 
 
 def test_gelu_forward_and_backward_peak_memory():
-    """On a 3 MiB float32 array, forward plus backward allocate tanh, the
-    output, the gradient, a finite check's flags and block-sized scratch:
-    under 3 times the array (the whole-array expressions peaked at 6 times)."""
+    """On a 3 MiB float32 array, forward plus backward allocate the output,
+    a finite check's flags, the gradient and block-sized scratch, and the
+    record keeps neither tanh(u) nor the output: under 1.5 times the array
+    (the whole-array expressions peaked at 6 times, a record that kept
+    tanh(u) at 2.3 times)."""
     r = _rng(22)
     x, g = (r.normal(size=(4, 256, 768)).astype(np.float32) for _ in range(2))
+    tape = Tape()
+    xt = Tensor(x)
+    tape.watch(xt)  # its zero gradient buffer is the leaf's, not gelu's
 
     def run():
-        tape = Tape()
-        xt = Tensor(x)
-        tape.watch(xt)
         nm.gelu(xt)
         tape._records[-1][2](g)
 
     peak = _traced_peak(run)
-    assert peak < 3 * x.nbytes, f"peak {peak / x.nbytes:.2f} x the input"
+    assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} x the input"
 
 
 def test_attention_forward_and_backward_peak_memory():
@@ -860,6 +856,33 @@ def test_backward_adds_a_third_contribution_in_place(into):
         assert c.tobytes() == k.tobytes()
 
 
+def test_watch_without_a_buffer_gives_the_leaf_a_zero_buffer():
+    """A leaf watched with no buffer gets a zero-filled one of its own: a
+    leaf the loss does not reach keeps zeros, and a reached leaf's gradient
+    is accumulated there rather than left as the read-only view a rule
+    returned."""
+    x, unused = Tensor(np.ones(3, np.float32)), Tensor(np.ones((2, 2), np.float32))
+    tape = Tape()
+    tape.watch(x)
+    tape.watch(unused)
+    backward(nm.sum_all(x), tape)
+    assert unused.grad.shape == (2, 2) and unused.grad.dtype == np.float32
+    assert not unused.grad.any()
+    assert x.grad.tolist() == [1.0, 1.0, 1.0] and x.grad.flags.writeable
+
+
+def test_a_leaf_the_loss_does_not_reach_gets_zeros_in_its_buffer():
+    """A gradient buffer may hold a previous step's values (an arena view);
+    a leaf the loss does not reach gets them zeroed."""
+    x, y = Tensor(np.ones(3, np.float32)), Tensor(np.ones(3, np.float32))
+    stale = np.full(3, 7.0, np.float32)
+    tape = Tape()
+    tape.watch(x)
+    tape.watch(y, into=stale)
+    backward(nm.sum_all(x), tape)
+    assert y.grad is stale and not stale.any()
+
+
 def test_watch_rejects_a_buffer_that_does_not_fit():
     x = Tensor(np.ones((2, 3), np.float32))
     with pytest.raises(ValueError, match="does not fit"):
@@ -931,7 +954,7 @@ def test_grad_mul():
 
 
 def test_grad_softmax():
-    _check(lambda p: nm.sum_all(nm.mul(nm.softmax(p[0], axis=-1), p[1])),
+    _check(lambda p: nm.sum_all(nm.mul(nm.softmax(p[0]), p[1])),
            [(3, 5), (3, 5)], 23)
 
 
@@ -1016,8 +1039,8 @@ def test_adamw_first_step_closed_form():
     """m-hat = g, v-hat = g^2 on step one, so delta = -lr*g/(|g|+eps)."""
     p = {"w": Tensor(np.array([1.0]))}
     state = OptimState.for_params(p)
-    adamw_step(p, {"w": np.array([2.0])}, state, lr=0.1,
-               beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.0)
+    state.grad["w"][...] = 2.0
+    adamw_step(p, state, lr=0.1, beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.0)
     want = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
     np.testing.assert_allclose(p["w"].data, [want], rtol=1e-12)
     assert state.t == 1
@@ -1026,7 +1049,7 @@ def test_adamw_first_step_closed_form():
 def test_adamw_zero_grad_no_change():
     p = {"w": Tensor(np.array([3.0, -1.0]))}
     state = OptimState.for_params(p)
-    adamw_step(p, {"w": np.zeros(2)}, state, lr=0.5, weight_decay=0.0)
+    adamw_step(p, state, lr=0.5, weight_decay=0.0)  # the arena's zero gradients
     np.testing.assert_array_equal(p["w"].data, [3.0, -1.0])
     assert state.t == 1
 
@@ -1034,7 +1057,7 @@ def test_adamw_zero_grad_no_change():
 def test_adamw_decoupled_decay():
     p = {"w": Tensor(np.array([4.0]))}
     state = OptimState.for_params(p)
-    adamw_step(p, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.2)
+    adamw_step(p, state, lr=0.1, weight_decay=0.2)
     np.testing.assert_allclose(p["w"].data, [4.0 * (1.0 - 0.1 * 0.2)], rtol=1e-12)
 
 
@@ -1044,8 +1067,8 @@ def test_adamw_bit_deterministic():
         p = {"a": Tensor(r.normal(size=(3, 3))), "b": Tensor(r.normal(size=3))}
         state = OptimState.for_params(p)
         for step in range(10):
-            g = {k: np.full_like(v.data, 0.1 * (step + 1)) for k, v in p.items()}
-            adamw_step(p, g, state, lr=1e-2, weight_decay=0.05)
+            state.flat_grad[...] = 0.1 * (step + 1)
+            adamw_step(p, state, lr=1e-2, weight_decay=0.05)
         return {k: v.data.copy() for k, v in p.items()}
 
     one, two = run(), run()
@@ -1056,13 +1079,7 @@ def test_adamw_bit_deterministic():
 def test_adamw_rejects_bad_beta():
     p = {"w": Tensor(np.ones(1))}
     with pytest.raises(ValueError):
-        adamw_step(p, {"w": np.ones(1)}, OptimState.for_params(p), lr=0.1, beta1=1.0)
-
-
-def test_adamw_rejects_shape_mismatch():
-    p = {"w": Tensor(np.ones(2))}
-    with pytest.raises(ValueError):
-        adamw_step(p, {"w": np.ones(3)}, OptimState.for_params(p), lr=0.1)
+        adamw_step(p, OptimState.for_params(p), lr=0.1, beta1=1.0)
 
 
 def _adamw_per_tensor(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):
@@ -1100,8 +1117,8 @@ def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
         for name, g in grads.items():
             state.grad[name][...] = g
         lr = 1e-2 / step
-        adamw_step(params, state.grad, state, lr=lr, beta1=0.9, beta2=0.95,
-                   eps=1e-8, weight_decay=weight_decay)
+        adamw_step(params, state, lr=lr, beta1=0.9, beta2=0.95, eps=1e-8,
+                   weight_decay=weight_decay)
         _adamw_per_tensor(ref, grads, m, v, step, lr, 0.9, 0.95, 1e-8, weight_decay)
     assert state.t == 4
     for name in shapes:
@@ -1117,7 +1134,7 @@ def test_adamw_rejects_a_parameter_moved_off_its_arena_view():
     state = OptimState.for_params(p)
     p["w"].data = p["w"].data.copy()
     with pytest.raises(ValueError, match="arena view"):
-        adamw_step(p, {"w": np.ones(3)}, state, lr=0.1)
+        adamw_step(p, state, lr=0.1)
 
 
 def test_arena_rejects_mixed_dtypes():

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionmae import evalviz as ev
+from motionmae import model as md
+from motionmae import targets as tg
 from motionmae import tokenizer as tk
 
 
@@ -50,6 +53,37 @@ def test_non_divisible_rejected():
         tk.patchify(np.zeros((5, 8, 8, 1), dtype=np.float32), ct=2, cp=4)
     with pytest.raises(ValueError):
         tk.patchify(np.zeros((4, 9, 8, 1), dtype=np.float32), ct=2, cp=4)
+
+
+_GRID = tk.TokenGrid(2, 2, 2, 2, 4, 1)  # clips (4, 8, 8, 1)
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8, 1), (3, 4, 8, 8, 1)], ids=["clip", "batch"])
+def test_check_clip_accepts_clips_of_the_grid(shape):
+    tk.check_clip(np.zeros(shape), _GRID)
+    assert tk.patchify(np.zeros(shape), _GRID.ct, _GRID.cp)[1] == _GRID
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 8, 1), (4, 8, 12, 1), (4, 8, 8, 3),
+                                   (8, 8, 1), (4, 8, 9, 1)],
+                         ids=["frames", "width", "channels", "rank", "not-divisible"])
+def test_check_clip_rejects_clips_of_another_grid(shape):
+    with pytest.raises(ValueError, match="does not tokenize to"):
+        tk.check_clip(np.zeros(shape), _GRID)
+
+
+@pytest.mark.parametrize("use", [
+    lambda clip, mask: md._tokens(clip, _GRID),
+    lambda clip, mask: tg.make_space_target(clip, mask, _GRID),
+    lambda clip, mask: tg.make_motion_target(clip, mask, _GRID, 1),
+    lambda clip, mask: ev.build_recon_grid(clip, mask, None, None, _GRID),
+], ids=["model-tokens", "space-target", "motion-target", "recon-grid"])
+def test_every_tokenizing_caller_rejects_a_clip_of_another_grid(use):
+    """The model, both targets and the reconstruction grid check a clip
+    against their grid through check_clip."""
+    mask = tk.sample_mask(_GRID, 0.5, "random", seed=0)
+    with pytest.raises(ValueError, match="does not tokenize to"):
+        use(np.zeros((4, 8, 12, 1), np.float32), mask)
 
 
 def test_unpatchify_degenerate_cases():

@@ -605,8 +605,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_bytes_match_the_joined_form(tmp_path):
-    """The streamed checkpoint has the bytes of the whole blob joined in
-    memory, record by record, with its digest appended."""
+    """The streamed checkpoint has the bytes of the version-2 layout joined
+    in memory: header, step and table size, the name and shape of each
+    parameter in arena order, the parameter, first-moment and second-moment
+    payloads, and the digest."""
     clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=2)
     params = md.init_params(enc, dec, seed=1)
     opt = OptimState.for_params(params)
@@ -614,17 +616,10 @@ def test_checkpoint_bytes_match_the_joined_form(tmp_path):
     digest = tr.config_digest(cfg)
     tr.save_checkpoint(params, opt, 1, digest, tmp_path / "c.mmck")
 
-    def record(name, arr):
-        nb = name.encode()
-        head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
-        head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        return head + arr.astype("<f4").tobytes()
-
-    body = [tr.CHECKPOINT_MAGIC, struct.pack("<B", tr.CHECKPOINT_VERSION), digest,
-            struct.pack("<Q", 1)]
-    for name, p in params.items():
-        body += [record(f"param:{name}", p.data), record(f"m:{name}", opt.m[name]),
-                 record(f"v:{name}", opt.v[name])]
+    body = [b"MMCK", struct.pack("<B", 2), digest, struct.pack("<QI", 1, len(params))]
+    body += [_entry(name.encode(), p.shape) for name, p in params.items()]
+    for arrays in ({k: p.data for k, p in params.items()}, opt.m, opt.v):
+        body += [arrays[k].astype("<f4").tobytes() for k in params]
     blob = b"".join(body)
     assert (tmp_path / "c.mmck").read_bytes() == blob + hashlib.sha256(blob).digest()
 
@@ -661,18 +656,18 @@ def _spy_first_update(monkeypatch, seen):
     parameters before and after the step."""
     real = tr.adamw_step
 
-    def spy(params, grads, state, **kw):
+    def spy(params, state, **kw):
         if seen:
-            return real(params, grads, state, **kw)
+            return real(params, state, **kw)
         seen["homed"] = all(
             p.data is state.param[k] and np.shares_memory(p.data, state.flat_param)
-            and p.grad is grads[k] is state.grad[k]
+            and p.grad is state.grad[k]
             and np.shares_memory(state.m[k], state.flat_m)
             and np.shares_memory(state.v[k], state.flat_v)
             for k, p in params.items())
         seen["before"] = {k: p.data.copy() for k, p in params.items()}
         seen["t"] = state.t
-        real(params, grads, state, **kw)
+        real(params, state, **kw)
         seen["after"] = {k: p.data.copy() for k, p in params.items()}
 
     monkeypatch.setattr(tr, "adamw_step", spy)
@@ -786,6 +781,21 @@ def test_checkpoint_rejects_double_precision(tmp_path):
         tr.save_checkpoint(params, opt, 0, bytes(32), tmp_path / "c.mmck")
 
 
+def test_checkpoint_rejects_params_that_are_not_the_arena(tmp_path):
+    """The payloads are the arena, so a rebound tensor, whose values the
+    arena no longer holds, or params of another state are rejected rather
+    than saved stale."""
+    params, opt = _small_state()
+    other, _ = _small_state()
+    with pytest.raises(ValueError, match="not the tensors"):
+        tr.save_checkpoint(other | {"enc.x": other["enc.w"]}, opt, 1, bytes(32),
+                           tmp_path / "c.mmck")
+    params["enc.w"].data = params["enc.w"].data + 1
+    with pytest.raises(ValueError, match="arena view"):
+        tr.save_checkpoint(params, opt, 1, bytes(32), tmp_path / "c.mmck")
+    assert not (tmp_path / "c.mmck").exists()
+
+
 def test_checkpoint_corrupted_byte_digest_error(tmp_path):
     params, opt = _small_state()
     p = tmp_path / "c.mmck"
@@ -807,17 +817,18 @@ def test_checkpoint_config_digest_mismatch(tmp_path):
 
 
 def test_checkpoint_version_and_magic_errors(tmp_path):
+    """A version byte other than 2, version 1's included, is a version
+    error: no reader for the old record stream is kept."""
     params, opt = _small_state()
     p = tmp_path / "c.mmck"
     tr.save_checkpoint(params, opt, 1, bytes(32), p)
 
-    blob = bytearray(p.read_bytes())
-    blob[4] = 42
-    content = bytes(blob[:-32])
-    import hashlib
-    p.write_bytes(content + hashlib.sha256(content).digest())
-    with pytest.raises(tr.CheckpointVersionError):
-        tr.load_checkpoint(p)
+    for version in (1, 42):
+        blob = bytearray(p.read_bytes())
+        blob[4] = version
+        p.write_bytes(_redigested(bytes(blob[:-32])))
+        with pytest.raises(tr.CheckpointVersionError):
+            tr.load_checkpoint(p)
 
     p.write_bytes(b"JUNK" + bytes(80))
     with pytest.raises(tr.CheckpointFormatError):
@@ -825,31 +836,12 @@ def test_checkpoint_version_and_magic_errors(tmp_path):
 
 
 def test_checkpoint_duplicate_record_rejected(tmp_path):
-    """A record name that repeats is a malformed file, even when the content
-    digest is right, not a silent overwrite."""
-    import hashlib
-    import struct
-    x = np.arange(3, dtype=np.float32)
-    body = [tr.CHECKPOINT_MAGIC, struct.pack("<B", tr.CHECKPOINT_VERSION), bytes(32),
-            struct.pack("<Q", 1)]
-    body += [b"".join(tr._record(name, x))
-             for name in ("param:x", "m:x", "v:x", "param:x")]
-    content = b"".join(body)
+    """A name that repeats in the table is a malformed file, even when the
+    content digest is right, not a silent overwrite."""
+    table = _entry(b"x", (3,)) + _entry(b"x", (3,))
     p = tmp_path / "dup.mmck"
-    p.write_bytes(content + hashlib.sha256(content).digest())
-    with pytest.raises(tr.CheckpointFormatError, match="duplicate"):
-        tr.load_checkpoint(p)
-
-
-@pytest.mark.parametrize("kind", ["m", "v"])
-def test_checkpoint_moment_of_another_shape_is_format_error(tmp_path, kind):
-    """A moment record must have its parameter's shape; a (7,) moment for a
-    (3, 4) parameter would otherwise load and fail only inside AdamW."""
-    params, opt = _small_state()
-    getattr(opt, kind)["enc.w"] = np.zeros(7, dtype=np.float32)
-    p = tmp_path / "c.mmck"
-    tr.save_checkpoint(params, opt, 1, bytes(32), p)
-    with pytest.raises(tr.CheckpointFormatError, match=f"'{kind}:enc.w'"):
+    p.write_bytes(_redigested(_header(2) + table + bytes(12 * 6)))
+    with pytest.raises(tr.CheckpointFormatError, match="duplicate name 'x'"):
         tr.load_checkpoint(p)
 
 
@@ -862,23 +854,41 @@ def test_checkpoint_truncation_error(tmp_path):
         tr.load_checkpoint(p)
 
 
+@pytest.mark.parametrize("change,error", [(-4, tr.CheckpointTruncatedError),
+                                          (4, tr.CheckpointFormatError)],
+                         ids=["short", "long"])
+def test_checkpoint_payloads_must_fill_the_table(tmp_path, change, error):
+    """Payloads shorter than the table's shapes need are cut short; longer
+    ones are malformed."""
+    params, opt = _small_state()
+    p = tmp_path / "c.mmck"
+    tr.save_checkpoint(params, opt, 1, bytes(32), p)
+    content = p.read_bytes()[:-32]
+    content = content[:change] if change < 0 else content + bytes(change)
+    p.write_bytes(_redigested(content))
+    with pytest.raises(error, match="payload bytes"):
+        tr.load_checkpoint(p)
+
+
 def _redigested(content: bytes) -> bytes:
-    import hashlib
     return content + hashlib.sha256(content).digest()
 
 
-def _header(step=1):
-    import struct
+def _header(count, step=1):
+    """Magic, version, a zero config digest, the step and the table size."""
     return (tr.CHECKPOINT_MAGIC + struct.pack("<B", tr.CHECKPOINT_VERSION)
-            + bytes(32) + struct.pack("<Q", step))
+            + bytes(32) + struct.pack("<QI", step, count))
+
+
+def _entry(name: bytes, dims) -> bytes:
+    """One table entry: the name's length and bytes, the rank, the dims."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims))
 
 
 def test_checkpoint_non_utf8_record_name_is_format_error(tmp_path):
-    x = np.arange(3, dtype=np.float32)
-    record = b"".join(tr._record("param:x", x))
-    record = record[:2] + b"\xff" + record[3:]  # first name byte
     p = tmp_path / "name.mmck"
-    p.write_bytes(_redigested(_header() + record))
+    p.write_bytes(_redigested(_header(1) + _entry(b"\xffx", (3,)) + bytes(12 * 3)))
     with pytest.raises(tr.CheckpointFormatError, match="UTF-8"):
         tr.load_checkpoint(p)
 
@@ -886,12 +896,9 @@ def test_checkpoint_non_utf8_record_name_is_format_error(tmp_path):
 def test_checkpoint_dims_too_large_to_count_are_truncation(tmp_path):
     """Dims whose product overflows int64 (2**31 * 2**31 * 4 = 2**64) must not
     wrap to an empty payload."""
-    import struct
-    name = b"param:x"
-    record = (struct.pack("<H", len(name)) + name + struct.pack("<B", 3)
-              + struct.pack("<3I", 2 ** 31, 2 ** 31, 4) + bytes(12))
     p = tmp_path / "dims.mmck"
-    p.write_bytes(_redigested(_header() + record))
+    p.write_bytes(_redigested(_header(1) + _entry(b"x", (2 ** 31, 2 ** 31, 4))
+                              + bytes(12)))
     with pytest.raises(tr.CheckpointTruncatedError):
         tr.load_checkpoint(p)
 
@@ -899,37 +906,36 @@ def test_checkpoint_dims_too_large_to_count_are_truncation(tmp_path):
 @pytest.mark.parametrize("dims", [(3, 0, 2 ** 31, 2 ** 31, 2 ** 31), (1,) * 70])
 def test_checkpoint_dims_numpy_cannot_shape_are_format_error(tmp_path, dims):
     """An empty payload whose dims still overflow numpy's size, or more dims
-    than numpy allows, is a malformed record."""
-    import struct
-    name = b"param:x"
+    than numpy allows, is a malformed table."""
     count = int(np.prod(dims, dtype=object))
-    record = (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
-              + struct.pack(f"<{len(dims)}I", *dims) + bytes(4 * count))
     p = tmp_path / "dims.mmck"
-    p.write_bytes(_redigested(_header() + record))
+    p.write_bytes(_redigested(_header(1) + _entry(b"x", dims) + bytes(12 * count)))
     with pytest.raises(tr.CheckpointFormatError, match="cannot shape"):
         tr.load_checkpoint(p)
 
 
-_RECORDS_AT = 45  # magic + version + config digest + step
+_TABLE_AT = 45  # magic + version + config digest + step; the table size follows
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_checkpoint_damaged_records_raise_only_checkpoint_errors(tmp_path, data):
-    """Truncations and byte flips in the record region, re-digested so that
-    only the records are wrong, either load or raise a CheckpointError."""
+    """Truncations, and byte flips in the table and its size, re-digested so
+    that only the table or the payload length is wrong, either load or raise
+    a CheckpointError."""
     params, opt = _small_state()
     p = tmp_path / "c.mmck"
     tr.save_checkpoint(params, opt, 1, bytes(32), p)
     content = bytearray(p.read_bytes()[:-32])
+    table_end = _TABLE_AT + 4 + sum(len(_entry(k.encode(), t.shape))
+                                    for k, t in params.items())
     if data.draw(st.booleans(), label="truncate"):
-        cut = data.draw(st.integers(_RECORDS_AT, len(content) - 1), label="cut")
+        cut = data.draw(st.integers(_TABLE_AT, len(content) - 1), label="cut")
         content = content[:cut]
     else:
         flips = data.draw(st.lists(st.tuples(
-            st.integers(_RECORDS_AT, len(content) - 1), st.integers(1, 255)),
+            st.integers(_TABLE_AT, table_end - 1), st.integers(1, 255)),
             min_size=1, max_size=4), label="flips")
         for at, xor in flips:
             content[at] ^= xor
