@@ -280,6 +280,15 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 # by size, never by a timing, so every host runs the same passes.
 BLOCK = 2**16
 
+# Attention weights per call, 2**18 of them (1 MiB of float32), up to which
+# `attention` holds its weights for the backward: weights that small cost
+# little memory, and recomputing them would still cost a score GEMM and a
+# softmax. Larger weights are recomputed. Evaluation sizes its chunks so
+# that one block's scores stay within it, and in cache
+# (`training.eval_chunk_clips`). Fixed by size, so every host runs the same
+# operations.
+SCORE_BUDGET = 2**18
+
 
 # ---------------------------------------------------------------------------
 # Neural-network operations
@@ -378,6 +387,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     Besides the output it checks the scaled scores: the softmax maps a
     single -inf score to a weight of 0, which would hide it.
+
+    The record keeps q, k and v, and the (..., heads, N, N) softmax weights
+    only while they fit in SCORE_BUDGET values. Larger weights are dropped
+    once the output is mixed, and the backward recomputes them by the
+    forward's own GEMM, scale and softmax on the same operands, so they come
+    back bit for bit, and frees them when it returns, once the softmax
+    gradient and the values' gradient are taken (selective recomputation,
+    as in FlashAttention's backward: Dao et al., arXiv 2205.14135).
     """
     _check_dtypes(q, k)
     _check_dtypes(q, v)
@@ -400,21 +417,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = 1.0 / math.sqrt(dh)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= c
-    if not np.isfinite(scores).all():
+
+    def scaled_scores():
+        s = qh @ kh.swapaxes(-1, -2)
+        s *= c
+        return s
+
+    probs = scaled_scores()
+    if not np.isfinite(probs).all():
         raise NonFiniteError("attention produced non-finite scores")
-    probs = _softmax_rows(scores)  # in place: the scores become the weights
+    _softmax_rows(probs)  # in place: the scores become the weights
+    out = merge(probs @ vh)
+    held = probs if probs.size <= SCORE_BUDGET else None
 
     def rule(g):
         gm = split(g)
-        gs = _softmax_grad(probs, gm @ vh.swapaxes(-1, -2))
+        w = held if held is not None else _softmax_rows(scaled_scores())
+        gs = _softmax_grad(w, gm @ vh.swapaxes(-1, -2))
         gs *= c
         # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return merge(gs @ kh), merge(gk), merge(probs.swapaxes(-1, -2) @ gm)
+        return merge(gs @ kh), merge(gk), merge(w.swapaxes(-1, -2) @ gm)
 
-    return _result(merge(probs @ vh), (q, k, v), rule)
+    return _result(out, (q, k, v), rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

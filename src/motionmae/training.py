@@ -36,10 +36,6 @@ from .targets import TargetConfig, make_targets
 from .tokenizer import Mask, TokenGrid, sample_mask
 from .videodata import write_atomic
 
-# float32 attention scores that one evaluation chunk may hold per block:
-# 2**18 of them are 1 MiB, which stays in cache
-EVAL_SCORE_BUDGET = 2**18
-
 # offsets of the run seed's fan-out to the data, the masks and parameter init
 SEED_DATA, SEED_MASKS, SEED_INIT = 1, 2, 3
 
@@ -314,10 +310,10 @@ def run_pretrain(
 
 def eval_chunk_clips(grid: TokenGrid, enc_cfg: EncoderConfig) -> int:
     """Clips per `classify` call in evaluation: as many as keep one block's
-    (chunk, heads, N, N) attention scores within EVAL_SCORE_BUDGET, and at
-    least one. It depends on the grid and the config alone, so runs stay
-    deterministic."""
-    return max(1, EVAL_SCORE_BUDGET // (enc_cfg.heads * grid.num_tokens ** 2))
+    (chunk, heads, N, N) attention scores within `numerics.SCORE_BUDGET`,
+    and at least one. It depends on the grid and the config alone, so runs
+    stay deterministic."""
+    return max(1, nm.SCORE_BUDGET // (enc_cfg.heads * grid.num_tokens ** 2))
 
 
 def evaluate_top1(

@@ -267,6 +267,74 @@ def _assert_attention_bits(b, n, dim, heads, dtype):
         assert t.grad.tobytes() == w.tobytes()
 
 
+def _attention_bits(q, k, v, g, heads):
+    """The output and the three input gradients of one taped attention call
+    under the upstream gradient g, as bytes."""
+    ts = [Tensor(a) for a in (q, k, v)]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    out = nm.attention(*ts, heads)
+    backward(nm.sum_all(nm.mul(out, Tensor(g))), tape)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+def test_attention_recomputed_weights_match_the_held_ones_bit_for_bit(monkeypatch):
+    """With a budget of 0 every record drops its weights, and the backward
+    recomputes them by the forward's GEMM, scale and softmax on the same
+    operands, so the output and all three gradients match the held path bit
+    for bit, in both precisions, also where the (b * heads * n) rows span
+    several softmax-gradient blocks. A head width of 3 makes the scale
+    1/sqrt(3) inexact, so scaling q or k before the GEMM would differ."""
+    cases = ((2, 7, 9, 3), (2, 192, 6, 2))
+    b, n, _, heads = cases[1]
+    assert b * heads * n > 2 * (nm.BLOCK // n)
+    for b, n, dim, heads in cases:
+        assert b * heads * n * n <= nm.SCORE_BUDGET  # the default holds them
+        for dtype in (np.float32, np.float64):
+            r = _rng(15)
+            arrays = [r.normal(size=(b, n, dim)).astype(dtype) for _ in range(4)]
+            held = _attention_bits(*arrays, heads)
+            with monkeypatch.context() as m:
+                m.setattr(nm, "SCORE_BUDGET", 0)
+                assert _attention_bits(*arrays, heads) == held
+
+
+def test_grad_attention_with_recomputed_weights(monkeypatch):
+    from motionmae.cli import GRADCHECK_TOLERANCE
+
+    monkeypatch.setattr(nm, "SCORE_BUDGET", 0)
+    r = _rng(35)
+    params = [Tensor(r.normal(size=(2, 4, 6))) for _ in range(4)]
+    err = finite_diff_check(
+        lambda p: nm.sum_all(nm.mul(nm.attention(p[0], p[1], p[2], 2), p[3])), params)
+    assert err < GRADCHECK_TOLERANCE, f"max relative gradient error {err:.3e}"
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["held", "recomputed"])
+def test_attention_non_finite_scores_raise_on_both_paths(monkeypatch, budget):
+    """A -inf score, which the softmax would hide as a weight of 0, and a NaN
+    one, forced by writing NaN into a query that the tensor already holds,
+    raise before the record decides whether to keep its weights."""
+    if budget is not None:
+        monkeypatch.setattr(nm, "SCORE_BUDGET", budget)
+    v = np.array([[1.0, 2.0], [3.0, 4.0]])
+    cases = ((np.array([[1e200, 0.0], [0.5, 0.0]]),
+              np.array([[-1e200, 0.0], [0.5, 0.0]]), np.isneginf),
+             (np.array([[np.nan, 0.0], [0.5, 0.0]]),
+              np.array([[1.0, 0.0], [0.5, 0.0]]), np.isnan))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, k, bad in cases:
+            assert bad(q @ k.T).any()
+            ts = [Tensor(np.zeros((2, 2))) for _ in range(3)]
+            tape = Tape()
+            for t, a in zip(ts, (q, k, v)):
+                t.data[...] = a
+                tape.watch(t)
+            with pytest.raises(NonFiniteError, match="scores"):
+                nm.attention(*ts, 1)
+
+
 def test_attention_rejects_misfit_inputs():
     x = Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ValueError, match="heads"):
@@ -784,6 +852,33 @@ def test_attention_forward_and_backward_peak_memory():
 
     peak = _traced_peak(run)
     assert peak < 2.5 * scores, f"peak {peak / scores:.2f} x the scores"
+
+
+@pytest.mark.parametrize("b, held", [(4, False), (1, True)])
+def test_attention_record_holds_its_weights_only_within_the_budget(b, held):
+    """After a taped forward over (b, 256, 32) inputs with 4 heads, the
+    record holds the (b, 4, 256, 256) float32 weights only where they fit in
+    SCORE_BUDGET: 262,144 of them at b = 1 do, 1,048,576 at b = 4 do not,
+    and then the record holds a few KiB beside the output."""
+    r = _rng(25)
+    n, dim, heads = 256, 32, 4
+    weights = b * heads * n * n
+    assert (weights <= nm.SCORE_BUDGET) == held
+    ts = [Tensor(r.normal(size=(b, n, dim)).astype(np.float32)) for _ in range(3)]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    tracemalloc.start()
+    try:
+        out = nm.attention(*ts, heads)
+        kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    if held:
+        assert kept >= 4 * weights, f"record holds {kept} bytes"
+    else:
+        assert kept < 4 * weights / 64, f"record holds {kept} bytes"
 
 
 # ---- backward ----

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from motionmae import tokenizer as tk
 from motionmae import training as tr
 from motionmae import videodata as vd
 from motionmae.numerics import OptimState, Tape, Tensor, backward
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
 def _mask_of(bits):
@@ -565,6 +568,95 @@ def test_chunked_evaluation_matches_per_clip_logits():
     assert top1 == np.mean([np.argmax(r) == y for r, y in zip(singles, labels)])
     _, again = tr.evaluate_top1(clips, labels, grid, enc, params, 4)
     assert np.stack(again).tobytes() == np.stack(logits).tobytes()
+
+
+def _workload_resolved(name, tmp_path):
+    """The run config of a benchmark workload (perfbench/workloads.py) at
+    seed 7, and what `cli.load_config` resolves from it."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    run, _ = workloads.configs(name, 7)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))
+    return run, cli.load_config(str(path))[1]
+
+
+def _spy_attention_paths(monkeypatch) -> list:
+    """Wrap numerics.attention where the model looks it up: each taped call
+    appends (its weight count, whether its record holds the weights)."""
+    seen, real = [], nm.attention
+
+    def spy(q, k, v, heads):
+        out = real(q, k, v, heads)
+        rule = out.tape._records[-1][2]
+        cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+        n = q.shape[-2]
+        seen.append((int(np.prod(q.shape[:-2])) * heads * n * n,
+                     cells["held"].cell_contents is not None))
+        return out
+
+    monkeypatch.setattr(nm, "attention", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name, pretrain, finetune", [
+    ("tiny-pipeline", {(8192, True), (65536, True)}, {(131072, True)}),
+    ("tiny-variants", {(2048, True), (65536, True)}, {(131072, True)}),
+    ("desk-pipeline", {(65536, True), (524288, False)}, {(1048576, False)}),
+])
+def test_workload_attention_records_hold_or_recompute_their_weights(
+        monkeypatch, tmp_path, name, pretrain, finetune):
+    """One taped pretraining and finetuning forward at each benchmark
+    workload's shapes: every tiny record (at most 131,072 weights) and the
+    desk pretraining encoder's (65,536) hold their weights; the desk
+    decoder's (524,288) and finetuning encoder's (1,048,576) recompute them."""
+    run, (grid, enc, dec, pre_cfg, ft_cfg) = _workload_resolved(name, tmp_path)
+    seen = _spy_attention_paths(monkeypatch)
+    r = np.random.default_rng(0)
+    shape = tuple(run["data"][k] for k in ("T", "H", "W", "channels"))
+    for pretraining, cfg, want in ((True, pre_cfg, pretrain),
+                                   (False, ft_cfg, finetune)):
+        params = md.init_params(enc, dec if pretraining else None, seed=1,
+                                num_classes=4)
+        tape = Tape()
+        for p in params.values():
+            tape.watch(p)
+        clips = [r.random(shape).astype(np.float32) for _ in range(cfg.batch_size)]
+        seen.clear()
+        if pretraining:
+            masks = [tk.sample_mask(grid, cfg.mask_ratio, cfg.mask_strategy, seed=i)
+                     for i in range(cfg.batch_size)]
+            tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg)
+        else:
+            md.classify(clips, grid, enc, params, 4)
+        assert set(seen) == want
+
+
+def test_desk_finetune_forward_holds_no_attention_weights():
+    """A taped desk finetuning forward (batch 4, 256 tokens, 4 encoder
+    blocks of 4 heads) holds about 37.5 MiB at its end. Its four
+    (4, 4, 256, 256) float32 weight arrays are recomputed in the backward;
+    holding them again adds 16 MiB (53.5 MiB)."""
+    clips = [vd.dataset_clip(i, 8, 64, 64, seed=5)[0] for i in range(4)]
+    _, grid = tk.patchify(clips[0], 2, 8)
+    enc, _ = md.preset_configs("desk", grid)
+    assert grid.num_tokens == 256 and (enc.depth, enc.heads) == (4, 4)
+    params = md.init_params(enc, None, seed=3, num_classes=4)
+    opt = OptimState.for_params(params)
+    tape = Tape()
+    for name, p in params.items():
+        tape.watch(p, into=opt.grad[name])
+    tracemalloc.start()
+    try:
+        loss = tr.cross_entropy(md.classify(clips, grid, enc, params, 4), [0, 1, 2, 3])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.tape is tape
+    assert held < 45 * 2**20, f"{held / 2**20:.1f} MiB held after the forward"
 
 
 def test_finetune_rejects_single_class():
