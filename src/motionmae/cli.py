@@ -244,12 +244,13 @@ def _build_model_cfgs(cfg: dict, grid):
         with _field_errors({"preset": "model.preset", "arch": "model.arch"}):
             return preset_configs(model["preset"], grid, arch=model["arch"])
     with _field_errors({"depth": "model.enc_depth", "embed_dim": "model.enc_dim",
-                        "heads": "model.enc_heads"}):
+                        "heads": "model.enc_heads", "mlp_ratio": "model.enc_mlp"}):
         enc = EncoderConfig(depth=model["enc_depth"], embed_dim=model["enc_dim"],
                             heads=model["enc_heads"], mlp_ratio=model["enc_mlp"],
                             token_dim=grid.token_dim)
     with _field_errors({"depth": "model.dec_depth", "embed_dim": "model.dec_dim",
-                        "heads": "model.dec_heads", "arch": "model.arch"}):
+                        "heads": "model.dec_heads", "mlp_ratio": "model.dec_mlp",
+                        "arch": "model.arch"}):
         dec = DecoderConfig(depth=model["dec_depth"], embed_dim=model["dec_dim"],
                             heads=model["dec_heads"], mlp_ratio=model["dec_mlp"],
                             space_dim=grid.token_dim, time_dim=grid.motion_dim,
@@ -316,8 +317,9 @@ def _resolve(cfg: dict):
     return grid, enc, dec, pretrain, finetune
 
 
-def _load_dataset(root, cfg: dict):
-    """Read clips and integer labels from a dataset directory."""
+def _load_dataset(root, grid):
+    """Read clips and integer labels from a dataset directory; every clip
+    must have the grid's clip shape."""
     from .videodata import DIRECTIONS, load_dataset_clip, read_labels
 
     if root is None:
@@ -325,13 +327,12 @@ def _load_dataset(root, cfg: dict):
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory {root} does not exist")
-    want = (cfg["data"]["T"], cfg["data"]["H"], cfg["data"]["W"], cfg["data"]["channels"])
     clips, labels = [], []
     for clip_id, label in read_labels(root):
         clip = load_dataset_clip(root, clip_id)
-        if clip.shape != want:
+        if clip.shape != grid.clip_shape:
             raise ConfigError(f"dataset clip {clip_id} at {root} has shape "
-                              f"{clip.shape}, config says {want}")
+                              f"{clip.shape}, config says {grid.clip_shape}")
         clips.append(clip)
         labels.append(DIRECTIONS.index(label))
     if not clips:
@@ -398,12 +399,12 @@ def _pretrain(cfg: dict, resolved: tuple, clips, out_dir: Path) -> Path:
     return final
 
 
-def _finetune_data(cfg: dict) -> tuple:
+def _finetune_data(cfg: dict, grid) -> tuple:
     """(train clips, train labels, val clips, val labels); the val set
-    defaults to the train set."""
-    train = _load_dataset(cfg["data"]["dir"], cfg)
-    val = _load_dataset(cfg["data"]["val_dir"] or cfg["data"]["dir"], cfg)
-    return (*train, *val)
+    defaults to the train set, read once."""
+    train = _load_dataset(cfg["data"]["dir"], grid)
+    val_dir = cfg["data"]["val_dir"]
+    return (*train, *(train if val_dir is None else _load_dataset(val_dir, grid)))
 
 
 def _finetune(resolved: tuple, data: tuple, init_from) -> dict:
@@ -420,7 +421,7 @@ def _finetune(resolved: tuple, data: tuple, init_from) -> dict:
 
 def cmd_pretrain(args) -> int:
     cfg, resolved = load_config(args.config)
-    clips, _ = _load_dataset(cfg["data"]["dir"], cfg)
+    clips, _ = _load_dataset(cfg["data"]["dir"], resolved[0])
     out_dir = Path(cfg["out_dir"])
     final = _pretrain(cfg, resolved, clips, out_dir)
     last = (out_dir / "loss.csv").read_text().strip().splitlines()[-1]
@@ -434,7 +435,7 @@ def cmd_finetune(args) -> int:
     from .evalviz import metrics_report
     from .videodata import write_atomic
 
-    data = _finetune_data(cfg)
+    data = _finetune_data(cfg, resolved[0])
     init_from = None if args.init in (None, "none") else args.init
     report = _finetune(resolved, data, init_from)
     out = metrics_report(report["val_logits"], data[3])
@@ -466,20 +467,20 @@ def cmd_reconstruct(args) -> int:
 
     data = cfg["data"]
     if data["dir"] is not None:
-        clips, _ = _load_dataset(data["dir"], cfg)
+        clips, _ = _load_dataset(data["dir"], grid)
         clip = clips[0]
     else:  # the first clip gen-data would write
         clip, _ = dataset_clip(0, data["T"], data["H"], data["W"],
                                cfg["seed"] + SEED_DATA, data["channels"])
-    kind = cfg["targets"]["kind"]
-    params = init_params(enc, dec, seed=cfg["seed"] + SEED_INIT, target_kind=kind)
+    params = init_params(enc, dec, seed=cfg["seed"] + SEED_INIT,
+                         target_kind=cfg["targets"]["kind"])
     if args.init not in (None, "none"):
         load_params(args.init, params)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for r, mask in zip(ratios, masks):
-        ps, pt = forward_pretrain(clip, mask, grid, enc, dec, params, kind)
+        ps, pt = forward_pretrain(clip, mask, grid, enc, dec, params)
         path = out_dir / f"recon_{int(round(r * 100)):02d}.ppm"
         render_reconstruction(clip, mask,
                               None if ps is None else ps.data,
@@ -616,7 +617,7 @@ def _apply_setting(cfg: dict, axis: str, value) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    cfg, _ = load_config(args.config)
+    cfg, (grid, *_) = load_config(args.config)
     from .targets import TARGET_KINDS
     from .training import LOSS_KINDS
     from .videodata import write_atomic
@@ -634,7 +635,7 @@ def cmd_ablate(args) -> int:
     # reject any setting before the first run
     resolved = [_resolve(sub) for sub in settings]
 
-    data = _finetune_data(cfg)
+    data = _finetune_data(cfg, grid)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

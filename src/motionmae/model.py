@@ -27,11 +27,10 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
+from .targets import HEADS_OF_KIND
 from .tokenizer import Mask, TokenGrid, check_clip, patchify, sincos_posenc
 
 DECODER_ARCHS = ("parallel", "shared")
-HEADS = ("space", "time")
-HEADS_OF_KIND = {"frame": ("space",), "motion": ("time",), "both": HEADS}
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,8 @@ class _StackConfig:
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(f"heads {self.heads} do not divide embed_dim "
                              f"{self.embed_dim}")
+        if not 0.0 <= self.mlp_ratio < math.inf:  # `not` also rejects NaN
+            raise ValueError(f"mlp_ratio must be finite and >= 0, got {self.mlp_ratio}")
 
     @property
     def mlp_dim(self) -> int:
@@ -303,19 +304,16 @@ def decode(
     grid: TokenGrid,
     cfg: DecoderConfig,
     params: dict[str, Tensor],
-    heads: tuple[str, ...] = HEADS,
 ) -> dict[str, Tensor]:
-    """Predict each head's output at every grid position (visible included).
+    """Predict the output of each head the parameters hold at every grid
+    position (visible included).
 
     Takes (Nv, E) latents with a Mask of (N,) bits, giving (N, out)
     predictions, or (B, Nv, E) latents with a Mask of (B, N) bits, giving
     (B, N, out). A shared decoder runs its one stack once and feeds every
     head from it.
     """
-    for head in heads:
-        if f"dec.{head}.out.w" not in params:
-            raise ValueError(f"no {head!r} head in this model (unknown, or "
-                             "disabled by the target kind)")
+    heads = tuple(h for h in HEADS_OF_KIND["both"] if f"dec.{h}.out.w" in params)
     dtype = params_dtype(params)
     bits = mask.bits
     if bits.shape[-1] != grid.num_tokens:
@@ -343,17 +341,16 @@ def forward_pretrain(
     enc_cfg: EncoderConfig,
     dec_cfg: DecoderConfig,
     params: dict[str, Tensor],
-    target_kind: str = "both",
 ) -> tuple[Tensor | None, Tensor | None]:
     """Masked forward pass: returns (space predictions, time predictions),
-    with disabled heads as None.
+    with the heads the parameters lack as None.
 
     One clip (T, H, W, C) with a Mask of (N,) bits gives N x out_dim
     predictions; B stacked clips (B, T, H, W, C) with a Mask of (B, N) bits
     run as one batch and give B x N x out_dim.
     """
     latents = encode(_tokens(clip, grid), mask, grid, enc_cfg, params)
-    preds = decode(latents, mask, grid, dec_cfg, params, HEADS_OF_KIND[target_kind])
+    preds = decode(latents, mask, grid, dec_cfg, params)
     return preds.get("space"), preds.get("time")
 
 
@@ -362,13 +359,10 @@ def classify(
     grid: TokenGrid,
     cfg: EncoderConfig,
     params: dict[str, Tensor],
-    num_classes: int,
 ) -> Tensor:
     """Encode every token (nothing masked), mean-pool, project to logits:
-    (B, classes) for a sequence of B clips, (1, classes) for one clip."""
-    if params["cls.b"].shape != (num_classes,):
-        raise ValueError(f"classifier head has {params['cls.b'].shape[0]} classes, "
-                         f"asked for {num_classes}")
+    (B, classes) for a sequence of B clips, (1, classes) for one clip, with
+    as many classes as the `cls` head has."""
     tokens = _tokens(clips, grid)
     if tokens.ndim == 2:
         tokens = tokens[None]

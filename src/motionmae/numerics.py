@@ -28,8 +28,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "tape", "node_id")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if not np.isfinite(arr).all():
@@ -442,11 +442,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _result(out, (q, k, v), rule)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance, then
-    apply the gamma/beta affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit population variance, with
+    1e-6 added to the variance, then apply the gamma/beta affine."""
     xd, gd, bd = x.data, gamma.data, beta.data
     d = xd.shape[-1]
     if gd.shape != (d,) or bd.shape != (d,):
@@ -459,12 +457,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         return s
 
     # The IEEE operations and order of xc = x - mean(x),
-    # inv = 1/sqrt(mean(xc*xc) + eps), xhat = xc*inv, out = xhat*gamma + beta,
+    # inv = 1/sqrt(mean(xc*xc) + 1e-6), xhat = xc*inv, out = xhat*gamma + beta,
     # written into two full-size buffers: xc becomes xhat, xc*xc the output.
     xhat = xd - mean(xd)
     out = xhat * xhat
     inv = mean(out)
-    inv += eps
+    inv += 1e-6
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

@@ -15,7 +15,9 @@ import numpy as np
 
 from .tokenizer import Mask, TokenGrid, check_clip, patchify
 
-TARGET_KINDS = ("frame", "motion", "both")
+# the reconstruction heads each target kind trains, in decoding order
+HEADS_OF_KIND = {"frame": ("space",), "motion": ("time",), "both": ("space", "time")}
+TARGET_KINDS = tuple(HEADS_OF_KIND)
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ def make_targets(
     """Build whichever targets the configured kind requests, for one clip
     and its Mask or for stacked clips and a batch Mask."""
     space = time = None
-    if cfg.kind in ("frame", "both"):
+    if "space" in HEADS_OF_KIND[cfg.kind]:
         space = make_space_target(clip, mask, grid, cfg.normalize_space)
-    if cfg.kind in ("motion", "both"):
+    if "time" in HEADS_OF_KIND[cfg.kind]:
         time = make_motion_target(clip, mask, grid, cfg.gap)
     return TargetBundle(space=space, time=time)

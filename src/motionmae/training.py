@@ -103,8 +103,8 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 0")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError("warmup_steps must lie in [0, total_steps]")
-        if self.lam < 0:
-            raise ValueError("lam (the time-loss weight) must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam (the time-loss weight) must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
@@ -190,8 +190,7 @@ def pretrain_loss(
     Mask of (B, N) bits."""
     clips, mask = np.stack(clips), Mask(np.stack([m.bits for m in masks]))
     target = make_targets(clips, mask, grid, cfg.target_config())
-    pred_space, pred_time = forward_pretrain(clips, mask, grid, enc_cfg, dec_cfg,
-                                             params, cfg.target_kind)
+    pred_space, pred_time = forward_pretrain(clips, mask, grid, enc_cfg, dec_cfg, params)
     ls = lt = None
     if pred_space is not None:
         ls = masked_loss(pred_space, target.space, mask, cfg.loss_kind)
@@ -322,14 +321,12 @@ def evaluate_top1(
     grid: TokenGrid,
     enc_cfg: EncoderConfig,
     params: dict[str, Tensor],
-    num_classes: int,
 ) -> tuple[float, list[np.ndarray]]:
     """Top-1 accuracy over the clips, and the logit row of each clip. The
     clips are classified in order, `eval_chunk_clips` at a time."""
     size = eval_chunk_clips(grid, enc_cfg)
     logits = [row for i in range(0, len(clips), size)
-              for row in classify(clips[i : i + size], grid, enc_cfg, params,
-                                  num_classes).data]
+              for row in classify(clips[i : i + size], grid, enc_cfg, params).data]
     return topk_accuracy(logits, labels, 1), logits
 
 
@@ -363,12 +360,10 @@ def run_finetune(
         clips = _batch_at(train_clips, step, cfg.batch_size)
         labels = _batch_at(train_labels, step, cfg.batch_size)
         _update(params, opt, cfg, step, lambda: (cross_entropy(
-            classify(clips, grid, enc_cfg, params, num_classes), labels),))
+            classify(clips, grid, enc_cfg, params), labels),))
 
-    train_top1, _ = evaluate_top1(train_clips, train_labels, grid, enc_cfg,
-                                  params, num_classes)
-    val_top1, val_logits = evaluate_top1(val_clips, val_labels, grid, enc_cfg,
-                                         params, num_classes)
+    train_top1, _ = evaluate_top1(train_clips, train_labels, grid, enc_cfg, params)
+    val_top1, val_logits = evaluate_top1(val_clips, val_labels, grid, enc_cfg, params)
     report = {
         "train_top1": train_top1,
         "val_top1": val_top1,

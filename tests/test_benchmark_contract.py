@@ -67,9 +67,9 @@ def test_evaluate_top1_returns_a_logit_row_per_clip_in_order():
     rng = np.random.default_rng(0)
     clips = [rng.uniform(size=grid.clip_shape).astype(np.float32) for _ in range(3)]
     assert _params(training.evaluate_top1)[0] == "clips"
-    _, rows = training.evaluate_top1(clips, [0, 1, 2], grid, enc, params, 4)
+    _, rows = training.evaluate_top1(clips, [0, 1, 2], grid, enc, params)
     assert len(rows) == len(clips)
     assert np.ptp(np.stack(rows), axis=0).max() > 1e-3  # rows differ: order shows
     for clip, row in zip(clips, rows):
-        want = model.classify(clip, grid, enc, params, 4).data[0]
+        want = model.classify(clip, grid, enc, params).data[0]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-5)

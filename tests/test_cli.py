@@ -327,6 +327,31 @@ def test_exit_code_explicit_dim_under_preset(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key,value", [("enc_mlp", -1.0), ("enc_mlp", float("nan")),
+                                       ("dec_mlp", -1.0), ("dec_mlp", float("inf"))])
+def test_exit_code_mlp_ratio_below_zero_or_non_finite(tmp_path, capsys, key, value):
+    """An MLP ratio that sizes no hidden layer is rejected at load, naming
+    the field, before the run directory exists."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    model = {"preset": None, "enc_depth": 1, "enc_dim": 12, "enc_heads": 2,
+             "enc_mlp": 2.0, "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
+             "dec_mlp": 2.0, key: value}
+    assert main(["pretrain", "--config", write_cfg(tmp_path, model=model)]) == 2
+    assert f"config error: model.{key}: mlp_ratio" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_exit_code_non_finite_lambda(tmp_path, capsys, lam):
+    """JSON's NaN and Infinity parse as numbers; either weight is rejected at
+    load, naming the field, before the run directory exists."""
+    assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, targets={"lambda": lam})
+    assert main(["pretrain", "--config", cfg]) == 2
+    assert "config error: targets.lambda" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_decoder_depth_zero(tmp_path, capsys):
     """A decoder needs a block: rejected at load, naming the field."""
     assert main(["gen-data", "--config", write_cfg(tmp_path)]) == 0
@@ -507,6 +532,20 @@ def test_finetune_classifies_each_val_clip_once(tmp_path, monkeypatch):
     # the 8 steps classify a batch of 2 clips each, then evaluation
     # classifies each of the 8 train and the 8 val clips once
     assert sum(calls) == 8 * 2 + 8 + 8
+
+
+def test_finetune_reads_each_clip_once_without_val_dir(tmp_path, monkeypatch):
+    """With no data.val_dir the val set is the train set, read once."""
+    from motionmae import videodata
+
+    reads = []
+    real = videodata.load_raw_clip
+    monkeypatch.setattr(videodata, "load_raw_clip",
+                        lambda path: reads.append(path) or real(path))
+    cfg = write_cfg(tmp_path, train={"finetune_steps": 1})
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["finetune", "--config", cfg]) == 0
+    assert len(reads) == 8  # data.num_clips
 
 
 # ---- reconstruct ----

@@ -223,9 +223,10 @@ def test_attention_bits_follow_the_unfused_graph():
     softmax and mix graph in its orientations, so they match it bit for bit,
     in both precisions, also where the (b, heads, n, n) scores span more
     than one BLOCK. The key gradient is (q^T gs)^T, as that graph computes
-    it."""
+    it. At head width 3 the scale 1/sqrt(3) is inexact, so scaling q before
+    the score GEMM instead of the scores after it shows in the bits."""
     assert 2 * 2 * 192 * 192 > nm.BLOCK
-    for b, n, dim, heads in ((2, 7, 12, 3), (2, 192, 8, 2)):
+    for b, n, dim, heads in ((2, 7, 12, 3), (2, 7, 9, 3), (2, 192, 8, 2)):
         for dtype in (np.float32, np.float64):
             _assert_attention_bits(b, n, dim, heads, dtype)
 

@@ -317,7 +317,7 @@ def test_batched_finetune_loss_matches_mean_of_single_clips():
     params = md.init_params(enc, None, seed=5, num_classes=4)
 
     def loss_of(cs, ls):
-        return (tr.cross_entropy(md.classify(cs, grid, enc, params, 4), ls),)
+        return (tr.cross_entropy(md.classify(cs, grid, enc, params), ls),)
 
     (loss,), batch_grads = _grads_of(lambda: loss_of(clips, labels), params)
     singles = [_grads_of(lambda: loss_of([c], [y]), params)
@@ -560,13 +560,13 @@ def test_chunked_evaluation_matches_per_clip_logits():
     enc, _ = md.preset_configs("tiny", grid)
     assert tr.eval_chunk_clips(grid, enc) == 16
     params = md.init_params(enc, None, seed=6, num_classes=4)
-    top1, logits = tr.evaluate_top1(clips, labels, grid, enc, params, 4)
-    singles = [md.classify(c, grid, enc, params, 4).data[0] for c in clips]
+    top1, logits = tr.evaluate_top1(clips, labels, grid, enc, params)
+    singles = [md.classify(c, grid, enc, params).data[0] for c in clips]
     assert len(logits) == len(clips)
     np.testing.assert_allclose(np.stack(logits), np.stack(singles), rtol=0, atol=1e-5)
     assert [int(np.argmax(r)) for r in logits] == [int(np.argmax(r)) for r in singles]
     assert top1 == np.mean([np.argmax(r) == y for r, y in zip(singles, labels)])
-    _, again = tr.evaluate_top1(clips, labels, grid, enc, params, 4)
+    _, again = tr.evaluate_top1(clips, labels, grid, enc, params)
     assert np.stack(again).tobytes() == np.stack(logits).tobytes()
 
 
@@ -631,7 +631,7 @@ def test_workload_attention_records_hold_or_recompute_their_weights(
                      for i in range(cfg.batch_size)]
             tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg)
         else:
-            md.classify(clips, grid, enc, params, 4)
+            md.classify(clips, grid, enc, params)
         assert set(seen) == want
 
 
@@ -651,7 +651,7 @@ def test_desk_finetune_forward_holds_no_attention_weights():
         tape.watch(p, into=opt.grad[name])
     tracemalloc.start()
     try:
-        loss = tr.cross_entropy(md.classify(clips, grid, enc, params, 4), [0, 1, 2, 3])
+        loss = tr.cross_entropy(md.classify(clips, grid, enc, params), [0, 1, 2, 3])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
