@@ -317,27 +317,40 @@ def _resolve(cfg: dict):
     return grid, enc, dec, pretrain, finetune
 
 
-def _load_dataset(root, grid):
-    """Read clips and integer labels from a dataset directory; every clip
-    must have the grid's clip shape."""
-    from .videodata import DIRECTIONS, load_dataset_clip, read_labels
+def _dataset_entries(root) -> list[tuple[str, str]]:
+    """The (id, label) lines of a dataset directory's labels.tsv; a missing
+    directory or an empty dataset is rejected."""
+    from .videodata import read_labels
 
     if root is None:
         raise ConfigError("data.dir must point to a dataset directory")
-    root = Path(root)
-    if not root.is_dir():
+    if not Path(root).is_dir():
         raise FileNotFoundError(f"dataset directory {root} does not exist")
-    clips, labels = [], []
-    for clip_id, label in read_labels(root):
-        clip = load_dataset_clip(root, clip_id)
-        if clip.shape != grid.clip_shape:
-            raise ConfigError(f"dataset clip {clip_id} at {root} has shape "
-                              f"{clip.shape}, config says {grid.clip_shape}")
-        clips.append(clip)
-        labels.append(DIRECTIONS.index(label))
-    if not clips:
+    entries = read_labels(root)
+    if not entries:
         raise ConfigError(f"dataset at {root} is empty")
-    return clips, labels
+    return entries
+
+
+def _load_clip(root, clip_id: str, grid):
+    """One dataset clip, which must have the grid's clip shape."""
+    from .videodata import load_dataset_clip
+
+    clip = load_dataset_clip(root, clip_id)
+    if clip.shape != grid.clip_shape:
+        raise ConfigError(f"dataset clip {clip_id} at {root} has shape "
+                          f"{clip.shape}, config says {grid.clip_shape}")
+    return clip
+
+
+def _load_dataset(root, grid):
+    """Read clips and integer labels from a dataset directory; every clip
+    must have the grid's clip shape."""
+    from .videodata import DIRECTIONS
+
+    entries = _dataset_entries(root)
+    return ([_load_clip(root, clip_id, grid) for clip_id, _ in entries],
+            [DIRECTIONS.index(label) for _, label in entries])
 
 
 def _make_augment(cfg: dict):
@@ -466,9 +479,8 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--ratio list is empty")
 
     data = cfg["data"]
-    if data["dir"] is not None:
-        clips, _ = _load_dataset(data["dir"], grid)
-        clip = clips[0]
+    if data["dir"] is not None:  # the dataset's first clip
+        clip = _load_clip(data["dir"], _dataset_entries(data["dir"])[0][0], grid)
     else:  # the first clip gen-data would write
         clip, _ = dataset_clip(0, data["T"], data["H"], data["W"],
                                cfg["seed"] + SEED_DATA, data["channels"])
@@ -518,13 +530,17 @@ def _primitive_checks():
     yield check("linear", lambda t: nm.sum_all(nm.mul(
                 t[3], nm.linear(t[0], t[1], t[2]))), (2, 3, 4), (4, 5), (5,), (2, 3, 5))
     yield check("softmax", unary(lambda x: nm.mul(x, nm.softmax(x))), (3, 5))
+    # A key bias adds one constant to each row of scores, which the softmax
+    # cancels: its gradient is 0, and a difference quotient of it would
+    # measure only rounding, so the entry holds it at zero.
+    key_bias = nm.Tensor(np.zeros(4))
     yield check("attention", lambda t: nm.sum_all(nm.mul(
-                t[3], nm.attention(t[0], t[1], t[2], 2))),
-                (2, 3, 4), (2, 3, 4), (2, 3, 4), (2, 3, 4))
+                t[10], nm.attention(*t[:6], key_bias, *t[6:10], 2))),
+                (2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), *[(4, 4), (4,)] * 2,
+                (2, 3, 4))
     yield check("gelu", unary(nm.gelu), (3, 4))
-    yield check("mlp", lambda t: nm.sum_all(nm.mul(
-                t[5], nm.mlp(t[0], t[1], t[2], t[3], t[4]))),
-                (2, 3, 4), (4, 6), (6,), (6, 5), (5,), (2, 3, 5))
+    yield check("mlp", lambda t: nm.sum_all(nm.mul(t[7], nm.mlp(*t[:7]))),
+                (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (2, 3, 5))
     yield check("layer_norm",
                 lambda t: nm.sum_all(nm.mul(t[0], nm.layer_norm(t[0], t[1], t[2]))),
                 (3, 6), (6,), (6,))

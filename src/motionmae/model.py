@@ -226,24 +226,18 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
     return nm.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
-def _attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    """Multi-head self-attention over the rows of (..., N, E), each leading
-    index (one sample of a batch) attending only within itself."""
-    q, k, v = (nm.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
-               for n in "qkv")
-    mixed = nm.attention(q, k, v, heads)
-    return nm.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+_ATTENTION = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+              "attn.wv", "attn.bv", "attn.wo", "attn.bo")
+_MLP = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
 def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    h = nm.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    x = nm.add(x, _attention(h, params, f"{prefix}.attn", heads))
-    h = nm.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    return nm.add(x, _mlp(h, params, prefix))
-
-
-def _mlp(h: Tensor, params, prefix: str) -> Tensor:
-    return nm.mlp(h, *(params[f"{prefix}.mlp.{n}"] for n in ("w1", "b1", "w2", "b2")))
+    """One pre-norm block over (..., N, E) rows: self-attention, each leading
+    index (one sample of a batch) attending only within itself, then the
+    MLP, each behind its LayerNorm and with a residual add."""
+    x = nm.add(x, nm.attention(x, *(params[f"{prefix}.{n}"] for n in _ATTENTION),
+                               heads))
+    return nm.add(x, nm.mlp(x, *(params[f"{prefix}.{n}"] for n in _MLP)))
 
 
 def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor:

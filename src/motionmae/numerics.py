@@ -98,10 +98,16 @@ class Tape:
         return len(self._records)
 
 
+def _check_finite(arr: np.ndarray, what: str = "values") -> np.ndarray:
+    """Return arr, or raise NonFiniteError if it holds NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"operation produced non-finite {what}")
+    return arr
+
+
 def _result(arr: np.ndarray, inputs: tuple, rule) -> Tensor:
     """Wrap an op result; record the backward rule if any input is tracked."""
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("operation produced non-finite values")
+    _check_finite(arr)
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
@@ -280,13 +286,13 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 # by size, never by a timing, so every host runs the same passes.
 BLOCK = 2**16
 
-# Attention weights per call, 2**18 of them (1 MiB of float32), up to which
-# `attention` holds its weights for the backward: weights that small cost
-# little memory, and recomputing them would still cost a score GEMM and a
-# softmax. Larger weights are recomputed. Evaluation sizes its chunks so
-# that one block's scores stay within it, and in cache
-# (`training.eval_chunk_clips`). Fixed by size, so every host runs the same
-# operations.
+# Values per call, 2**18 of them (1 MiB of float32), up to which `attention`
+# holds its softmax weights and `mlp` its pre-activation h for the backward:
+# arrays that small cost little memory, and recomputing them would still
+# cost a GEMM (and a softmax, or GELU). Larger ones are recomputed.
+# Evaluation sizes its chunks so that one block's scores stay within it,
+# and in cache (`training.eval_chunk_clips`). Fixed by size, so every host
+# runs the same operations.
 SCORE_BUDGET = 2**18
 
 
@@ -315,6 +321,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result((a2 @ bd).reshape(ad.shape[:-1] + (e,)), (a, b), rule)
 
 
+def _linear_rows(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x2 @ w + b for (rows, D) rows, the bias added in place."""
+    out = x2 @ w
+    out += b
+    return out
+
+
+def _linear_grads(g: np.ndarray, x2: np.ndarray, w: np.ndarray, gx: bool = True):
+    """The input, weight and bias gradients of rows x2 @ w + b for the
+    upstream gradient g of shape (..., E): the input gradient in g's leading
+    shape, or None where it is not wanted. The bias gradient sums g in the
+    layout it arrives in, so a strided g gives the bits a strided sum does."""
+    g2 = g.reshape(-1, w.shape[1])
+    gin = (g2 @ w.T).reshape(g.shape[:-1] + w.shape[:1]) if gx else None
+    return gin, x2.T @ g2, np.add.reduce(g, axis=tuple(range(g.ndim - 1)))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (..., D) rows, a (D, E) weight and an (E,) bias, as one
     record: the leading dims fold into the rows of one GEMM. A non-finite
@@ -325,19 +348,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.shape != wd.shape[1:]:
         raise ValueError(f"linear shape mismatch: {xd.shape} @ {wd.shape} + {b.shape}")
-    d, e = wd.shape
-    x2 = xd.reshape(-1, d)
-    out = x2 @ wd
-    out += b.data
-    lead = tuple(range(xd.ndim - 1))
+    x2 = xd.reshape(-1, wd.shape[0])
+    out = _linear_rows(x2, wd, b.data)
     tx = x.tape is not None
-
-    def rule(g):
-        g2 = g.reshape(-1, e)
-        gx = (g2 @ wd.T).reshape(xd.shape) if tx else None
-        return gx, x2.T @ g2, np.add.reduce(g, axis=lead)
-
-    return _result(out.reshape(xd.shape[:-1] + (e,)), (x, w, b), rule)
+    return _result(out.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b),
+                   lambda g: _linear_grads(g, x2, wd, tx))
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -379,30 +394,109 @@ def softmax(x: Tensor) -> Tensor:
     return _result(out, (x,), lambda g: (_softmax_grad(out, g.copy()),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (..., N, E) queries, keys
-    and values, each leading index (one sample of a batch) attending only
-    within itself, as one record: split into heads, scaled scores, row
-    softmax, mix and merge.
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """The mean of the last axis, kept, as a reduce and a divide: the bits
+    of ndarray.mean."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    s /= a.shape[-1]
+    return s
 
-    Besides the output it checks the scaled scores: the softmax maps a
-    single -inf score to a weight of 0, which would hide it.
 
-    The record keeps q, k and v, and the (..., heads, N, N) softmax weights
-    only while they fit in SCORE_BUDGET values. Larger weights are dropped
-    once the output is mixed, and the backward recomputes them by the
-    forward's own GEMM, scale and softmax on the same operands, so they come
-    back bit for bit, and frees them when it returns, once the softmax
-    gradient and the values' gradient are taken (selective recomputation,
-    as in FlashAttention's backward: Dao et al., arXiv 2205.14135).
+def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """LayerNorm of the last axis, with 1e-6 added to the population
+    variance: returns the output, xhat and inv. It runs the IEEE operations
+    of xc = x - mean(x), inv = 1/sqrt(mean(xc*xc) + 1e-6), xhat = xc*inv,
+    out = xhat*gamma + beta in their order, in two full-size buffers: xc
+    becomes xhat, xc*xc the output."""
+    xhat = x - _row_mean(x)
+    out = xhat * xhat
+    inv = _row_mean(out)
+    inv += 1e-6
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return _ln_affine(xhat, gamma, beta, out), xhat, inv
+
+
+def _ln_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """xhat*gamma + beta, in `out` if given: the forward's last two
+    operations, by which a record that keeps xhat rebuilds its LayerNorm
+    output bit for bit."""
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
+
+
+def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                 gamma: np.ndarray):
+    """The x, gamma and beta gradients of LayerNorm for the upstream
+    gradient g, which is not written into: gx = inv*(gxh - mean(gxh) -
+    xhat*mean(gxh*xhat)) with gxh = g*gamma, in the g*xhat buffer and the
+    gxh buffer."""
+    lead = tuple(range(g.ndim - 1))
+    prod = g * xhat
+    ggamma = np.add.reduce(prod, axis=lead)
+    gbeta = np.add.reduce(g, axis=lead)
+    gx = g * gamma
+    m = _row_mean(gx)
+    np.multiply(gx, xhat, out=prod)
+    np.multiply(xhat, _row_mean(prod), out=prod)
+    gx -= m
+    gx -= prod
+    gx *= inv
+    return gx, ggamma, gbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit population variance, with
+    1e-6 added to the variance, then apply the gamma/beta affine. The
+    `attention` and `mlp` records run the same kernels on their rows."""
+    xd, gd, bd = x.data, gamma.data, beta.data
+    d = xd.shape[-1]
+    if gd.shape != (d,) or bd.shape != (d,):
+        raise ValueError(f"layer_norm affine shape mismatch: x has D={d}, "
+                         f"gamma {gd.shape}, beta {bd.shape}")
+    out, xhat, inv = _ln_forward(xd, gd, bd)
+    return _result(out, (x, gamma, beta), lambda g: _ln_backward(g, xhat, inv, gd))
+
+
+def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
+              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
+              bo: Tensor, heads: int) -> Tensor:
+    """Pre-norm multi-head self-attention over (..., N, E) rows, each leading
+    index (one sample of a batch) attending only within itself, as one
+    record: LayerNorm with gain g and shift b, the q, k and v projections,
+    split into heads, scaled scores, row softmax, mix and merge, and the
+    output projection. Values and gradients match the records `layer_norm`,
+    three `linear`, the attention core and `linear` bit for bit: the
+    backward sums the projections' input gradients as backward() summed
+    them, (v + k) + q.
+
+    Besides the output it checks what those records checked: the LayerNorm
+    output, q, k, v, the scaled scores (the softmax maps a single -inf score
+    to a weight of 0, which would hide it) and the mix.
+
+    The record keeps LayerNorm's xhat and inv, not its output, which the
+    backward rebuilds by the forward's own multiply and add; q, k, v and the
+    mix; and the (..., heads, N, N) softmax weights only while they fit in
+    SCORE_BUDGET values. Larger weights are dropped once the output is mixed,
+    and the backward recomputes them by the forward's own GEMM, scale and
+    softmax on the same operands, so they come back bit for bit, and frees
+    them once the softmax gradient and the values' gradient are taken
+    (selective recomputation, as in FlashAttention's backward: Dao et al.,
+    arXiv 2205.14135).
     """
-    _check_dtypes(q, k)
-    _check_dtypes(q, v)
-    shape = q.shape
-    if len(shape) < 2 or k.shape != shape or v.shape != shape:
-        raise ValueError(f"attention needs equal (..., N, E) inputs, got "
-                         f"{shape}, {k.shape}, {v.shape}")
-    lead, (n, dim) = shape[:-2], shape[-2:]
+    params = (g, b, wq, bq, wk, bk, wv, bv, wo, bo)
+    for p in params:
+        _check_dtypes(x, p)
+    shape = x.shape
+    dim = shape[-1] if shape else 0
+    if (len(shape) < 2 or any(p.shape != (dim, dim) for p in (wq, wk, wv, wo))
+            or any(p.shape != (dim,) for p in (g, b, bq, bk, bv, bo))):
+        raise ValueError(f"attention shape mismatch: (..., N, E) rows {shape}, "
+                         f"weights {[p.shape for p in params]}")
+    lead, n = shape[:-2], shape[-2]
     if heads < 1 or dim % heads:
         raise ValueError(f"heads {heads} do not divide width {dim}")
     dh = dim // heads
@@ -415,7 +509,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def merge(t):  # (..., heads, N, dh) -> (..., N, E)
         return t.transpose(swap_heads).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    gd, bd = g.data, b.data
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
+    ln, xhat, inv = _ln_forward(x.data, gd, bd)
+    rows = _check_finite(ln).reshape(-1, dim)
+    qh, kh, vh = (split(_check_finite(_linear_rows(rows, w, bias.data)).reshape(shape))
+                  for w, bias in ((wqd, bq), (wkd, bk), (wvd, bv)))
+    del ln, rows
     c = 1.0 / math.sqrt(dh)
 
     def scaled_scores():
@@ -423,69 +523,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         s *= c
         return s
 
-    probs = scaled_scores()
-    if not np.isfinite(probs).all():
-        raise NonFiniteError("attention produced non-finite scores")
+    probs = _check_finite(scaled_scores(), "scores")
     _softmax_rows(probs)  # in place: the scores become the weights
-    out = merge(probs @ vh)
+    mixed = _check_finite(merge(probs @ vh)).reshape(-1, dim)
     held = probs if probs.size <= SCORE_BUDGET else None
+    del probs
+    out = _linear_rows(mixed, wod, bo.data).reshape(shape)
 
-    def rule(g):
-        gm = split(g)
+    def rule(gout):
+        gm, gwo, gbo = _linear_grads(gout, mixed, wod)
+        gm = split(gm)
         w = held if held is not None else _softmax_rows(scaled_scores())
         gs = _softmax_grad(w, gm @ vh.swapaxes(-1, -2))
+        gv = merge(w.swapaxes(-1, -2) @ gm)
+        del w
         gs *= c
-        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
-        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return merge(gs @ kh), merge(gk), merge(w.swapaxes(-1, -2) @ gm)
+        gq = merge(gs @ kh)
+        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the
+        # keys. Its merge stays a strided view, whose sum is bk's gradient.
+        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        del gs
+        rows = _ln_affine(xhat, gd, bd).reshape(-1, dim)
+        gln, gwv, gbv = _linear_grads(gv, rows, wvd)
+        gx, gwk, gbk = _linear_grads(gk, rows, wkd)
+        gln = gln + gx
+        gx, gwq, gbq = _linear_grads(gq, rows, wqd)
+        gln += gx
+        del gq, gk, gv, gx, rows
+        return (*_ln_backward(gln, xhat, inv, gd),
+                gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo)
 
-    return _result(out, (q, k, v), rule)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance, with
-    1e-6 added to the variance, then apply the gamma/beta affine."""
-    xd, gd, bd = x.data, gamma.data, beta.data
-    d = xd.shape[-1]
-    if gd.shape != (d,) or bd.shape != (d,):
-        raise ValueError(f"layer_norm affine shape mismatch: x has D={d}, "
-                         f"gamma {gd.shape}, beta {bd.shape}")
-
-    def mean(a):  # of the last axis, kept
-        s = np.add.reduce(a, axis=-1, keepdims=True)
-        s /= d
-        return s
-
-    # The IEEE operations and order of xc = x - mean(x),
-    # inv = 1/sqrt(mean(xc*xc) + 1e-6), xhat = xc*inv, out = xhat*gamma + beta,
-    # written into two full-size buffers: xc becomes xhat, xc*xc the output.
-    xhat = xd - mean(xd)
-    out = xhat * xhat
-    inv = mean(out)
-    inv += 1e-6
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gd, out=out)
-    out += bd
-
-    def rule(g):
-        # gx = inv*(gxh - mean(gxh) - xhat*mean(gxh*xhat)) with gxh = g*gamma,
-        # in the g*xhat buffer and the gxh buffer
-        lead = tuple(range(g.ndim - 1))
-        prod = g * xhat
-        ggamma = np.add.reduce(prod, axis=lead)
-        gbeta = np.add.reduce(g, axis=lead)
-        gx = g * gd
-        m = mean(gx)
-        np.multiply(gx, xhat, out=prod)
-        np.multiply(xhat, mean(prod), out=prod)
-        gx -= m
-        gx -= prod
-        gx *= inv
-        return gx, ggamma, gbeta
-
-    return _result(out, (x, gamma, beta), rule)
+    return _result(out, (x,) + params, rule)
 
 
 _GELU_K = math.sqrt(2.0 / math.pi)
@@ -570,50 +638,59 @@ def gelu(x: Tensor) -> Tensor:
         _gelu_backward(xd, np.array(g, xd.dtype, order="C")),))
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 for (..., D) rows, a (D, H) and an (H, E)
-    weight, as one record: the GEMMs, reductions and GELU kernels of
-    `linear`, `gelu`, `linear`, so values and gradients match those three
-    records bit for bit.
+def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+        b2: Tensor) -> Tensor:
+    """gelu(LN(x) @ w1 + b1) @ w2 + b2 for (..., D) rows, LayerNorm with gain
+    g and shift b, a (D, H) and an (H, E) weight, as one record: the kernels
+    of `layer_norm`, `linear`, `gelu`, `linear`, so values and gradients
+    match those four records bit for bit. Besides the output it checks the
+    LayerNorm output and the pre-activation h, as they did.
 
-    The record keeps the rows and the pre-activation h, and not tanh(u) or
-    the GELU output: the backward recomputes the output block by block for
-    the second weight's gradient, frees it, and runs the GELU gradient in
-    place in the gradient of the output, recomputing tanh(u) per block. So
-    at most one (rows, H) array lives beside h. The input gradient is
-    computed only when a tape tracks `x`.
+    The record keeps LayerNorm's xhat and inv, not its output, which the
+    backward rebuilds by the forward's own multiply and add, and keeps h
+    only while it fits in SCORE_BUDGET values; a larger h is recomputed
+    from the rebuilt rows by the forward's own GEMM and bias add. It keeps
+    neither tanh(u) nor the GELU output: the backward recomputes the output
+    block by block for the second weight's gradient, frees it, and runs the
+    GELU gradient in place in the gradient of the output, recomputing
+    tanh(u) per block. So at most one (rows, H) array lives beside h.
     """
-    for p in (w1, b1, w2, b2):
+    params = (g, b, w1, b1, w2, b2)
+    for p in params:
         _check_dtypes(x, p)
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    if (w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1:] != w1d.shape[:1]
+    xd, gd, bd, w1d, w2d = x.data, g.data, b.data, w1.data, w2.data
+    d = xd.shape[-1] if xd.ndim else 0
+    if (w1d.ndim != 2 or w2d.ndim != 2 or w1d.shape[0] != d
+            or g.shape != (d,) or b.shape != (d,)
             or b1.shape != w1d.shape[1:] or w2d.shape[:1] != w1d.shape[1:]
             or b2.shape != w2d.shape[1:]):
-        raise ValueError(f"mlp shape mismatch: {xd.shape} @ {w1d.shape} + "
-                         f"{b1.shape} @ {w2d.shape} + {b2.shape}")
-    d, hid = w1d.shape
-    e = w2d.shape[1]
-    x2 = xd.reshape(-1, d)
-    h = x2 @ w1d
-    h += b1.data
+        raise ValueError(f"mlp shape mismatch: LN({xd.shape}; {g.shape}, "
+                         f"{b.shape}) @ {w1d.shape} + {b1.shape} @ {w2d.shape} "
+                         f"+ {b2.shape}")
+    hid, e = w2d.shape
+    ln, xhat, inv = _ln_forward(xd, gd, bd)
+    h = _linear_rows(_check_finite(ln).reshape(-1, d), w1d, b1.data)
+    del ln
     # GELU maps finite values to finite ones (an overflowing x*x*x saturates
     # tanh) and inf or NaN to inf or NaN, so this check covers its output too
-    if not np.isfinite(h).all():
-        raise NonFiniteError("operation produced non-finite values")
-    out = _gelu_forward(h) @ w2d
-    out += b2.data
+    _check_finite(h, "pre-activation")
+    out = _linear_rows(_gelu_forward(h), w2d, b2.data)
+    held = h if h.size <= SCORE_BUDGET else None
     lead = tuple(range(xd.ndim - 1))
-    tx = x.tape is not None
 
-    def rule(g):
-        g2 = g.reshape(-1, e)
+    def rule(gout):
+        rows = _ln_affine(xhat, gd, bd).reshape(-1, d)
+        h = held if held is not None else _linear_rows(rows, w1d, b1.data)
+        g2 = gout.reshape(-1, e)
         gw2 = _gelu_forward(h).T @ g2
         ga = _gelu_backward(h, g2 @ w2d.T)
-        gx = (ga @ w1d.T).reshape(xd.shape) if tx else None
-        gb1 = np.add.reduce(ga.reshape(xd.shape[:-1] + (hid,)), axis=lead)
-        return (gx, x2.T @ ga, gb1, gw2, np.add.reduce(g, axis=lead))
+        del h
+        gln, gw1, gb1 = _linear_grads(ga.reshape(xd.shape[:-1] + (hid,)), rows, w1d)
+        del ga, rows
+        return (*_ln_backward(gln, xhat, inv, gd),
+                gw1, gb1, gw2, np.add.reduce(gout, axis=lead))
 
-    return _result(out.reshape(xd.shape[:-1] + (e,)), (x, w1, b1, w2, b2), rule)
+    return _result(out.reshape(xd.shape[:-1] + (e,)), (x,) + params, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,21 @@ def test_reconstruct_init_must_fit_the_decoder(tmp_path, capsys):
     assert not (tmp_path / "parallel").exists()
 
 
+def test_reconstruct_reads_only_the_first_clip(tmp_path, monkeypatch):
+    """With data.dir set, reconstruct loads the one clip it renders, not
+    the whole dataset."""
+    from motionmae import videodata
+
+    reads = []
+    real = videodata.load_raw_clip
+    monkeypatch.setattr(videodata, "load_raw_clip",
+                        lambda path: reads.append(path) or real(path))
+    cfg = write_cfg(tmp_path, data={"num_clips": 64})
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["reconstruct", "--config", cfg, "--ratio", "0.5"]) == 0
+    assert [p.name for p in reads] == ["00000.mmae"]
+
+
 def test_reconstruct_from_dataset_clip(tmp_path):
     """With no data.dir, reconstruct renders the first clip gen-data writes."""
     cfg = write_cfg(tmp_path)
