@@ -286,11 +286,11 @@ def _unfused_attention(x, g, b, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     return nm.linear(_numpy_attention_core(q, k, v, heads), wo, bo)
 
 
-def test_attention_bits_follow_the_unfused_graph(monkeypatch):
+def test_attention_bits_follow_the_unfused_graph():
     """One record whose value and eleven gradients match the unfused graph
-    bit for bit, in both precisions, with its weights held and recomputed (a
-    budget of 0), also where the (b, heads, n, n) scores span more than one
-    BLOCK and their rows several softmax-gradient blocks. At head width 3
+    bit for bit, in both precisions, also where the (b, heads, n, n) scores
+    span more than one BLOCK and their rows several softmax-gradient blocks.
+    At head width 3
     the scale 1/sqrt(3) is inexact, so scaling q before the score GEMM
     instead of the scores after it shows in the bits. The key bias, which
     the softmax ignores, has a gradient of pure rounding that depends on
@@ -307,15 +307,41 @@ def test_attention_bits_follow_the_unfused_graph(monkeypatch):
             want, want_grads, records = _value_and_grads(
                 lambda *t: _unfused_attention(*t, heads), arrays, g)
             assert records == 6
-            for budget in (nm.SCORE_BUDGET, 0):
-                with monkeypatch.context() as m:
-                    m.setattr(nm, "SCORE_BUDGET", budget)
-                    got, grads, records = _value_and_grads(
-                        lambda *t: nm.attention(*t, heads), arrays, g)
-                assert records == 1
-                assert got.dtype == dtype and got.tobytes() == want.tobytes()
-                for a, w in zip(grads, want_grads):
-                    assert a.shape == w.shape and a.tobytes() == w.tobytes()
+            got, grads, records = _value_and_grads(
+                lambda *t: nm.attention(*t, heads), arrays, g)
+            assert records == 1
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            for a, w in zip(grads, want_grads):
+                assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+
+def test_attention_recomputed_weights_match_the_held_ones_bit_for_bit(monkeypatch):
+    """With a budget of 0 every record drops its weights, and the backward
+    recomputes them by the forward's GEMM, scale and softmax on the same
+    operands, so the output and all eleven gradients match the held path
+    bit for bit, in both precisions, also where the (b * heads * n) rows
+    span several softmax-gradient blocks. A head width of 3 makes the scale
+    1/sqrt(3) inexact, so scaling q or k before the GEMM would differ."""
+    cases = ((2, 7, 9, 3), (2, 192, 6, 2))
+    b, n, _, heads = cases[1]
+    assert b * heads * n > 2 * (nm.BLOCK // n)
+    for b, n, dim, heads in cases:
+        assert b * heads * n * n <= nm.SCORE_BUDGET  # the default holds them
+        for dtype in (np.float32, np.float64):
+            r = _rng(15)
+            arrays = [r.normal(size=(b, n, dim)).astype(dtype),
+                      *_attention_params(r, dim, dtype)]
+            g = r.normal(size=(b, n, dim)).astype(dtype)
+            held, held_grads, _ = _value_and_grads(
+                lambda *t: nm.attention(*t, heads), arrays, g)
+            with monkeypatch.context() as m:
+                m.setattr(nm, "SCORE_BUDGET", 0)
+                got, grads, records = _value_and_grads(
+                    lambda *t: nm.attention(*t, heads), arrays, g)
+            assert records == 1
+            assert got.tobytes() == held.tobytes()
+            for a, w in zip(grads, held_grads):
+                assert a.tobytes() == w.tobytes()
 
 
 def _grad_attention_error(seed):

@@ -363,6 +363,20 @@ def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
     assert sorted(calls) == ["make_targets", "patchify", "patchify", "patchify"]
 
 
+def test_tiny_batch_graph_records_fewer_than_100_ops():
+    """Two records per transformer block, attention and mlp, plus its two
+    residual adds keep a tiny batch-8 pretrain graph (2 encoder blocks, two
+    1-block decoder stacks) under 100 tape ops."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(n_clips=8, batch_size=8)
+    params = md.init_params(enc, dec, seed=1)
+    masks = [tk.sample_mask(grid, 0.75, "random", seed=i) for i in range(8)]
+    tape = Tape()
+    for p in params.values():
+        tape.watch(p)
+    tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg)
+    assert len(tape) < 100
+
+
 def test_pretrain_step_builds_no_mask_index_arrays(monkeypatch):
     """A step addresses token rows by mask bits alone: neither a clip's mask
     nor the batch's builds its index arrays."""
