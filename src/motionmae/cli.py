@@ -530,12 +530,8 @@ def _primitive_checks():
     yield check("linear", lambda t: nm.sum_all(nm.mul(
                 t[3], nm.linear(t[0], t[1], t[2]))), (2, 3, 4), (4, 5), (5,), (2, 3, 5))
     yield check("softmax", unary(lambda x: nm.mul(x, nm.softmax(x))), (3, 5))
-    # A key bias adds one constant to each row of scores, which the softmax
-    # cancels: its gradient is 0, and a difference quotient of it would
-    # measure only rounding, so the entry holds it at zero.
-    key_bias = nm.Tensor(np.zeros(4))
     yield check("attention", lambda t: nm.sum_all(nm.mul(
-                t[10], nm.attention(*t[:6], key_bias, *t[6:10], 2))),
+                t[10], nm.attention(*t[:10], 2))),
                 (2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), *[(4, 4), (4,)] * 2,
                 (2, 3, 4))
     yield check("gelu", unary(nm.gelu), (3, 4))

@@ -141,21 +141,18 @@ def _proj_init(rng, shape):
 
 def _block_params(out, prefix, dim, mlp_dim, rng, dtype):
     for name, shape in [
-        ("ln1.g", None), ("ln1.b", None),
+        ("ln1.g", (dim,)), ("ln1.b", (dim,)),
         ("attn.wq", (dim, dim)), ("attn.wk", (dim, dim)),
         ("attn.wv", (dim, dim)), ("attn.wo", (dim, dim)),
-        ("attn.bq", (dim,)), ("attn.bk", (dim,)),
-        ("attn.bv", (dim,)), ("attn.bo", (dim,)),
-        ("ln2.g", None), ("ln2.b", None),
+        ("attn.bq", (dim,)), ("attn.bv", (dim,)), ("attn.bo", (dim,)),
+        ("ln2.g", (dim,)), ("ln2.b", (dim,)),
         ("mlp.w1", (dim, mlp_dim)), ("mlp.b1", (mlp_dim,)),
         ("mlp.w2", (mlp_dim, dim)), ("mlp.b2", (dim,)),
     ]:
         key = f"{prefix}.{name}"
-        if name in ("ln1.g", "ln2.g"):
-            out[key] = Tensor(np.ones(dim, dtype=dtype))
-        elif name in ("ln1.b", "ln2.b"):
-            out[key] = Tensor(np.zeros(dim, dtype=dtype))
-        elif name.startswith(("attn.b", "mlp.b")):
+        if name.endswith(".g"):
+            out[key] = Tensor(np.ones(shape, dtype=dtype))
+        elif name.split(".")[1].startswith("b"):  # a LayerNorm shift or a bias
             out[key] = Tensor(np.zeros(shape, dtype=dtype))
         else:
             out[key] = Tensor(_proj_init(rng, shape).astype(dtype))
@@ -226,8 +223,8 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
     return nm.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
-_ATTENTION = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-              "attn.wv", "attn.bv", "attn.wo", "attn.bo")
+_ATTENTION = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.wv",
+              "attn.bv", "attn.wo", "attn.bo")
 _MLP = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 

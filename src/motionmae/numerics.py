@@ -331,8 +331,7 @@ def _linear_rows(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _linear_grads(g: np.ndarray, x2: np.ndarray, w: np.ndarray, gx: bool = True):
     """The input, weight and bias gradients of rows x2 @ w + b for the
     upstream gradient g of shape (..., E): the input gradient in g's leading
-    shape, or None where it is not wanted. The bias gradient sums g in the
-    layout it arrives in, so a strided g gives the bits a strided sum does."""
+    shape, or None where it is not wanted."""
     g2 = g.reshape(-1, w.shape[1])
     gin = (g2 @ w.T).reshape(g.shape[:-1] + w.shape[:1]) if gx else None
     return gin, x2.T @ g2, np.add.reduce(g, axis=tuple(range(g.ndim - 1)))
@@ -462,15 +461,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
-              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
-              bo: Tensor, heads: int) -> Tensor:
+              wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+              heads: int) -> Tensor:
     """Pre-norm multi-head self-attention over (..., N, E) rows, each leading
     index (one sample of a batch) attending only within itself, as one
     record: LayerNorm with gain g and shift b, the q, k and v projections,
     split into heads, scaled scores, row softmax, mix and merge, and the
-    output projection. Values and gradients match the records `layer_norm`,
-    three `linear`, the attention core and `linear` bit for bit: the
-    backward sums the projections' input gradients as backward() summed
+    output projection; k has no bias, which the softmax would cancel. Values
+    and gradients match the records `layer_norm`, `linear`, `matmul` and
+    `linear` for q, k and v, the attention core and `linear` bit for bit:
+    the backward sums the projections' input gradients as backward() summed
     them, (v + k) + q.
 
     Besides the output it checks what those records checked: the LayerNorm
@@ -487,13 +487,13 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     (selective recomputation, as in FlashAttention's backward: Dao et al.,
     arXiv 2205.14135).
     """
-    params = (g, b, wq, bq, wk, bk, wv, bv, wo, bo)
+    params = (g, b, wq, bq, wk, wv, bv, wo, bo)
     for p in params:
         _check_dtypes(x, p)
     shape = x.shape
     dim = shape[-1] if shape else 0
     if (len(shape) < 2 or any(p.shape != (dim, dim) for p in (wq, wk, wv, wo))
-            or any(p.shape != (dim,) for p in (g, b, bq, bk, bv, bo))):
+            or any(p.shape != (dim,) for p in (g, b, bq, bv, bo))):
         raise ValueError(f"attention shape mismatch: (..., N, E) rows {shape}, "
                          f"weights {[p.shape for p in params]}")
     lead, n = shape[:-2], shape[-2]
@@ -513,8 +513,8 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
     ln, xhat, inv = _ln_forward(x.data, gd, bd)
     rows = _check_finite(ln).reshape(-1, dim)
-    qh, kh, vh = (split(_check_finite(_linear_rows(rows, w, bias.data)).reshape(shape))
-                  for w, bias in ((wqd, bq), (wkd, bk), (wvd, bv)))
+    qh, kh, vh = (split(_check_finite(t).reshape(shape)) for t in (
+        _linear_rows(rows, wqd, bq.data), rows @ wkd, _linear_rows(rows, wvd, bv.data)))
     del ln, rows
     c = 1.0 / math.sqrt(dh)
 
@@ -539,19 +539,18 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         del w
         gs *= c
         gq = merge(gs @ kh)
-        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the
-        # keys. Its merge stays a strided view, whose sum is bk's gradient.
+        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
         gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
         del gs
         rows = _ln_affine(xhat, gd, bd).reshape(-1, dim)
         gln, gwv, gbv = _linear_grads(gv, rows, wvd)
-        gx, gwk, gbk = _linear_grads(gk, rows, wkd)
+        gx, gwk, _ = _linear_grads(gk, rows, wkd)
         gln = gln + gx
         gx, gwq, gbq = _linear_grads(gq, rows, wqd)
         gln += gx
         del gq, gk, gv, gx, rows
         return (*_ln_backward(gln, xhat, inv, gd),
-                gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo)
+                gwq, gbq, gwk, gwv, gbv, gwo, gbo)
 
     return _result(out, (x,) + params, rule)
 

@@ -277,9 +277,10 @@ def run_pretrain(
     csv_path = out_dir / "loss.csv"
     rows = ["step,loss,loss_space,loss_time\n"]
     if resume_from is not None and csv_path.exists():
-        # keep what the checkpoint had logged; the steps after it run again
+        # keep the whole rows the checkpoint had logged; the steps after it run again
         logged = csv_path.read_text().splitlines(keepends=True)[1:]
-        rows += [row for row in logged if int(row.split(",", 1)[0]) <= start_step]
+        rows += [row for row in logged
+                 if row.endswith("\n") and int(row.split(",", 1)[0]) <= start_step]
     fmt = lambda v: "" if v is None else f"{v:.8e}"
     # a rewrite that fails leaves the old log; the new rows stream after it
     write_atomic(csv_path, ("".join(rows).encode(),))
@@ -295,6 +296,7 @@ def run_pretrain(
                 fh.write(f"{done},{fmt(loss)},{fmt(ls)},{fmt(lt)}\n")
             if cfg.checkpoint_interval and done % cfg.checkpoint_interval == 0 \
                     and done < cfg.total_steps:
+                fh.flush()  # the log holds every step the checkpoint does
                 save_checkpoint(params, opt, done, digest,
                                 out_dir / f"checkpoint_{done:06d}.mmck")
     final = out_dir / "checkpoint_final.mmck"
@@ -486,8 +488,9 @@ def load_params(path, params: dict[str, Tensor], prefixes=("",),
 
     Values go into the tensors' own arrays, so tensors homed in an arena
     stay there and keep training. The checkpoint must hold exactly those
-    names, each in the model's shape and finite; otherwise a ValueError
-    names the first misfits and nothing is written."""
+    names, each in the model's shape and finite (with `opt`, its moments
+    too, and the second >= 0); otherwise an error names the first misfits or
+    the tensor, and nothing is written."""
     arrays, (m, v), step = load_checkpoint(path, expect_digest=expect_digest)
     want = {k: p.shape for k, p in params.items() if k.startswith(prefixes)}
     have = {k: a.shape for k, a in arrays.items() if k.startswith(prefixes)}
@@ -499,6 +502,10 @@ def load_params(path, params: dict[str, Tensor], prefixes=("",),
     for k in want:
         if not np.isfinite(arrays[k]).all():
             raise NonFiniteError(f"checkpoint {path}: {k} holds non-finite values")
+        if opt is not None and not (np.isfinite(m[k]).all() and np.isfinite(v[k]).all()):
+            raise NonFiniteError(f"checkpoint {path}: {k}'s moments hold non-finite values")
+        if opt is not None and (v[k] < 0).any():
+            raise ValueError(f"checkpoint {path}: {k}'s second moment is negative")
     for k in want:
         params[k].data[...] = arrays[k]
         if opt is not None:

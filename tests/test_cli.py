@@ -216,6 +216,32 @@ def test_exit_code_truncated_init_checkpoint(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_checkpoint_with_key_biases_does_not_fit(tmp_path, capsys):
+    """A checkpoint written while attention still learned a key bias holds
+    `*.attn.bk` tensors the model no longer has: load_params names them in
+    its misfit error, and finetune --init exits 2 on it."""
+    from motionmae import model, numerics, training
+
+    cfg = write_cfg(tmp_path)
+    _, (grid, enc, dec, _, _) = load_config(cfg)
+    params = model.init_params(enc, dec, seed=1)
+    blocks = {k.rsplit(".attn.", 1)[0] for k in params if ".attn." in k}
+    for block in blocks:
+        params[f"{block}.attn.bk"] = numerics.Tensor(
+            np.zeros_like(params[f"{block}.attn.bq"].data))
+    old = tmp_path / "old.mmck"
+    training.save_checkpoint(params, numerics.OptimState.for_params(params), 6,
+                             bytes(32), old)
+    with pytest.raises(ValueError, match=r"does not fit the model .*"
+                                         r"attn\.bk: checkpoint \(\d+,\), model absent"):
+        training.load_params(old, model.init_params(enc, dec, seed=1))
+    assert main(["gen-data", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["finetune", "--config", cfg, "--init", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert "does not fit the model" in err and "enc.block0.attn.bk" in err
+
+
 def test_exit_code_seed_whose_data_seed_is_negative(tmp_path, capsys):
     """gen-data draws from seed + 1, which numpy takes only when >= 0: seed
     -2 is rejected naming the seed, and nothing is written; -1 runs."""

@@ -80,7 +80,7 @@ def test_encode_matches_straight_line_oracle():
 
     h = ln(x, p["enc.block0.ln1.g"], p["enc.block0.ln1.b"])
     q = (h @ p["enc.block0.attn.wq"] + p["enc.block0.attn.bq"]).reshape(2, 2, 4).transpose(1, 0, 2)
-    k = (h @ p["enc.block0.attn.wk"] + p["enc.block0.attn.bk"]).reshape(2, 2, 4).transpose(1, 0, 2)
+    k = (h @ p["enc.block0.attn.wk"]).reshape(2, 2, 4).transpose(1, 0, 2)
     v = (h @ p["enc.block0.attn.wv"] + p["enc.block0.attn.bv"]).reshape(2, 2, 4).transpose(1, 0, 2)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(4.0)
     e = np.exp(scores - scores.max(-1, keepdims=True))

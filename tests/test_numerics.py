@@ -211,19 +211,19 @@ def _value_and_grads(op, arrs, g, track_x=True):
 
 def _attention_params(r, dim, dtype=np.float64):
     """Random arrays for attention's arguments after the rows: LayerNorm
-    gain and shift, then the (weight, bias) pairs of the q, k, v and output
-    projections."""
-    arrays = [1.0 + 0.1 * r.normal(size=dim), 0.1 * r.normal(size=dim)]
-    for _ in range(4):
-        arrays += [r.normal(size=(dim, dim)) / math.sqrt(dim), 0.1 * r.normal(size=dim)]
+    gain and shift, the q projection's weight and bias, the k weight, then
+    the v and output projections' weights and biases."""
+    w = lambda: r.normal(size=(dim, dim)) / math.sqrt(dim)
+    bias = lambda: 0.1 * r.normal(size=dim)
+    arrays = [1.0 + bias(), bias(), w(), bias(), w(), w(), bias(), w(), bias()]
     return [a.astype(dtype) for a in arrays]
 
 
-def _attention_reference(x, g, b, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+def _attention_reference(x, g, b, wq, bq, wk, wv, bv, wo, bo, heads):
     """Per sample and head, with explicit loops."""
     xc = x - x.mean(axis=-1, keepdims=True)
     ln = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-6) * g + b
-    q, k, v = ln @ wq + bq, ln @ wk + bk, ln @ wv + bv
+    q, k, v = ln @ wq + bq, ln @ wk, ln @ wv + bv
     mixed = np.zeros_like(q)
     dh = q.shape[-1] // heads
     for i in range(q.shape[0]):
@@ -250,8 +250,7 @@ def _numpy_attention_core(q, k, v, heads):
     """Scaled dot-product attention over (b, n, dim) q, k and v as one
     record whose forward and backward are whole-array numpy expressions:
     split, scale, softmax, mix and merge. The key gradient is (q^T gs)^T,
-    merged into a strided view, as the unfused graph handed it to the key
-    projection."""
+    as the unfused graph handed it to the key projection."""
     b, n, dim = q.shape
     dh = dim // heads
     sw = (0, 2, 1, 3)
@@ -278,23 +277,21 @@ def _numpy_attention_core(q, k, v, heads):
     return nm._result(merge(probs @ vh), (q, k, v), rule)
 
 
-def _unfused_attention(x, g, b, wq, bq, wk, bk, wv, bv, wo, bo, heads):
-    """The records attention fuses: layer_norm, three linear, the core and
-    linear."""
+def _unfused_attention(x, g, b, wq, bq, wk, wv, bv, wo, bo, heads):
+    """The records attention fuses: layer_norm, linear, matmul and linear
+    for q, k and v, the core and linear."""
     ln = nm.layer_norm(x, g, b)
-    q, k, v = (nm.linear(ln, w, bias) for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
+    q, k, v = nm.linear(ln, wq, bq), nm.matmul(ln, wk), nm.linear(ln, wv, bv)
     return nm.linear(_numpy_attention_core(q, k, v, heads), wo, bo)
 
 
 def test_attention_bits_follow_the_unfused_graph():
-    """One record whose value and eleven gradients match the unfused graph
+    """One record whose value and ten gradients match the unfused graph
     bit for bit, in both precisions, also where the (b, heads, n, n) scores
     span more than one BLOCK and their rows several softmax-gradient blocks.
     At head width 3
     the scale 1/sqrt(3) is inexact, so scaling q before the score GEMM
-    instead of the scores after it shows in the bits. The key bias, which
-    the softmax ignores, has a gradient of pure rounding that depends on
-    the layout the key gradient is summed in."""
+    instead of the scores after it shows in the bits."""
     b, n, heads = 2, 192, 2
     assert b * heads * n * n > nm.BLOCK and b * heads * n > 2 * (nm.BLOCK // n)
     for b, n, dim, heads in ((2, 7, 12, 3), (2, 7, 9, 3), (2, 192, 8, 2)):
@@ -318,7 +315,7 @@ def test_attention_bits_follow_the_unfused_graph():
 def test_attention_recomputed_weights_match_the_held_ones_bit_for_bit(monkeypatch):
     """With a budget of 0 every record drops its weights, and the backward
     recomputes them by the forward's GEMM, scale and softmax on the same
-    operands, so the output and all eleven gradients match the held path
+    operands, so the output and all ten gradients match the held path
     bit for bit, in both precisions, also where the (b * heads * n) rows
     span several softmax-gradient blocks. A head width of 3 makes the scale
     1/sqrt(3) inexact, so scaling q or k before the GEMM would differ."""
@@ -345,17 +342,13 @@ def test_attention_recomputed_weights_match_the_held_ones_bit_for_bit(monkeypatc
 
 
 def _grad_attention_error(seed):
-    """finite_diff_check of attention over (2, 4, 6) rows with 2 heads. A
-    key bias adds one constant to each row of scores, which the softmax
-    cancels: its gradient is 0, and a difference quotient of it would
-    measure only rounding, so it is held at zero."""
+    """finite_diff_check of attention over (2, 4, 6) rows with 2 heads."""
     r = _rng(seed)
     shapes = [(2, 4, 6), (6,), (6,), (6, 6), (6,), (6, 6), (6, 6), (6,), (6, 6),
               (6,), (2, 4, 6)]
     params = [Tensor(r.normal(size=s)) for s in shapes]
-    key_bias = Tensor(np.zeros(6))
     return finite_diff_check(lambda p: nm.sum_all(nm.mul(
-        nm.attention(*p[:6], key_bias, *p[6:10], 2), p[10])), params)
+        nm.attention(*p[:10], 2), p[10])), params)
 
 
 def test_grad_attention_with_recomputed_weights(monkeypatch):
@@ -374,11 +367,11 @@ _TWO_ROWS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
 
 def _attention_tensors(x, wq, bq, wk, wv, bv):
     """attention's arguments over rows x: a unit LayerNorm, the given q
-    projection, k weights and v projection, a zero k bias and an identity
-    output projection."""
+    projection, k weights and v projection, and an identity output
+    projection."""
     d = x.shape[-1]
-    return [Tensor(a) for a in (x, np.ones(d), np.zeros(d), wq, bq, wk, np.zeros(d),
-                                wv, bv, np.eye(d), np.zeros(d))]
+    return [Tensor(a) for a in (x, np.ones(d), np.zeros(d), wq, bq, wk, wv, bv,
+                                np.eye(d), np.zeros(d))]
 
 
 def _one_entry(d, entries):

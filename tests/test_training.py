@@ -4,7 +4,9 @@ import json
 import os
 import re
 import struct
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from motionmae import numerics as nm
 from motionmae import tokenizer as tk
 from motionmae import training as tr
 from motionmae import videodata as vd
-from motionmae.numerics import OptimState, Tape, Tensor, backward
+from motionmae.numerics import NonFiniteError, OptimState, Tape, Tensor, backward
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -275,7 +277,8 @@ def _grads_of(loss_fn, params):
 
 def _assert_grads_close(got, want):
     # float32 rounding noise scales with the largest gradient, so entries far
-    # below it (the key biases', zero up to noise) are held to that scale
+    # below it are held to that scale (near-zero patch_proj entries differ
+    # by up to 1.6e-9, which rtol alone rejects)
     atol = 1e-5 * max(np.abs(g).max() for g in want.values())
     for k in want:
         np.testing.assert_allclose(got[k], want[k], rtol=1e-5, atol=atol, err_msg=k)
@@ -326,6 +329,37 @@ def test_batched_finetune_loss_matches_mean_of_single_clips():
     np.testing.assert_allclose(float(loss.data), want, rtol=1e-5)
     _assert_grads_close(batch_grads, {k: np.mean([g[k] for _, g in singles], axis=0)
                                       for k in params})
+
+
+@pytest.mark.parametrize("arch", ["parallel", "shared", "classifier"])
+def test_every_parameter_moves_the_loss(arch):
+    """On the gradcheck's float64 model (cli._end_to_end_check's grid,
+    widths, seeds and masks), with either decoder or as a classifier under
+    cross-entropy, each parameter tensor's largest |gradient| is at least
+    1e-8 of the largest tensor's. A parameter the loss cannot see has a
+    gradient of rounding alone: a key bias, which the softmax cancels, read
+    1e-18 to 1e-17 of the largest."""
+    grid = tk.TokenGrid(2, 2, 2, 2, 4, 1)
+    enc = md.EncoderConfig(depth=2, embed_dim=16, heads=2, mlp_ratio=2.0,
+                           token_dim=grid.token_dim)
+    rng = np.random.default_rng(3)
+    clips = [rng.uniform(0.0, 1.0, grid.clip_shape).astype(np.float32)
+             for _ in range(2)]
+    if arch == "classifier":
+        params = md.init_params(enc, None, seed=11, num_classes=3, dtype=np.float64)
+        loss = lambda: (nm.cross_entropy(md.classify(clips, grid, enc, params), [2, 0]),)
+    else:
+        dec = md.DecoderConfig(depth=1, embed_dim=8, heads=2, mlp_ratio=2.0,
+                               space_dim=grid.token_dim, time_dim=grid.motion_dim,
+                               arch=arch)
+        params = md.init_params(enc, dec, seed=11, dtype=np.float64)
+        masks = [tk.sample_mask(grid, 0.5, "random", seed=s) for s in (4, 5)]
+        cfg = tr.TrainConfig(target_kind="both", loss_kind="mse", lam=1.0)
+        loss = lambda: tr.pretrain_loss(clips, masks, params, grid, enc, dec, cfg)
+    _, grads = _grads_of(loss, params)
+    peaks = {k: np.abs(g).max() for k, g in grads.items()}
+    top = max(peaks.values())
+    assert {k: p / top for k, p in peaks.items() if p < 1e-8 * top} == {}
 
 
 def test_pretrain_batch_rejects_unequal_hidden_counts():
@@ -440,6 +474,53 @@ def test_resume_into_same_dir_rewrites_loss_csv_identically(tmp_path):
     assert (tmp_path / "loss.csv").read_bytes() == uninterrupted
 
 
+def test_resume_after_a_hard_kill_logs_every_step(tmp_path):
+    """A run killed with no cleanup right after its step-4 checkpoint has
+    logged steps 1 to 4, so resuming into the same directory ends with the
+    uninterrupted run's loss.csv."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=8, log_interval=1,
+                                                   checkpoint_interval=4)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "full")
+    script = textwrap.dedent("""\
+        import os, sys
+        import test_training as t
+        from motionmae import training as tr
+        save = tr.save_checkpoint
+        def save_then_die(*args):
+            save(*args)
+            os._exit(9)
+        tr.save_checkpoint = save_then_die
+        clips, grid, enc, dec, cfg = t._tiny_train_setup(
+            total_steps=8, log_interval=1, checkpoint_interval=4)
+        tr.run_pretrain(clips, grid, enc, dec, cfg, sys.argv[1])
+        """)
+    paths = [str(Path(tr.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = tmp_path / "killed"
+    done = subprocess.run([sys.executable, "-c", script, str(run)], env=env,
+                          timeout=300)
+    assert done.returncode == 9
+    assert sorted(p.name for p in run.iterdir()) == ["checkpoint_000004.mmck",
+                                                     "loss.csv"]
+    tr.run_pretrain(clips, grid, enc, dec, cfg, run,
+                    resume_from=run / "checkpoint_000004.mmck")
+    assert (run / "loss.csv").read_bytes() == (tmp_path / "full" / "loss.csv").read_bytes()
+
+
+def test_resume_drops_an_unterminated_last_row(tmp_path):
+    """A kill mid-write can leave the log ending in part of a row, such as
+    the `1` of `12,...`: resume keeps whole rows only."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=8, log_interval=1,
+                                                   checkpoint_interval=4)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path)
+    log = tmp_path / "loss.csv"
+    uninterrupted = log.read_bytes()
+    log.write_bytes(b"".join(uninterrupted.splitlines(keepends=True)[:5]) + b"1")
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path,
+                    resume_from=tmp_path / "checkpoint_000004.mmck")
+    assert log.read_bytes() == uninterrupted
+
+
 def test_resume_whose_loss_csv_rewrite_fails_keeps_the_old_log(tmp_path, monkeypatch):
     """On resume, the kept rows of loss.csv are rewritten through a temporary
     file: a write that fails midway leaves the old log whole."""
@@ -511,6 +592,42 @@ def test_load_params_rejects_misfit_and_leaves_params_untouched(tmp_path, change
         tr.load_params(tmp_path / "c.mmck", params)
     assert params.keys() == before.keys()
     assert all(params[k] is before[k] for k in before)
+
+
+def test_resume_rejects_a_negative_second_moment(tmp_path):
+    """A checkpoint whose digest holds but whose second moment has a negative
+    entry, which AdamW's square root would turn into NaN, is rejected at
+    load naming the tensor, before loss.csv is written."""
+    clips, grid, enc, dec, cfg = _tiny_train_setup(total_steps=4,
+                                                   checkpoint_interval=2)
+    tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "run")
+    params = md.init_params(enc, dec, seed=0)
+    opt = OptimState.for_params(params)
+    digest = tr.config_digest(cfg)
+    step = tr.load_params(tmp_path / "run" / "checkpoint_000002.mmck", params,
+                          expect_digest=digest, opt=opt)
+    opt.flat_v[0] = -1.0
+    tr.save_checkpoint(params, opt, step, digest, tmp_path / "bad.mmck")
+    first = next(iter(opt.v))
+    with pytest.raises(ValueError, match=rf"{re.escape(first)}'s second moment is negative"):
+        tr.run_pretrain(clips, grid, enc, dec, cfg, tmp_path / "resumed",
+                        resume_from=tmp_path / "bad.mmck")
+    assert not (tmp_path / "resumed").exists()
+
+
+@pytest.mark.parametrize("moment,value", [("m", np.nan), ("v", np.inf), ("v", np.nan)])
+def test_load_params_rejects_non_finite_moments(tmp_path, moment, value):
+    """Loaded with `opt`, a non-finite moment is rejected naming its tensor,
+    and nothing is written; loaded without, the parameters alone load."""
+    params, opt = _small_state(seed=1)
+    getattr(opt, moment)["enc.b"][2] = value
+    tr.save_checkpoint(params, opt, 3, bytes(32), tmp_path / "c.mmck")
+    target, target_opt = _small_state(seed=2)
+    before = target["enc.w"].data.copy()
+    with pytest.raises(NonFiniteError, match="enc.b's moments hold non-finite"):
+        tr.load_params(tmp_path / "c.mmck", target, opt=target_opt)
+    assert (target["enc.w"].data == before).all() and target_opt.t == 0
+    assert tr.load_params(tmp_path / "c.mmck", target) == 3
 
 
 # ---- finetune ----
