@@ -477,6 +477,12 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError(f"--ratio: {e}") from e
     if not ratios:
         raise ConfigError("--ratio list is empty")
+    names = {}  # image file name -> the ratio it renders
+    for r in ratios:
+        name = f"recon_{int(round(r * 100)):02d}.ppm"
+        if name in names:
+            raise ConfigError(f"--ratio: {names[name]} and {r} both render to {name}")
+        names[name] = r
 
     data = cfg["data"]
     if data["dir"] is not None:  # the dataset's first clip
@@ -491,9 +497,9 @@ def cmd_reconstruct(args) -> int:
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for r, mask in zip(ratios, masks):
+    for name, mask in zip(names, masks):
         ps, pt = forward_pretrain(clip, mask, grid, enc, dec, params)
-        path = out_dir / f"recon_{int(round(r * 100)):02d}.ppm"
+        path = out_dir / name
         render_reconstruction(clip, mask,
                               None if ps is None else ps.data,
                               None if pt is None else pt.data, grid, path)

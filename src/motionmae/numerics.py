@@ -59,35 +59,23 @@ class Tensor:
 class Tape:
     """Topologically ordered record of operations for one backward pass."""
 
-    __slots__ = ("_records", "_next_id", "_watched", "_sinks", "_consumed")
+    __slots__ = ("_records", "_next_id", "_watched", "_consumed")
 
     def __init__(self):
         self._records = []
         self._next_id = 0
         self._watched = []
-        self._sinks = {}
         self._consumed = False
 
-    def watch(self, tensor: Tensor, into: np.ndarray | None = None) -> None:
-        """Register a leaf tensor so backward() will populate its grad.
-
-        backward() accumulates the gradient in `into`, an array of the
-        tensor's shape and dtype (its view of a gradient arena), or in a
-        zero buffer allocated here, and makes that array the tensor's grad.
-        """
+    def watch(self, tensor: Tensor) -> None:
+        """Register a leaf tensor so backward() will set its grad."""
         if tensor.tape is self:
             return
         if tensor.tape is not None:
             raise ValueError("tensor is already attached to another tape")
-        if into is None:
-            into = np.zeros_like(tensor.data)
-        elif into.shape != tensor.shape or into.dtype != tensor.dtype:
-            raise ValueError(f"gradient buffer {into.shape} {into.dtype} does not "
-                             f"fit tensor {tensor.shape} {tensor.dtype}")
         tensor.tape = self
         tensor.node_id = self._alloc()
         self._watched.append(tensor)
-        self._sinks[tensor.node_id] = into
 
     def _alloc(self) -> int:
         nid = self._next_id
@@ -132,15 +120,17 @@ def _result(arr: np.ndarray, inputs: tuple, rule) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate grad on every watched leaf by replaying the tape in reverse.
+    """Set grad on every watched leaf by replaying the tape in reverse.
 
     Rules may return views of what they hold, so a node's first gradient
     contribution is stored as it is and never written into. The second is
     added out of place, which gives the node an accumulator of its own, and
-    later ones are added into that in place. A watched leaf accumulates in
-    its gradient buffer from its first contribution. Every op keeps its
-    inputs' dtype, so contributions carry their node's dtype and each sum is
-    the same in place or out of place.
+    later ones are added into that in place. Watched leaves accumulate the
+    same way, and each leaf's sum is left on its `grad` for the step that
+    reads it (AdamW drops it again). A leaf the loss does not reach gets
+    zeros, and a read-only view (a broadcast) is copied, so every grad is
+    writable. Every op keeps its inputs' dtype, so contributions carry
+    their node's dtype and each sum is the same in place or out of place.
 
     Consumes the tape: each record is dropped once replayed, which frees the
     forward arrays its rule holds, and watched tensors are detached
@@ -153,7 +143,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.tape is not tape:
         raise ValueError("loss was not produced through this tape (detached graph)")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    sinks = tape._sinks
     owned = set()  # nodes whose accumulator backward may add into
     records = tape._records
     while records:
@@ -166,11 +155,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             acc = grads.get(nid)
             if acc is None:
-                into = sinks.get(nid)
-                if into is not None:
-                    np.copyto(into, contrib)
-                    contrib = into
-                    owned.add(nid)
                 grads[nid] = contrib
             elif nid in owned:
                 acc += contrib
@@ -178,12 +162,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 grads[nid] = acc + contrib
                 owned.add(nid)
     for t in tape._watched:
-        g, into = grads.get(t.node_id), sinks[t.node_id]
+        g = grads.get(t.node_id)
         if g is None:
-            into.fill(0)
-        elif g is not into:  # the loss itself is the leaf
-            np.copyto(into, g)
-        t.grad = into
+            g = np.zeros_like(t.data)
+        elif not g.flags.writeable:
+            g = g.copy()
+        t.grad = g
         t.tape = None
         t.node_id = None
     tape._consumed = True
@@ -289,10 +273,12 @@ BLOCK = 2**16
 # Values per call, 2**18 of them (1 MiB of float32), up to which `attention`
 # holds its softmax weights and `mlp` its pre-activation h for the backward:
 # arrays that small cost little memory, and recomputing them would still
-# cost a GEMM (and a softmax, or GELU). Larger ones are recomputed.
-# Evaluation sizes its chunks so that one block's scores stay within it,
-# and in cache (`training.eval_chunk_clips`). Fixed by size, so every host
-# runs the same operations.
+# cost a GEMM (and a softmax, or GELU). Larger ones are recomputed, and
+# `attention` then runs its scores in groups of samples that each fit it,
+# so no larger score array is ever built. Evaluation sizes its chunks so
+# that one block's scores stay within it, and in cache
+# (`training.eval_chunk_clips`). Fixed by size, so every host runs the same
+# operations.
 SCORE_BUDGET = 2**18
 
 
@@ -478,14 +464,21 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     to a weight of 0, which would hide it) and the mix.
 
     The record keeps LayerNorm's xhat and inv, not its output, which the
-    backward rebuilds by the forward's own multiply and add; q, k, v and the
-    mix; and the (..., heads, N, N) softmax weights only while they fit in
-    SCORE_BUDGET values. Larger weights are dropped once the output is mixed,
-    and the backward recomputes them by the forward's own GEMM, scale and
-    softmax on the same operands, so they come back bit for bit, and frees
-    them once the softmax gradient and the values' gradient are taken
-    (selective recomputation, as in FlashAttention's backward: Dao et al.,
-    arXiv 2205.14135).
+    backward rebuilds by the forward's own multiply and add, and q, k, v
+    and the mix. The core walks the leading axis in groups: as many indices
+    at a time as keep a group's (group, heads, N, N) scores within
+    SCORE_BUDGET values, and at least one, the way evaluation chunks its
+    clips. When all the scores fit, there is one group and the record holds
+    its softmax weights for the backward, allocating nothing beyond what one
+    pass needs. Otherwise each group's weights are dropped once its output
+    is mixed, and the backward recomputes them group by group by the
+    forward's own GEMM, scale and softmax on the same operands, so they come
+    back bit for bit, and frees them once the softmax gradient and the
+    values' gradient are taken (attention in chunks, as in Rabe & Staats,
+    arXiv 2112.05682, with the selective recomputation of FlashAttention's
+    backward, Dao et al., arXiv 2205.14135). Each score row lies within one
+    group, so the groups run the very GEMMs and row kernels of one whole
+    pass, and values and gradients do not depend on the grouping.
     """
     params = (g, b, wq, bq, wk, wv, bv, wo, bo)
     for p in params:
@@ -507,7 +500,16 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         return t.reshape(lead + (n, heads, dh)).transpose(swap_heads)
 
     def merge(t):  # (..., heads, N, dh) -> (..., N, E)
-        return t.transpose(swap_heads).reshape(shape)
+        t = t.transpose(swap_heads)
+        return t.reshape(t.shape[:-2] + (dim,))
+
+    scores = math.prod(lead) * heads * n * n
+    fits = scores <= SCORE_BUDGET
+    if fits or not lead:
+        groups = [slice(None)]
+    else:
+        span = max(1, SCORE_BUDGET // (scores // lead[0]))
+        groups = [slice(i, i + span) for i in range(0, lead[0], span)]
 
     gd, bd = g.data, b.data
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
@@ -518,30 +520,48 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     del ln, rows
     c = 1.0 / math.sqrt(dh)
 
-    def scaled_scores():
-        s = qh @ kh.swapaxes(-1, -2)
+    def scaled_scores(sl):
+        s = qh[sl] @ kh[sl].swapaxes(-1, -2)
         s *= c
         return s
 
-    probs = _check_finite(scaled_scores(), "scores")
-    _softmax_rows(probs)  # in place: the scores become the weights
-    mixed = _check_finite(merge(probs @ vh)).reshape(-1, dim)
-    held = probs if probs.size <= SCORE_BUDGET else None
+    def mix(sl):  # one group's merged mix and its softmax weights
+        w = _softmax_rows(_check_finite(scaled_scores(sl), "scores"))  # in place
+        return _check_finite(merge(w @ vh[sl])), w
+
+    if len(groups) == 1:
+        mixed, probs = mix(groups[0])
+    else:
+        mixed = np.empty(shape, qh.dtype)
+        for sl in groups:
+            mixed[sl], probs = mix(sl)
+    held = probs if fits else None
     del probs
+    mixed = mixed.reshape(-1, dim)
     out = _linear_rows(mixed, wod, bo.data).reshape(shape)
+
+    def core_grads(sl, gm, w):  # one group's q, k and v gradients, merged
+        if w is None:
+            w = _softmax_rows(scaled_scores(sl))
+        gm = gm[sl]
+        gs = _softmax_grad(w, gm @ vh[sl].swapaxes(-1, -2))
+        gv = merge(w.swapaxes(-1, -2) @ gm)
+        del w
+        gs *= c
+        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
+        return (merge(gs @ kh[sl]),
+                merge((qh[sl].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)), gv)
 
     def rule(gout):
         gm, gwo, gbo = _linear_grads(gout, mixed, wod)
         gm = split(gm)
-        w = held if held is not None else _softmax_rows(scaled_scores())
-        gs = _softmax_grad(w, gm @ vh.swapaxes(-1, -2))
-        gv = merge(w.swapaxes(-1, -2) @ gm)
-        del w
-        gs *= c
-        gq = merge(gs @ kh)
-        # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
-        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        del gs
+        if len(groups) == 1:
+            gq, gk, gv = core_grads(groups[0], gm, held)
+        else:
+            gq, gk, gv = (np.empty(shape, gout.dtype) for _ in range(3))
+            for sl in groups:
+                gq[sl], gk[sl], gv[sl] = core_grads(sl, gm, None)
+        del gm
         rows = _ln_affine(xhat, gd, bd).reshape(-1, dim)
         gln, gwv, gbv = _linear_grads(gv, rows, wvd)
         gx, gwk, _ = _linear_grads(gk, rows, wkd)
@@ -794,39 +814,39 @@ def _check_dtypes(a: Tensor, b: Tensor) -> None:
 class OptimState:
     """AdamW state over one flat parameter arena.
 
-    The parameters, their gradients and the two moments are each laid out
-    in one contiguous buffer (`flat_param`, `flat_grad`, `flat_m`,
-    `flat_v`), tensor after tensor in the parameter dict's order. `param`,
-    `grad`, `m` and `v` map each name to its view into those buffers, and
-    `t` counts the updates. Each parameter tensor's `data` is its `param`
-    view: load new values into it in place, since a rebound tensor would
-    leave the arena and stop being trained.
+    The parameters and the two moments are each laid out in one contiguous
+    buffer (`flat_param`, `flat_m`, `flat_v`), tensor after tensor in the
+    parameter dict's order. `param`, `m` and `v` map each name to its view
+    into those buffers, and `t` counts the updates. Each parameter tensor's
+    `data` is its `param` view: load new values into it in place, since a
+    rebound tensor would leave the arena and stop being trained.
+
+    Gradients are not kept here: they live on the tensors' `grad` for one
+    step only, from backward() to the end of `adamw_step`, so between steps
+    the state holds the parameters and their moments and nothing else.
     """
 
     flat_param: np.ndarray
-    flat_grad: np.ndarray
     flat_m: np.ndarray
     flat_v: np.ndarray
     param: dict[str, np.ndarray]
-    grad: dict[str, np.ndarray]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    scratch: np.ndarray  # two chunk-sized rows for the update's temporaries
+    scratch: np.ndarray  # three chunk-sized rows: two temporaries, the gradient
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "OptimState":
         """Move every tensor of `params` into a fresh arena, with zero
-        gradients and moments. All tensors must share one dtype."""
+        moments. All tensors must share one dtype."""
         dtypes = {p.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ValueError(f"an arena holds one dtype; the parameters mix "
                              f"{sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         total = sum(p.size for p in params.values())
-        flat = (np.empty(total, dtype), np.zeros(total, dtype),
-                np.zeros(total, dtype), np.zeros(total, dtype))
-        views = ({}, {}, {}, {})
+        flat = (np.empty(total, dtype), np.zeros(total, dtype), np.zeros(total, dtype))
+        views = ({}, {}, {})
         off = 0
         for name, p in params.items():
             for buf, named in zip(flat, views):
@@ -834,7 +854,7 @@ class OptimState:
             off += p.size
             views[0][name][...] = p.data
             p.data = views[0][name]
-        scratch = np.empty((2, min(BLOCK, total)), dtype)
+        scratch = np.empty((3, min(BLOCK, total)), dtype)
         return cls(*flat, *views, scratch=scratch)
 
     def check_params(self, params: dict[str, Tensor]) -> None:
@@ -846,6 +866,25 @@ class OptimState:
             if p.data is not self.param[name]:
                 raise ValueError(f"parameter {name!r} is not its arena view; load "
                                  f"values into it in place instead of rebinding it")
+
+
+def _runs(flats, size: int):
+    """The concatenation of the 1-D arrays `flats`, cut into runs of `size`
+    elements (the last may be shorter), each yielded as a list of slices of
+    those arrays."""
+    run, room = [], size
+    for f in flats:
+        lo = 0
+        while f.size - lo >= room:
+            run.append(f[lo : lo + room])
+            lo += room
+            yield run
+            run, room = [], size
+        if lo < f.size:
+            run.append(f[lo:])
+            room -= f.size - lo
+    if run:
+        yield run
 
 
 def adamw_step(
@@ -860,31 +899,39 @@ def adamw_step(
     """One bias-corrected AdamW update, in place, as one pass over the arena.
 
     `params` are the tensors `state` was built for, each still on its arena
-    view, and their gradients are read from the arena (backward() writes
-    the gradients of leaves watched `into` their views there). Decoupled
-    weight decay shrinks the parameters before the Adam delta is applied.
+    view and each holding a `grad` of its shape (backward() leaves them
+    there); a missing one is rejected by name before anything changes.
+    Decoupled weight decay shrinks the parameters before the Adam delta is
+    applied. Once the update is done every `grad` is set to None, so no
+    gradient outlives its step.
 
-    The pass walks the flat buffers BLOCK elements at a time and
-    writes every temporary into the state's scratch rows, so a step
-    allocates nothing. AdamW is elementwise, and each element goes through
-    the same float operations in the same order as in a tensor-by-tensor
-    update, so the result is bit-identical to one and bit-deterministic.
+    The pass walks the flat buffers BLOCK elements at a time: each chunk's
+    gradient is copied from the tensors' grads, in arena order, into the
+    state's third scratch row, and every temporary goes into the other two,
+    so the pass allocates nothing of the arena's size. AdamW is
+    elementwise, and each element goes through the same float operations
+    in the same order as in a tensor-by-tensor update, so the result is
+    bit-identical to one and bit-deterministic.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("betas must lie in [0, 1)")
     state.check_params(params)
+    for name, p in params.items():
+        if p.grad is None or p.grad.shape != p.shape:
+            raise ValueError(f"parameter {name!r} has no gradient of its shape "
+                             f"{p.shape}; run backward() before the update")
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    flat_p, flat_g, flat_m, flat_v = (state.flat_param, state.flat_grad,
-                                      state.flat_m, state.flat_v)
-    for lo in range(0, flat_p.size, BLOCK):
+    flat_p, flat_m, flat_v = state.flat_param, state.flat_m, state.flat_v
+    runs = _runs((params[name].grad.reshape(-1) for name in state.param), BLOCK)
+    for lo, run in zip(range(0, flat_p.size, BLOCK), runs):
         p = flat_p[lo : lo + BLOCK]
-        g = flat_g[lo : lo + BLOCK]
         m = flat_m[lo : lo + BLOCK]
         v = flat_v[lo : lo + BLOCK]
-        a, b = state.scratch[:, : p.size]
+        a, b, g = state.scratch[:, : p.size]
+        np.concatenate(run, out=g)
         if weight_decay != 0.0:
             p *= 1.0 - lr * weight_decay
         m *= beta1
@@ -902,6 +949,8 @@ def adamw_step(
         b += eps
         a /= b
         p -= a
+    for p in params.values():
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -229,10 +230,11 @@ def _update(params: dict[str, Tensor], opt: OptimState, cfg: TrainConfig,
     """One optimizer update of either phase: record `objective()`, a tuple
     whose first item is the loss, on a fresh tape, backpropagate it, apply
     AdamW at the step's learning rate, and return the tuple. The gradients
-    land in `opt`'s arena, where AdamW reads them."""
+    live on the parameters' `grad` from the backward to the end of AdamW,
+    which drops them."""
     tape = Tape()
-    for name, p in params.items():
-        tape.watch(p, into=opt.grad[name])
+    for p in params.values():
+        tape.watch(p)
     try:
         parts = objective()
         backward(parts[0], tape)
@@ -418,64 +420,100 @@ def save_checkpoint(
     write_atomic(path, chunks)
 
 
-def load_checkpoint(path, expect_digest: bytes | None = None):
+def load_checkpoint(path, expect_digest: bytes | None = None, prefixes=("",),
+                    moments: bool = True):
     """Read a checkpoint; returns (param arrays by name, (first moments,
-    second moments) by name, step). The arrays are read-only views of the
-    file's bytes, which are held once."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: missing {CHECKPOINT_MAGIC!r} magic")
-    if len(blob) < 81:  # magic, version, digest, step, table size, trailing digest
-        raise CheckpointTruncatedError(f"{path}: only {len(blob)} bytes")
-    version = blob[4]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: version {version}, expected "
-                                     f"{CHECKPOINT_VERSION}")
-    end = len(blob) - 32
-    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
+    second moments) by name, step) for the tensors whose names start with
+    one of `prefixes`, the moments empty unless `moments`.
+
+    The file is streamed once through SHA-256: each kept tensor is read
+    straight into a read-only array of its own, and every other byte passes
+    through one small scratch buffer, so a read holds what it returns and
+    not the file. The errors keep one order whatever the damage: magic,
+    size, version, content digest, config digest, then the table and
+    payloads. A table error found mid-stream is raised only once the
+    digest matches, so a damaged byte after the version is a digest error.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(49)  # magic, version, config digest, step, table size
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: missing {CHECKPOINT_MAGIC!r} magic")
+        if size < 81:  # the header and the trailing digest
+            raise CheckpointTruncatedError(f"{path}: only {size} bytes")
+        if head[4] != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(f"{path}: version {head[4]}, expected "
+                                         f"{CHECKPOINT_VERSION}")
+        digest = hashlib.sha256(head)
+        end, off = size - 32, len(head)
+
+        def read_into(buf) -> None:  # fill buf from the file, through the digest
+            nonlocal off
+            if fh.readinto(buf) != len(buf):
+                raise CheckpointTruncatedError(f"{path}: file shrank while read")
+            digest.update(buf)
+            off += len(buf)
+
+        def take(n: int, what: str) -> bytearray:  # the next n bytes of the table
+            if off + n > end:
+                raise CheckpointTruncatedError(f"{path}: table {what} cut short")
+            buf = bytearray(n)
+            read_into(buf)
+            return buf
+
+        step, count = struct.unpack("<QI", head[37:49])
+        shapes: dict[str, tuple[int, ...]] = {}
+        params, m, v = arrays = ({}, {}, {})
+        error = None
+        try:
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", take(2, "entry"))
+                try:
+                    name = take(name_len, "name").decode()
+                except UnicodeDecodeError as e:
+                    raise CheckpointFormatError(f"{path}: table name is not UTF-8") from e
+                if name in shapes:
+                    raise CheckpointFormatError(f"{path}: duplicate name {name!r}")
+                rank = take(1, "rank")[0]
+                shapes[name] = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+            sizes = [math.prod(dims) for dims in shapes.values()]  # Python ints: no wrap
+            nbytes = 12 * sum(sizes)  # three float32 payloads
+            if end - off != nbytes:
+                kind = (CheckpointTruncatedError if end - off < nbytes
+                        else CheckpointFormatError)
+                raise kind(f"{path}: {end - off} payload bytes, the table needs {nbytes}")
+            for name, dims in shapes.items():
+                try:  # numpy caps the rank, and the size even when a dim is 0
+                    np.broadcast_to(np.float32(0), dims)
+                except ValueError as e:
+                    raise CheckpointFormatError(f"{path}: {name!r} has dims numpy "
+                                                f"cannot shape") from e
+        except CheckpointError as e:  # raised once the digest is checked
+            error = e
+        scratch = memoryview(bytearray(2**16))
+
+        def skip_to(stop: int) -> None:  # hash the bytes up to stop through scratch
+            while off < stop:
+                read_into(scratch[: min(len(scratch), stop - off)])
+
+        if error is None:
+            for named in arrays[: 3 if moments else 1]:
+                for (name, dims), n in zip(shapes.items(), sizes):
+                    if name.startswith(prefixes):
+                        named[name] = a = np.empty(dims, "<f4")
+                        read_into(a.reshape(-1).view(np.uint8))
+                        a.flags.writeable = False
+                    else:
+                        skip_to(off + 4 * n)
+        skip_to(end)
+        trailer = fh.read(32)
+    if digest.digest() != trailer:
         raise CheckpointDigestError(f"{path}: content digest mismatch")
-    stored_digest = blob[5:37]
-    if expect_digest is not None and stored_digest != expect_digest:
+    if expect_digest is not None and head[5:37] != expect_digest:
         raise CheckpointDigestError(f"{path}: config digest mismatch (checkpoint "
                                     "was written under a different configuration)")
-    step, count = struct.unpack("<QI", blob[37:49])
-    off = 49  # the table's first entry
-
-    def take(n: int, what: str) -> bytes:  # the next n bytes of the table
-        nonlocal off
-        if off + n > end:
-            raise CheckpointTruncatedError(f"{path}: table {what} cut short")
-        off += n
-        return blob[off - n : off]
-
-    shapes: dict[str, tuple[int, ...]] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "entry"))
-        try:
-            name = take(name_len, "name").decode()
-        except UnicodeDecodeError as e:
-            raise CheckpointFormatError(f"{path}: table name is not UTF-8") from e
-        if name in shapes:
-            raise CheckpointFormatError(f"{path}: duplicate name {name!r}")
-        rank = take(1, "rank")[0]
-        shapes[name] = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-    sizes = [math.prod(dims) for dims in shapes.values()]  # Python ints: no wrap
-    nbytes = 12 * sum(sizes)  # three float32 payloads
-    if end - off != nbytes:
-        error = CheckpointTruncatedError if end - off < nbytes else CheckpointFormatError
-        raise error(f"{path}: {end - off} payload bytes, the table needs {nbytes}")
-
-    flat = np.frombuffer(blob, "<f4", count=nbytes // 4, offset=off).reshape(3, -1)
-    params, m, v = arrays = ({}, {}, {})
-    start = 0
-    for (name, dims), size in zip(shapes.items(), sizes):
-        for payload, named in zip(flat, arrays):
-            try:  # numpy caps the rank, and the size even when a dim is 0
-                named[name] = payload[start : start + size].reshape(dims)
-            except ValueError as e:
-                raise CheckpointFormatError(f"{path}: {name!r} has dims numpy "
-                                            f"cannot shape") from e
-        start += size
+    if error is not None:
+        raise error
     return params, (m, v), step
 
 
@@ -491,9 +529,10 @@ def load_params(path, params: dict[str, Tensor], prefixes=("",),
     names, each in the model's shape and finite (with `opt`, its moments
     too, and the second >= 0); otherwise an error names the first misfits or
     the tensor, and nothing is written."""
-    arrays, (m, v), step = load_checkpoint(path, expect_digest=expect_digest)
+    arrays, (m, v), step = load_checkpoint(path, expect_digest=expect_digest,
+                                           prefixes=prefixes, moments=opt is not None)
     want = {k: p.shape for k, p in params.items() if k.startswith(prefixes)}
-    have = {k: a.shape for k, a in arrays.items() if k.startswith(prefixes)}
+    have = {k: a.shape for k, a in arrays.items()}
     misfits = [f"{k}: checkpoint {have.get(k, 'absent')}, model {want.get(k, 'absent')}"
                for k in {**want, **have} if have.get(k) != want.get(k)]
     if misfits:

@@ -586,6 +586,18 @@ def test_reconstruct_writes_one_image_per_ratio(tmp_path):
         assert img.shape == (4 * 8, 4 * 8, 3)  # 4 rows of T=4 frames, W=8
 
 
+def test_reconstruct_rejects_ratios_that_share_a_file_name(tmp_path, capsys):
+    """0.9 and 0.904 both round to recon_90.ppm, so one image would silently
+    replace the other: the pair exits 2, naming both ratios, before anything
+    is written."""
+    cfg = write_cfg(tmp_path, data={"dir": None})
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--ratio", "0.5,0.9,0.904"]) == 2
+    err = capsys.readouterr().err
+    assert "0.9 and 0.904" in err and "recon_90.ppm" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_reconstruct_init_must_fit_the_decoder(tmp_path, capsys):
     """A shared-decoder checkpoint renders under a shared config and is
     rejected, exit 2 with nothing written, under a parallel one."""

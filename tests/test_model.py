@@ -342,7 +342,7 @@ def test_mlp_forward_and_backward_peak_memory():
     tape = nm.Tape()
     xt = Tensor(x)
     for t in (xt, *params):
-        tape.watch(t)  # the gradient buffers are the leaves', not the record's
+        tape.watch(t)
 
     tracemalloc.start()
     try:

@@ -910,7 +910,7 @@ def test_gelu_forward_and_backward_peak_memory():
     x, g = (r.normal(size=(4, 256, 768)).astype(np.float32) for _ in range(2))
     tape = Tape()
     xt = Tensor(x)
-    tape.watch(xt)  # its zero gradient buffer is the leaf's, not gelu's
+    tape.watch(xt)
 
     def run():
         nm.gelu(xt)
@@ -1016,19 +1016,18 @@ def test_backward_accumulates_shared_node():
     np.testing.assert_allclose(x.grad, 1.0 + 2.0 * x.data, rtol=1e-12)
 
 
-@pytest.mark.parametrize("into", [False, True], ids=["node", "arena"])
-def test_backward_adds_a_third_contribution_in_place(into):
+@pytest.mark.parametrize("leaf", [False, True], ids=["node", "leaf"])
+def test_backward_adds_a_third_contribution_in_place(leaf):
     """A node with three consumers gets the bits of the out-of-place sum, in
     replay order, and the arrays the rules returned are left as they were;
-    a leaf watched into a buffer accumulates there the same way."""
+    a watched leaf accumulates its grad the same way."""
     rng = _rng(12)
     x = Tensor(rng.normal(size=(4, 5)).astype(np.float32))
     contribs = [rng.normal(size=(4, 5)).astype(np.float32) for _ in range(3)]
     kept = [c.copy() for c in contribs]
-    buf = np.full((4, 5), 7.0, np.float32)
     tape = Tape()
-    tape.watch(x, into=buf if into else None)
-    node = x if into else nm.scale(x, 1.0)
+    tape.watch(x)
+    node = x if leaf else nm.scale(x, 1.0)
     outs = [nm._result(node.data.copy(), (node,), lambda g, c=c: (c,))
             for c in contribs]
     loss = nm.add(nm.add(nm.sum_all(outs[0]), nm.sum_all(outs[1])),
@@ -1036,16 +1035,15 @@ def test_backward_adds_a_third_contribution_in_place(into):
     backward(loss, tape)
     want = (kept[2] + kept[1]) + kept[0]  # the last consumer replays first
     assert x.grad.tobytes() == want.tobytes()
-    assert (x.grad is buf) == into
+    assert not any(x.grad is c for c in contribs)
     for c, k in zip(contribs, kept):
         assert c.tobytes() == k.tobytes()
 
 
 def test_watch_without_a_buffer_gives_the_leaf_a_zero_buffer():
-    """A leaf watched with no buffer gets a zero-filled one of its own: a
-    leaf the loss does not reach keeps zeros, and a reached leaf's gradient
-    is accumulated there rather than left as the read-only view a rule
-    returned."""
+    """A leaf the loss does not reach gets a zero gradient of its shape and
+    dtype, and a reached leaf's gradient is a writable array rather than
+    the read-only view (a broadcast) a rule returned."""
     x, unused = Tensor(np.ones(3, np.float32)), Tensor(np.ones((2, 2), np.float32))
     tape = Tape()
     tape.watch(x)
@@ -1057,23 +1055,15 @@ def test_watch_without_a_buffer_gives_the_leaf_a_zero_buffer():
 
 
 def test_a_leaf_the_loss_does_not_reach_gets_zeros_in_its_buffer():
-    """A gradient buffer may hold a previous step's values (an arena view);
-    a leaf the loss does not reach gets them zeroed."""
+    """A leaf may still hold an earlier pass's gradient; a leaf the loss
+    does not reach gets zeros, not those stale values."""
     x, y = Tensor(np.ones(3, np.float32)), Tensor(np.ones(3, np.float32))
-    stale = np.full(3, 7.0, np.float32)
+    y.grad = np.full(3, 7.0, np.float32)
     tape = Tape()
     tape.watch(x)
-    tape.watch(y, into=stale)
+    tape.watch(y)
     backward(nm.sum_all(x), tape)
-    assert y.grad is stale and not stale.any()
-
-
-def test_watch_rejects_a_buffer_that_does_not_fit():
-    x = Tensor(np.ones((2, 3), np.float32))
-    with pytest.raises(ValueError, match="does not fit"):
-        Tape().watch(x, into=np.zeros((3, 2), np.float32))
-    with pytest.raises(ValueError, match="does not fit"):
-        Tape().watch(x, into=np.zeros((2, 3), np.float64))
+    assert y.grad.dtype == np.float32 and y.grad.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -1224,17 +1214,18 @@ def test_adamw_first_step_closed_form():
     """m-hat = g, v-hat = g^2 on step one, so delta = -lr*g/(|g|+eps)."""
     p = {"w": Tensor(np.array([1.0]))}
     state = OptimState.for_params(p)
-    state.grad["w"][...] = 2.0
+    p["w"].grad = np.array([2.0])
     adamw_step(p, state, lr=0.1, beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.0)
     want = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
     np.testing.assert_allclose(p["w"].data, [want], rtol=1e-12)
-    assert state.t == 1
+    assert state.t == 1 and p["w"].grad is None  # no gradient outlives its step
 
 
 def test_adamw_zero_grad_no_change():
     p = {"w": Tensor(np.array([3.0, -1.0]))}
     state = OptimState.for_params(p)
-    adamw_step(p, state, lr=0.5, weight_decay=0.0)  # the arena's zero gradients
+    p["w"].grad = np.zeros(2)
+    adamw_step(p, state, lr=0.5, weight_decay=0.0)
     np.testing.assert_array_equal(p["w"].data, [3.0, -1.0])
     assert state.t == 1
 
@@ -1242,6 +1233,7 @@ def test_adamw_zero_grad_no_change():
 def test_adamw_decoupled_decay():
     p = {"w": Tensor(np.array([4.0]))}
     state = OptimState.for_params(p)
+    p["w"].grad = np.zeros(1)
     adamw_step(p, state, lr=0.1, weight_decay=0.2)
     np.testing.assert_allclose(p["w"].data, [4.0 * (1.0 - 0.1 * 0.2)], rtol=1e-12)
 
@@ -1252,13 +1244,29 @@ def test_adamw_bit_deterministic():
         p = {"a": Tensor(r.normal(size=(3, 3))), "b": Tensor(r.normal(size=3))}
         state = OptimState.for_params(p)
         for step in range(10):
-            state.flat_grad[...] = 0.1 * (step + 1)
+            for t in p.values():
+                t.grad = np.full(t.shape, 0.1 * (step + 1))
             adamw_step(p, state, lr=1e-2, weight_decay=0.05)
         return {k: v.data.copy() for k, v in p.items()}
 
     one, two = run(), run()
     for k in one:
         assert (one[k] == two[k]).all()
+
+
+def test_adamw_rejects_a_parameter_without_a_gradient():
+    """A missing or mis-shaped grad is named, before the update changes
+    anything."""
+    p = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(3))}
+    state = OptimState.for_params(p)
+    p["a"].grad = np.ones(2)
+    with pytest.raises(ValueError, match="'b' has no gradient"):
+        adamw_step(p, state, lr=0.1)
+    p["b"].grad = np.ones(2)
+    with pytest.raises(ValueError, match="'b' has no gradient of its shape"):
+        adamw_step(p, state, lr=0.1)
+    assert state.t == 0 and p["a"].data.tolist() == [1.0, 1.0]
+    assert not state.flat_m.any() and p["a"].grad is not None
 
 
 def test_adamw_rejects_bad_beta():
@@ -1288,7 +1296,7 @@ def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
     """Over more than one chunk, with a partial last chunk, several steps of
     the arena pass give the per-tensor update's bits, and the parameters and
     moments are the arena's views, laid out in dict order."""
-    shapes = {"w1": (301, 250), "b1": (250,), "w2": (129, 40), "s": (3,)}
+    shapes = {"w1": (301, 250), "b1": (250,), "e": (0, 4), "w2": (129, 40), "s": (3,)}
     total = sum(math.prod(s) for s in shapes.values())
     assert total > nm.BLOCK and total % nm.BLOCK
     rng = _rng(13)
@@ -1300,10 +1308,11 @@ def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
     for step in range(1, 5):
         grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
         for name, g in grads.items():
-            state.grad[name][...] = g
+            params[name].grad = g
         lr = 1e-2 / step
         adamw_step(params, state, lr=lr, beta1=0.9, beta2=0.95, eps=1e-8,
                    weight_decay=weight_decay)
+        assert all(p.grad is None for p in params.values())
         _adamw_per_tensor(ref, grads, m, v, step, lr, 0.9, 0.95, 1e-8, weight_decay)
     assert state.t == 4
     for name in shapes:
@@ -1311,6 +1320,28 @@ def test_arena_adamw_matches_per_tensor_update(dtype, weight_decay):
         assert params[name].data.tobytes() == ref[name].tobytes()
     for flat, want in ((state.flat_param, ref), (state.flat_m, m), (state.flat_v, v)):
         assert flat.tobytes() == b"".join(want[k].tobytes() for k in shapes)
+
+
+def test_adamw_chunks_may_end_on_tensor_boundaries(monkeypatch):
+    """With a 4-element BLOCK, chunks end inside a tensor, at a tensor's
+    end and past an empty tensor, and the params dict lists the tensors in
+    another order than the arena; every element still gets its own
+    tensor's gradient, as in the per-tensor update."""
+    monkeypatch.setattr(nm, "BLOCK", 4)
+    shapes = {"a": (4,), "e": (0,), "b": (3,), "c": (2, 3), "d": (1,)}
+    rng = _rng(17)
+    ref = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params = {k: Tensor(a.copy()) for k, a in ref.items()}
+    state = OptimState.for_params(params)
+    grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+    for name, g in grads.items():
+        params[name].grad = g
+    adamw_step(dict(reversed(params.items())), state, lr=1e-2, weight_decay=0.05)
+    _adamw_per_tensor(ref, grads, {k: np.zeros(s) for k, s in shapes.items()},
+                      {k: np.zeros(s) for k, s in shapes.items()}, 1, 1e-2, 0.9, 0.95,
+                      1e-8, 0.05)
+    for name in shapes:
+        assert params[name].data.tobytes() == ref[name].tobytes()
 
 
 def test_adamw_rejects_a_parameter_moved_off_its_arena_view():
