@@ -271,12 +271,13 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 BLOCK = 2**16
 
 # Values per call, 2**18 of them (1 MiB of float32), up to which `attention`
-# holds its softmax weights and `mlp` its pre-activation h for the backward:
-# arrays that small cost little memory, and recomputing them would still
-# cost a GEMM (and a softmax, or GELU). Larger ones are recomputed, and
-# `attention` then runs its scores in groups of samples that each fit it,
-# so no larger score array is ever built. Evaluation sizes its chunks so
-# that one block's scores stay within it, and in cache
+# holds its softmax weights, q, k, v and the mix, and `mlp` its
+# pre-activation h, for the backward: arrays that small cost little memory,
+# and recomputing them would still cost GEMMs (and a softmax, or GELU).
+# Above it both records hold LayerNorm's xhat and inv alone and the backward
+# rebuilds the rest; `attention` then runs its scores in groups of samples
+# that each fit it, so no larger score array is ever built. Evaluation
+# sizes its chunks so that one block's scores stay within it, and in cache
 # (`training.eval_chunk_clips`). Fixed by size, so every host runs the same
 # operations.
 SCORE_BUDGET = 2**18
@@ -463,22 +464,28 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     output, q, k, v, the scaled scores (the softmax maps a single -inf score
     to a weight of 0, which would hide it) and the mix.
 
-    The record keeps LayerNorm's xhat and inv, not its output, which the
-    backward rebuilds by the forward's own multiply and add, and q, k, v
-    and the mix. The core walks the leading axis in groups: as many indices
-    at a time as keep a group's (group, heads, N, N) scores within
-    SCORE_BUDGET values, and at least one, the way evaluation chunks its
-    clips. When all the scores fit, there is one group and the record holds
-    its softmax weights for the backward, allocating nothing beyond what one
-    pass needs. Otherwise each group's weights are dropped once its output
-    is mixed, and the backward recomputes them group by group by the
-    forward's own GEMM, scale and softmax on the same operands, so they come
-    back bit for bit, and frees them once the softmax gradient and the
-    values' gradient are taken (attention in chunks, as in Rabe & Staats,
-    arXiv 2112.05682, with the selective recomputation of FlashAttention's
-    backward, Dao et al., arXiv 2205.14135). Each score row lies within one
-    group, so the groups run the very GEMMs and row kernels of one whole
-    pass, and values and gradients do not depend on the grouping.
+    The core walks the leading axis in groups: as many indices at a time as
+    keep a group's (group, heads, N, N) scores within SCORE_BUDGET values,
+    and at least one, the way evaluation chunks its clips. The record keeps
+    LayerNorm's xhat and inv, never its output, which the backward rebuilds
+    by the forward's own multiply and add. When all the scores fit, there is
+    one group, and the record also keeps q, k, v, the mix and the softmax
+    weights, allocating nothing beyond what one pass needs. Otherwise it
+    keeps xhat and inv alone, and each group's weights are dropped once its
+    output is mixed. The backward then rebuilds q, k and v from the rebuilt
+    rows, each by the forward's one GEMM over all the rows, and, group by
+    group, the weights by the forward's own GEMM, scale and softmax and the
+    mix by its own GEMM and merge, on the same operands, so all come back
+    bit for bit; it frees each group's weights once their gradients are
+    taken, and q, k, v, the mix and its gradient once their last reader is
+    done (attention in chunks, as in Rabe & Staats, arXiv 2112.05682, with
+    the selective recomputation of Korthikanti et al., arXiv 2205.05198, and
+    of FlashAttention's backward, Dao et al., arXiv 2205.14135). Each score
+    row lies within one group, so the groups run the very GEMMs and row
+    kernels of one whole pass, and values and gradients do not depend on
+    the grouping. A GEMM's bits may depend on how its rows are blocked, so
+    q, k, v and the output projection's weight gradient are never split by
+    group.
     """
     params = (g, b, wq, bq, wk, wv, bv, wo, bo)
     for p in params:
@@ -496,7 +503,7 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     r = len(lead)
     swap_heads = tuple(range(r)) + (r + 1, r, r + 2)  # its own inverse
 
-    def split(t):  # (..., N, E) -> (..., heads, N, dh), a view
+    def split(t):  # (rows, E) -> (..., heads, N, dh), a view
         return t.reshape(lead + (n, heads, dh)).transpose(swap_heads)
 
     def merge(t):  # (..., heads, N, dh) -> (..., N, E)
@@ -513,62 +520,80 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
 
     gd, bd = g.data, b.data
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
-    ln, xhat, inv = _ln_forward(x.data, gd, bd)
-    rows = _check_finite(ln).reshape(-1, dim)
-    qh, kh, vh = (split(_check_finite(t).reshape(shape)) for t in (
-        _linear_rows(rows, wqd, bq.data), rows @ wkd, _linear_rows(rows, wvd, bv.data)))
-    del ln, rows
+    bqd, bvd = bq.data, bv.data
     c = 1.0 / math.sqrt(dh)
 
-    def scaled_scores(sl):
-        s = qh[sl] @ kh[sl].swapaxes(-1, -2)
+    def project(rows):  # q, k and v, each one GEMM over all the rows
+        return _linear_rows(rows, wqd, bqd), rows @ wkd, _linear_rows(rows, wvd, bvd)
+
+    def scaled_scores(qh, kh):
+        s = qh @ kh.swapaxes(-1, -2)
         s *= c
         return s
 
-    def mix(sl):  # one group's merged mix and its softmax weights
-        w = _softmax_rows(_check_finite(scaled_scores(sl), "scores"))  # in place
-        return _check_finite(merge(w @ vh[sl])), w
-
-    if len(groups) == 1:
-        mixed, probs = mix(groups[0])
-    else:
-        mixed = np.empty(shape, qh.dtype)
-        for sl in groups:
-            mixed[sl], probs = mix(sl)
-    held = probs if fits else None
-    del probs
+    ln, xhat, inv = _ln_forward(x.data, gd, bd)
+    rows = _check_finite(ln).reshape(-1, dim)
+    qkv = [split(_check_finite(t)) for t in project(rows)]
+    del ln, rows
+    mixed = np.empty(shape, x.dtype) if len(groups) > 1 else None
+    for sl in groups:
+        qh, kh, vh = (t[sl] for t in qkv)
+        w = _softmax_rows(_check_finite(scaled_scores(qh, kh), "scores"))  # in place
+        part = _check_finite(merge(w @ vh))
+        if mixed is None:
+            mixed = part
+        else:
+            mixed[sl] = part
     mixed = mixed.reshape(-1, dim)
     out = _linear_rows(mixed, wod, bo.data).reshape(shape)
+    held = (qkv, mixed, w) if fits else None
+    del qkv, qh, kh, vh, w, part, mixed
 
-    def core_grads(sl, gm, w):  # one group's q, k and v gradients, merged
+    def core_grads(qkv, gm, w=None):
+        """One group's merged mix and merged q, k and v gradients, given its
+        q, k and v and the mix's gradient gm, all split into heads. Without
+        its weights w it rebuilds them, and the mix, by the forward's own
+        operations; with them it returns None for the mix."""
+        qh, kh, vh = qkv
+        part = None
         if w is None:
-            w = _softmax_rows(scaled_scores(sl))
-        gm = gm[sl]
-        gs = _softmax_grad(w, gm @ vh[sl].swapaxes(-1, -2))
+            w = _softmax_rows(scaled_scores(qh, kh))
+            part = merge(w @ vh)
+        gs = _softmax_grad(w, gm @ vh.swapaxes(-1, -2))
         gv = merge(w.swapaxes(-1, -2) @ gm)
         del w
         gs *= c
         # (q^T gs)^T, not gs^T q: the GEMM the unfused graph ran for the keys
-        return (merge(gs @ kh[sl]),
-                merge((qh[sl].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)), gv)
+        return (part, merge(gs @ kh),
+                merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)), gv)
 
     def rule(gout):
-        gm, gwo, gbo = _linear_grads(gout, mixed, wod)
-        gm = split(gm)
-        if len(groups) == 1:
-            gq, gk, gv = core_grads(groups[0], gm, held)
-        else:
-            gq, gk, gv = (np.empty(shape, gout.dtype) for _ in range(3))
-            for sl in groups:
-                gq[sl], gk[sl], gv[sl] = core_grads(sl, gm, None)
-        del gm
+        g2 = gout.reshape(-1, dim)
+        gm = split(g2 @ wod.T)
+        gbo = np.add.reduce(gout, axis=tuple(range(gout.ndim - 1)))
         rows = _ln_affine(xhat, gd, bd).reshape(-1, dim)
+        if held is not None:
+            qkv, mixed, w = held
+            _, gq, gk, gv = core_grads(qkv, gm, w)
+        else:
+            qkv = [split(t) for t in project(rows)]
+            mixed, gq, gk, gv = (np.empty(shape, gout.dtype) for _ in range(4))
+            for sl in groups:
+                mixed[sl], gq[sl], gk[sl], gv[sl] = core_grads(
+                    [t[sl] for t in qkv], gm[sl])
+            del qkv
+        del gm
+        gwo = mixed.reshape(-1, dim).T @ g2
+        del mixed
         gln, gwv, gbv = _linear_grads(gv, rows, wvd)
+        del gv
         gx, gwk, _ = _linear_grads(gk, rows, wkd)
-        gln = gln + gx
-        gx, gwq, gbq = _linear_grads(gq, rows, wqd)
+        del gk
         gln += gx
-        del gq, gk, gv, gx, rows
+        gx, gwq, gbq = _linear_grads(gq, rows, wqd)
+        del gq, rows
+        gln += gx
+        del gx
         return (*_ln_backward(gln, xhat, inv, gd),
                 gwq, gbq, gwk, gwv, gbv, gwo, gbo)
 
@@ -610,28 +635,37 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, a: np.ndarray,
     g *= a
 
 
-def _gelu_forward(x: np.ndarray) -> np.ndarray:
-    """GELU of x, `(0.5*x)*(1 + tanh(u))`, as a new C-ordered array, written
-    BLOCK elements at a time with each block's temporaries in block-sized
-    scratch rows."""
+def _gelu_value(x: np.ndarray, t: np.ndarray, out: np.ndarray, a: np.ndarray) -> None:
+    """out = (0.5*x)*(1 + t) for one block x, given t = tanh(u); out may be
+    x itself, and a is block scratch."""
+    np.multiply(x, 0.5, out=out)
+    np.add(t, 1.0, out=a)
+    out *= a
+
+
+def _gelu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU of x, `(0.5*x)*(1 + tanh(u))`, written BLOCK elements at a time
+    with each block's temporaries in block-sized scratch rows: into `out`, a
+    C-ordered array of x's shape that may be x itself, or into a new one."""
     xf = x.reshape(-1)
-    out = np.empty(x.shape, x.dtype)
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
     of = out.reshape(-1)
     t, a = np.empty((2, min(BLOCK, xf.size)), x.dtype)
     for lo in range(0, xf.size, BLOCK):
         blk = slice(lo, lo + BLOCK)
         n = xf[blk].size
         _gelu_tanh(xf[blk], t[:n])
-        np.multiply(xf[blk], 0.5, out=of[blk])
-        np.add(t[:n], 1.0, out=a[:n])
-        of[blk] *= a[:n]
+        _gelu_value(xf[blk], t[:n], of[blk], a[:n])
     return out
 
 
-def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _gelu_backward(x: np.ndarray, g: np.ndarray, value: bool = False) -> np.ndarray:
     """Multiply g, a C-contiguous upstream gradient of x's shape that the
-    caller owns, in place by GELU's derivative at x, recomputing tanh(u)
-    BLOCK elements at a time; returns g."""
+    caller owns, in place by GELU's derivative at x, and, with `value`,
+    overwrite x, C-contiguous too, with GELU(x) once each block's derivative
+    is taken; returns g. tanh(u) is computed once per element, BLOCK
+    elements at a time."""
     xf, gf = x.reshape(-1), g.reshape(-1)
     t, a, b = np.empty((3, min(BLOCK, xf.size)), x.dtype)
     for lo in range(0, xf.size, BLOCK):
@@ -639,6 +673,8 @@ def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         n = xf[blk].size
         _gelu_tanh(xf[blk], t[:n])
         _gelu_grad(xf[blk], t[:n], gf[blk], a[:n], b[:n])
+        if value:
+            _gelu_value(xf[blk], t[:n], xf[blk], a[:n])
     return g
 
 
@@ -650,7 +686,9 @@ def gelu(x: Tensor) -> Tensor:
     `(0.5*x)*(1 + tanh(u))` forward and
     `g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*(k*(1 + ((3c)*x)*x)))` backward,
     in their order, so values and gradients are bit-identical to them. Only
-    `x` is kept; the backward recomputes `t = tanh(u)` in a copy of `g`.
+    `x` is kept. The backward recomputes `t = tanh(u)` once per element and
+    runs the gradient in a copy of `g`; unlike `mlp`'s, it leaves `x` as it
+    is.
     """
     xd = x.data
     return _result(_gelu_forward(xd), (x,), lambda g: (
@@ -668,11 +706,13 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     The record keeps LayerNorm's xhat and inv, not its output, which the
     backward rebuilds by the forward's own multiply and add, and keeps h
     only while it fits in SCORE_BUDGET values; a larger h is recomputed
-    from the rebuilt rows by the forward's own GEMM and bias add. It keeps
-    neither tanh(u) nor the GELU output: the backward recomputes the output
-    block by block for the second weight's gradient, frees it, and runs the
-    GELU gradient in place in the gradient of the output, recomputing
-    tanh(u) per block. So at most one (rows, H) array lives beside h.
+    from the rebuilt rows by the forward's own GEMM and bias add, and the
+    forward writes GELU into it in place. It keeps neither tanh(u) nor the
+    GELU output: the backward first takes the gradient of the GELU output,
+    then one blocked pass computes tanh(u) once per element, multiplies
+    that gradient in place by GELU's derivative and overwrites h with the
+    GELU output, the second weight's input. So at most one (rows, H) array
+    lives beside h.
     """
     params = (g, b, w1, b1, w2, b2)
     for p in params:
@@ -693,16 +733,17 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     # GELU maps finite values to finite ones (an overflowing x*x*x saturates
     # tanh) and inf or NaN to inf or NaN, so this check covers its output too
     _check_finite(h, "pre-activation")
-    out = _linear_rows(_gelu_forward(h), w2d, b2.data)
     held = h if h.size <= SCORE_BUDGET else None
+    out = _linear_rows(_gelu_forward(h, h if held is None else None), w2d, b2.data)
+    del h
     lead = tuple(range(xd.ndim - 1))
 
     def rule(gout):
         rows = _ln_affine(xhat, gd, bd).reshape(-1, d)
         h = held if held is not None else _linear_rows(rows, w1d, b1.data)
         g2 = gout.reshape(-1, e)
-        gw2 = _gelu_forward(h).T @ g2
-        ga = _gelu_backward(h, g2 @ w2d.T)
+        ga = _gelu_backward(h, g2 @ w2d.T, value=True)  # h becomes GELU(h)
+        gw2 = h.T @ g2
         del h
         gln, gw1, gb1 = _linear_grads(ga.reshape(xd.shape[:-1] + (hid,)), rows, w1d)
         del ga, rows

@@ -282,8 +282,10 @@ def generate_dataset(
 
 def read_labels(root) -> list[tuple[str, str]]:
     """Parse labels.tsv into (id, label) pairs, preserving file order. A
-    non-empty line that is not UTF-8, not `<id>\\t<label>`, or whose label is
-    not in DIRECTIONS raises a ClipFileError naming the file and the line."""
+    non-empty line that is not UTF-8, not `<id>\\t<label>`, whose id is not a
+    plain file name (empty, `.`, `..`, or holding a path separator, which
+    would name a file outside `clips/`), or whose label is not in
+    DIRECTIONS raises a ClipFileError naming the file and the line."""
     path = Path(root) / "labels.tsv"
     entries = []
     for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
@@ -298,6 +300,9 @@ def read_labels(root) -> list[tuple[str, str]]:
         if len(fields) != 2:
             raise ClipFileError(f"{path}:{lineno}: expected <id>\\t<label>, "
                                 f"got {line!r}")
+        if fields[0] in ("", ".", "..") or "/" in fields[0] or "\\" in fields[0]:
+            raise ClipFileError(f"{path}:{lineno}: clip id {fields[0]!r} is not "
+                                f"a file name inside clips/")
         if fields[1] not in DIRECTIONS:
             raise ClipFileError(f"{path}:{lineno}: label {fields[1]!r} is not one "
                                 f"of {DIRECTIONS}")

@@ -191,6 +191,33 @@ def test_exit_code_bad_label_names_its_line(tmp_path, capsys, damage, says):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("clip_id", ["../../elsewhere/clips/00002", "sub/00002",
+                                     "", ".", ".."],
+                         ids=["leaves-the-dataset", "subdirectory", "empty", "dot",
+                              "dot-dot"])
+def test_exit_code_clip_id_that_is_not_a_file_name(tmp_path, capsys, clip_id):
+    """A labels.tsv id is a file name inside clips/: an id that is empty, `.`
+    or `..`, or holds a path separator, is a damaged dataset file even where
+    the file it names exists (a copy of a good clip outside the dataset and
+    in a subdirectory here), so exit 3 naming the file and the line, with
+    nothing written."""
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    clips = tmp_path / "ds" / "clips"
+    for where in (tmp_path / "elsewhere" / "clips", clips / "sub"):
+        where.mkdir(parents=True)
+        (where / "00002.mmae").write_bytes((clips / "00002.mmae").read_bytes())
+    labels = tmp_path / "ds" / "labels.tsv"
+    rows = labels.read_text().splitlines()
+    rows[2] = f"{clip_id}\t{rows[2].split(chr(9))[1]}"
+    labels.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert f"{labels}:3:" in err and "clip id" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_code_reconstruct_ratio_out_of_range(tmp_path):
     cfg = write_cfg(tmp_path, data={"dir": None})
     assert main(["reconstruct", "--config", cfg, "--ratio", "1.0"]) == 2

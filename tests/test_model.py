@@ -327,11 +327,13 @@ def test_mlp_forward_and_backward_peak_memory():
     """A desk encoder block's MLP over a (4, 256) batch keeps LayerNorm's
     xhat and not its output, and does not keep its (rows, hidden)
     pre-activation h, which outgrows SCORE_BUDGET: the backward rebuilds the
-    LayerNorm rows and recomputes h and GELU from them. So forward plus
-    backward peak under 3.5 times h: h, one more (rows, hidden) array, and
-    the (rows, 192) arrays and weight gradients beside them. Separate
-    layer_norm and mlp records, keeping the LayerNorm output and h, peaked
-    at 3.63 times."""
+    LayerNorm rows and recomputes h from them, then overwrites h with GELU
+    in the pass that takes GELU's gradient. So forward plus backward peak
+    under 3.35 times h (about 3.25): h, one more (rows, hidden) array, and
+    the (rows, 192) arrays and weight gradients beside them. A backward
+    that built the GELU output in a new array beside h peaked at 3.44
+    times, and separate layer_norm and mlp records, keeping the LayerNorm
+    output and h, at 3.63 times."""
     r = np.random.default_rng(24)
     b, n, dim, hid = 4, 256, 192, 768
     assert b * n * hid > nm.SCORE_BUDGET
@@ -351,7 +353,7 @@ def test_mlp_forward_and_backward_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * h_bytes, f"peak {peak / h_bytes:.2f} x h"
+    assert peak < 3.35 * h_bytes, f"peak {peak / h_bytes:.2f} x h"
 
 
 # ---- initialization ----

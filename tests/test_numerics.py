@@ -313,22 +313,24 @@ def test_attention_bits_follow_the_unfused_graph():
 
 
 def test_attention_recomputed_weights_match_the_held_ones_bit_for_bit(monkeypatch):
-    """With a budget of 0 every record drops its weights, and the backward
-    recomputes them by the forward's GEMM, scale and softmax on the same
-    operands, so the output and all ten gradients match the held path
-    bit for bit, in both precisions, also where the (b * heads * n) rows
+    """With a budget of 0 every record keeps LayerNorm's xhat and inv alone,
+    and the backward rebuilds q, k and v by the forward's GEMMs over all the
+    rows, and each group's weights and mix by its GEMM, scale, softmax, GEMM
+    and merge on the same operands, so the output and all ten gradients
+    match the held path bit for bit, in both precisions: in groups of one
+    sample, for one unbatched sample, and where the (b * heads * n) rows
     span several softmax-gradient blocks. A head width of 3 makes the scale
     1/sqrt(3) inexact, so scaling q or k before the GEMM would differ."""
-    cases = ((2, 7, 9, 3), (2, 192, 6, 2))
-    b, n, _, heads = cases[1]
-    assert b * heads * n > 2 * (nm.BLOCK // n)
-    for b, n, dim, heads in cases:
-        assert b * heads * n * n <= nm.SCORE_BUDGET  # the default holds them
+    cases = (((2,), 7, 9, 3), ((2,), 192, 6, 2), ((), 7, 9, 3))
+    lead, n, _, heads = cases[1]
+    assert lead[0] * heads * n > 2 * (nm.BLOCK // n)
+    for lead, n, dim, heads in cases:
+        assert math.prod(lead) * heads * n * n <= nm.SCORE_BUDGET  # held by default
         for dtype in (np.float32, np.float64):
             r = _rng(15)
-            arrays = [r.normal(size=(b, n, dim)).astype(dtype),
+            arrays = [r.normal(size=lead + (n, dim)).astype(dtype),
                       *_attention_params(r, dim, dtype)]
-            g = r.normal(size=(b, n, dim)).astype(dtype)
+            g = r.normal(size=lead + (n, dim)).astype(dtype)
             held, held_grads, _ = _value_and_grads(
                 lambda *t: nm.attention(*t, heads), arrays, g)
             with monkeypatch.context() as m:
@@ -817,7 +819,11 @@ def test_mlp_bits_follow_linear_gelu_linear(monkeypatch, lead, d, hid, e, dtype)
     """One record whose value and seven gradients match the four records
     layer_norm, linear, gelu, linear bit for bit, with h held and
     recomputed (a budget of 0), also where the hidden activations span
-    several GELU blocks; an untracked x gets no gradient."""
+    several GELU blocks; an untracked x gets no gradient. Both paths meet
+    the same bytes, so the rebuilt path (GELU written into h in place, h
+    rebuilt by the forward's GEMM and bias add, then overwritten with GELU
+    in the pass that takes GELU's gradient) matches the held one byte for
+    byte."""
     r = _rng(25)
     arrs = [r.normal(size=lead + (d,)), 1.0 + 0.1 * r.normal(size=d),
             0.1 * r.normal(size=d), 0.5 * r.normal(size=(d, hid)),
@@ -949,7 +955,8 @@ def test_attention_record_holds_its_weights_only_within_the_budget(b, held):
     holds the (b, 4, 256, 256) float32 weights only where they fit in
     SCORE_BUDGET: 262,144 of them at b = 1 do, 1,048,576 at b = 4 do not.
     Beside them it holds five (b, 256, 32) arrays, xhat, q, k, v and the
-    mix, and not the LayerNorm output."""
+    mix; without them it holds xhat and inv alone, about one such array.
+    It never holds the LayerNorm output."""
     r = _rng(25)
     n, dim, heads = 256, 32, 4
     weights = b * heads * n * n
@@ -968,7 +975,9 @@ def test_attention_record_holds_its_weights_only_within_the_budget(b, held):
         tracemalloc.stop()
     assert len(tape) == 1
     kept -= 4 * weights if held else 0
-    assert 5 * rows <= kept < 5.5 * rows, f"record holds {kept / rows:.2f} x the rows"
+    arrays = 5 if held else 1
+    assert arrays * rows <= kept < (arrays + 0.5) * rows, (
+        f"record holds {kept / rows:.2f} x the rows")
 
 
 # ---- backward ----

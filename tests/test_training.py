@@ -805,29 +805,31 @@ def _desk_step_peak(tmp_path, pretraining: bool, from_init: bool) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 30), (False, 36)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 24), (False, 22)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory(tmp_path, pretraining, bound):
     """One desk-pipeline step (forward, backward and AdamW, the parameter
     arena built beforehand) keeps LayerNorm's xhat and not its output, and
-    the MLP's hidden layer only within SCORE_BUDGET: a pretraining step's
-    traced peak is about 27.4 MiB and a finetuning step's 31.2 MiB. Records
-    that kept every LayerNorm output and hidden layer peaked at 34.6 and
-    43.8 MiB."""
+    the MLP's hidden layer, and attention's q, k, v and mix, only within
+    SCORE_BUDGET: a pretraining step's traced peak is about 22.0 MiB and a
+    finetuning step's 19.3 MiB. Attention records that kept q, k, v and the
+    mix at every size peaked at 27.4 and 31.1 MiB, and records that also
+    kept every LayerNorm output and hidden layer at 34.6 and 43.8 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=False)
     assert peak < bound, f"peak {peak:.1f} MiB"
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 58), (False, 56)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 52), (False, 44)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory_with_its_parameters(tmp_path, pretraining, bound):
     """One desk-pipeline step traced from before init_params, so the
     parameters, their moments and whatever the state keeps between steps
     count too: no gradient arena is resident through the forward, and the
     finetuning encoder's (4, 4, 256, 256) scores run one clip at a time. A
-    pretraining step then peaks at about 54.6 MiB and a finetuning step at
-    52.5 MiB; with a resident gradient arena and whole score tensors they
-    peaked at 63.2 and 59.3 MiB."""
+    pretraining step then peaks at about 48.9 MiB and a finetuning step at
+    40.7 MiB; with attention records that kept q, k, v and the mix at every
+    size they peaked at 54.3 and 52.5 MiB, and with a resident gradient
+    arena and whole score tensors as well at 63.2 and 59.3 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=True)
     assert peak < bound, f"peak {peak:.1f} MiB"
 
@@ -858,11 +860,13 @@ def test_no_parameter_holds_a_gradient_after_an_update(monkeypatch):
 
 def test_desk_finetune_forward_holds_no_attention_weights():
     """A taped desk finetuning forward (batch 4, 256 tokens, 4 encoder
-    blocks of 4 heads) holds about 22.3 MiB at its end. Its four
-    (4, 4, 256, 256) float32 weight arrays and four (1024, 768) hidden
-    layers are recomputed in the backward, and no LayerNorm output inside a
-    block is held; records that held the LayerNorm outputs and hidden
-    layers held 37.3 MiB, and holding the weights again adds 16 MiB."""
+    blocks of 4 heads) holds about 10.3 MiB at its end. Its four
+    (4, 4, 256, 256) float32 weight arrays, four (1024, 768) hidden layers
+    and each block's (1024, 192) q, k, v and mix are recomputed in the
+    backward, and no LayerNorm output inside a block is held; attention
+    records that held q, k, v and the mix held 22.3 MiB, records that also
+    held the LayerNorm outputs and hidden layers 37.3 MiB, and holding the
+    weights again adds 16 MiB."""
     clips = [vd.dataset_clip(i, 8, 64, 64, seed=5)[0] for i in range(4)]
     _, grid = tk.patchify(clips[0], 2, 8)
     enc, _ = md.preset_configs("desk", grid)
@@ -879,7 +883,7 @@ def test_desk_finetune_forward_holds_no_attention_weights():
     finally:
         tracemalloc.stop()
     assert loss.tape is tape
-    assert held < 26 * 2**20, f"{held / 2**20:.1f} MiB held after the forward"
+    assert held < 12 * 2**20, f"{held / 2**20:.1f} MiB held after the forward"
 
 
 def test_finetune_rejects_single_class():
