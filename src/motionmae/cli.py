@@ -127,7 +127,10 @@ def _check_type(path: str, kind: type, value):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as e:
+            raise ConfigError(f"{path} is too large for a float") from e
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
@@ -290,7 +293,10 @@ def _resolve(cfg: dict):
 
     _validate(cfg)
     data, model = cfg["data"], cfg["model"]
-    blank = np.zeros((data["T"], data["H"], data["W"], data["channels"]), np.float32)
+    try:
+        blank = np.zeros([data[k] for k in ("T", "H", "W", "channels")], np.float32)
+    except (MemoryError, ValueError) as e:  # numpy names the shape it cannot allocate
+        raise ConfigError(f"data.T/H/W/channels: {e}") from e
     with _field_errors({"clip": "model.cube_t/cube_p"}):
         _, grid = patchify(blank, model["cube_t"], model["cube_p"])
     enc, dec = _build_model_cfgs(cfg, grid)

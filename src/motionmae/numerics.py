@@ -270,15 +270,15 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 # by size, never by a timing, so every host runs the same passes.
 BLOCK = 2**16
 
-# Values per call, 2**18 of them (1 MiB of float32), up to which `attention`
-# holds its softmax weights, q, k, v and the mix, and `mlp` its
-# pre-activation h, for the backward: arrays that small cost little memory,
-# and recomputing them would still cost GEMMs (and a softmax, or GELU).
-# Above it both records hold LayerNorm's xhat and inv alone and the backward
-# rebuilds the rest; `attention` then runs its scores in groups of samples
-# that each fit it, so no larger score array is ever built. Evaluation
-# sizes its chunks so that one block's scores stay within it, and in cache
-# (`training.eval_chunk_clips`). Fixed by size, so every host runs the same
+# Attention scores per call, 2**18 of them (1 MiB of float32), up to which
+# `attention` holds its softmax weights, q, k, v and the mix for the
+# backward: at tiny sizes rebuilding them reads slower than keeping them.
+# Above it the record holds LayerNorm's xhat and inv alone, the backward
+# rebuilds the rest, and the scores run in groups of samples that each fit
+# it, so no larger score array is ever built. Evaluation sizes its chunks
+# so that one block's scores stay within it, and in cache
+# (`training.eval_chunk_clips`). `mlp` does not read it: its hidden layer
+# is rebuilt at every size. Fixed by size, so every host runs the same
 # operations.
 SCORE_BUDGET = 2**18
 
@@ -468,24 +468,24 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     keep a group's (group, heads, N, N) scores within SCORE_BUDGET values,
     and at least one, the way evaluation chunks its clips. The record keeps
     LayerNorm's xhat and inv, never its output, which the backward rebuilds
-    by the forward's own multiply and add. When all the scores fit, there is
-    one group, and the record also keeps q, k, v, the mix and the softmax
-    weights, allocating nothing beyond what one pass needs. Otherwise it
-    keeps xhat and inv alone, and each group's weights are dropped once its
-    output is mixed. The backward then rebuilds q, k and v from the rebuilt
-    rows, each by the forward's one GEMM over all the rows, and, group by
-    group, the weights by the forward's own GEMM, scale and softmax and the
-    mix by its own GEMM and merge, on the same operands, so all come back
-    bit for bit; it frees each group's weights once their gradients are
-    taken, and q, k, v, the mix and its gradient once their last reader is
-    done (attention in chunks, as in Rabe & Staats, arXiv 2112.05682, with
-    the selective recomputation of Korthikanti et al., arXiv 2205.05198, and
-    of FlashAttention's backward, Dao et al., arXiv 2205.14135). Each score
-    row lies within one group, so the groups run the very GEMMs and row
-    kernels of one whole pass, and values and gradients do not depend on
-    the grouping. A GEMM's bits may depend on how its rows are blocked, so
-    q, k, v and the output projection's weight gradient are never split by
-    group.
+    by the forward's own multiply and add. Each group's mix is written into
+    one buffer of the output's shape. When all the scores fit, there is one
+    group, and the record also keeps q, k, v, the mix and the softmax
+    weights. Otherwise it keeps xhat and inv alone, and each group's weights
+    are dropped once its output is mixed. The backward then rebuilds q, k
+    and v from the rebuilt rows, each by the forward's one GEMM over all the
+    rows, and, group by group, the weights by the forward's own GEMM, scale
+    and softmax and the mix by its own GEMM and merge, on the same operands,
+    so all come back bit for bit; it frees each group's weights once their
+    gradients are taken, and q, k, v, the mix and its gradient once their
+    last reader is done (attention in chunks, as in Rabe & Staats, arXiv
+    2112.05682, with the selective recomputation of Korthikanti et al.,
+    arXiv 2205.05198, and of FlashAttention's backward, Dao et al., arXiv
+    2205.14135). Each score row lies within one group, so the groups run the
+    very GEMMs and row kernels of one whole pass, and values and gradients
+    do not depend on the grouping. A GEMM's bits may depend on how its rows
+    are blocked, so q, k, v and the output projection's weight gradient are
+    never split by group.
     """
     params = (g, b, wq, bq, wk, wv, bv, wo, bo)
     for p in params:
@@ -535,19 +535,15 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     rows = _check_finite(ln).reshape(-1, dim)
     qkv = [split(_check_finite(t)) for t in project(rows)]
     del ln, rows
-    mixed = np.empty(shape, x.dtype) if len(groups) > 1 else None
+    mixed = np.empty(shape, x.dtype)
     for sl in groups:
         qh, kh, vh = (t[sl] for t in qkv)
         w = _softmax_rows(_check_finite(scaled_scores(qh, kh), "scores"))  # in place
-        part = _check_finite(merge(w @ vh))
-        if mixed is None:
-            mixed = part
-        else:
-            mixed[sl] = part
+        mixed[sl] = _check_finite(merge(w @ vh))
     mixed = mixed.reshape(-1, dim)
     out = _linear_rows(mixed, wod, bo.data).reshape(shape)
     held = (qkv, mixed, w) if fits else None
-    del qkv, qh, kh, vh, w, part, mixed
+    del qkv, qh, kh, vh, w, mixed
 
     def core_grads(qkv, gm, w=None):
         """One group's merged mix and merged q, k and v gradients, given its
@@ -643,14 +639,11 @@ def _gelu_value(x: np.ndarray, t: np.ndarray, out: np.ndarray, a: np.ndarray) ->
     out *= a
 
 
-def _gelu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gelu_forward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """GELU of x, `(0.5*x)*(1 + tanh(u))`, written BLOCK elements at a time
-    with each block's temporaries in block-sized scratch rows: into `out`, a
-    C-ordered array of x's shape that may be x itself, or into a new one."""
-    xf = x.reshape(-1)
-    if out is None:
-        out = np.empty(x.shape, x.dtype)
-    of = out.reshape(-1)
+    with each block's temporaries in block-sized scratch rows into `out`, a
+    C-ordered array of x's shape that may be x itself; returns out."""
+    xf, of = x.reshape(-1), out.reshape(-1)
     t, a = np.empty((2, min(BLOCK, xf.size)), x.dtype)
     for lo in range(0, xf.size, BLOCK):
         blk = slice(lo, lo + BLOCK)
@@ -691,7 +684,8 @@ def gelu(x: Tensor) -> Tensor:
     is.
     """
     xd = x.data
-    return _result(_gelu_forward(xd), (x,), lambda g: (
+    out = _gelu_forward(xd, np.empty(xd.shape, xd.dtype))
+    return _result(out, (x,), lambda g: (
         _gelu_backward(xd, np.array(g, xd.dtype, order="C")),))
 
 
@@ -703,16 +697,15 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     match those four records bit for bit. Besides the output it checks the
     LayerNorm output and the pre-activation h, as they did.
 
-    The record keeps LayerNorm's xhat and inv, not its output, which the
-    backward rebuilds by the forward's own multiply and add, and keeps h
-    only while it fits in SCORE_BUDGET values; a larger h is recomputed
-    from the rebuilt rows by the forward's own GEMM and bias add, and the
-    forward writes GELU into it in place. It keeps neither tanh(u) nor the
-    GELU output: the backward first takes the gradient of the GELU output,
-    then one blocked pass computes tanh(u) once per element, multiplies
-    that gradient in place by GELU's derivative and overwrites h with the
-    GELU output, the second weight's input. So at most one (rows, H) array
-    lives beside h.
+    The record keeps LayerNorm's xhat and inv alone, at every size: the
+    forward writes GELU into h in place, and the backward rebuilds the
+    LayerNorm rows by the forward's own multiply and add and h from them by
+    the forward's own GEMM and bias add, so both come back bit for bit. It
+    keeps neither tanh(u) nor the GELU output: the backward first takes the
+    gradient of the GELU output, then one blocked pass computes tanh(u) once
+    per element, multiplies that gradient in place by GELU's derivative and
+    overwrites h with the GELU output, the second weight's input. So at most
+    one (rows, H) array lives beside h.
     """
     params = (g, b, w1, b1, w2, b2)
     for p in params:
@@ -733,14 +726,13 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     # GELU maps finite values to finite ones (an overflowing x*x*x saturates
     # tanh) and inf or NaN to inf or NaN, so this check covers its output too
     _check_finite(h, "pre-activation")
-    held = h if h.size <= SCORE_BUDGET else None
-    out = _linear_rows(_gelu_forward(h, h if held is None else None), w2d, b2.data)
+    out = _linear_rows(_gelu_forward(h, h), w2d, b2.data)
     del h
     lead = tuple(range(xd.ndim - 1))
 
     def rule(gout):
         rows = _ln_affine(xhat, gd, bd).reshape(-1, d)
-        h = held if held is not None else _linear_rows(rows, w1d, b1.data)
+        h = _linear_rows(rows, w1d, b1.data)
         g2 = gout.reshape(-1, e)
         ga = _gelu_backward(h, g2 @ w2d.T, value=True)  # h becomes GELU(h)
         gw2 = h.T @ g2

@@ -356,6 +356,24 @@ def test_exit_code_leaf_of_wrong_type(tmp_path, capsys, sections, field):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("sections,field", [
+    ({"train": {"lr": 10**400}}, "train.lr"),
+    ({"targets": {"lambda": -10**400}}, "targets.lambda"),
+    ({"mask": {"ratio": 10**400}}, "mask.ratio"),
+    ({"model": {"preset": None, "enc_mlp": 10**400}}, "model.enc_mlp"),
+    ({"data": {"crop_scale": [0.5, 10**400]}}, "data.crop_scale[1]"),
+    ({"data": {"T": 1000000, "H": 40000, "W": 40000}}, "data.T/H/W/channels"),
+])
+def test_exit_code_config_beyond_machine_range(tmp_path, capsys, sections, field):
+    """A JSON integer beyond float range in a number leaf, or a clip too
+    large to allocate (1,000,000 x 40,000 x 40,000 float32 values, 5.7 PiB,
+    far beyond the address space), is rejected at load, naming the field,
+    with nothing written."""
+    assert main(["pretrain", "--config", write_cfg(tmp_path, **sections)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key", ["enc_dim", "dec_dim"])
 def test_exit_code_embed_dim_below_six(tmp_path, capsys, key):
     """Too narrow for the three-axis position code: rejected at load, before

@@ -815,40 +815,34 @@ def _unfused_mlp(x, g, b, w1, b1, w2, b2):
                                              ((2, 100), 16, 700, 12),
                                              ((130,), 6, 1024, 5)],
                          ids=["one-block", "blocks-and-remainder", "whole-blocks"])
-def test_mlp_bits_follow_linear_gelu_linear(monkeypatch, lead, d, hid, e, dtype):
+def test_mlp_bits_follow_linear_gelu_linear(lead, d, hid, e, dtype):
     """One record whose value and seven gradients match the four records
-    layer_norm, linear, gelu, linear bit for bit, with h held and
-    recomputed (a budget of 0), also where the hidden activations span
-    several GELU blocks; an untracked x gets no gradient. Both paths meet
-    the same bytes, so the rebuilt path (GELU written into h in place, h
-    rebuilt by the forward's GEMM and bias add, then overwritten with GELU
-    in the pass that takes GELU's gradient) matches the held one byte for
-    byte."""
+    layer_norm, linear, gelu, linear bit for bit, also where the hidden
+    activations span several GELU blocks; an untracked x gets no gradient.
+    GELU is written into h in place, and the backward rebuilds h by the
+    forward's GEMM and bias add on the same bytes, then overwrites it with
+    GELU in the pass that takes GELU's gradient."""
     r = _rng(25)
     arrs = [r.normal(size=lead + (d,)), 1.0 + 0.1 * r.normal(size=d),
             0.1 * r.normal(size=d), 0.5 * r.normal(size=(d, hid)),
             r.normal(size=hid), 0.3 * r.normal(size=(hid, e)), r.normal(size=e)]
     arrs = [a.astype(dtype) for a in arrs]
     g = r.normal(size=lead + (e,)).astype(dtype)
-    assert np.prod(lead) * hid <= nm.SCORE_BUDGET  # the default holds h
     want, want_grads, _ = _value_and_grads(_unfused_mlp, arrs, g)
-    for budget in (nm.SCORE_BUDGET, 0):
-        monkeypatch.setattr(nm, "SCORE_BUDGET", budget)
-        got, grads, records = _value_and_grads(nm.mlp, arrs, g)
-        assert records == 1
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
-        for a, w in zip(grads, want_grads):
-            assert a.shape == w.shape and a.tobytes() == w.tobytes()
-        _, grads, _ = _value_and_grads(nm.mlp, arrs, g, track_x=False)
-        assert grads[0] is None
-        for a, w in zip(grads[1:], want_grads[1:]):
-            assert a.tobytes() == w.tobytes()
+    got, grads, records = _value_and_grads(nm.mlp, arrs, g)
+    assert records == 1
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    for a, w in zip(grads, want_grads):
+        assert a.shape == w.shape and a.tobytes() == w.tobytes()
+    _, grads, _ = _value_and_grads(nm.mlp, arrs, g, track_x=False)
+    assert grads[0] is None
+    for a, w in zip(grads[1:], want_grads[1:]):
+        assert a.tobytes() == w.tobytes()
 
 
-def test_grad_mlp_with_recomputed_hidden_layer(monkeypatch):
+def test_grad_mlp_with_recomputed_hidden_layer():
     from motionmae.cli import GRADCHECK_TOLERANCE
 
-    monkeypatch.setattr(nm, "SCORE_BUDGET", 0)
     r = _rng(36)
     shapes = [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (2, 3, 5)]
     params = [Tensor(r.normal(size=s)) for s in shapes]
@@ -882,7 +876,7 @@ def test_gelu_keeps_finiteness():
         x = np.array([fi.max, -fi.max, 1e13, -1e13, fi.tiny, -0.0,
                       np.inf, -np.inf, np.nan], dtype)
         with np.errstate(all="ignore"):
-            out = nm._gelu_forward(x)
+            out = nm._gelu_forward(x, np.empty_like(x))
         np.testing.assert_array_equal(np.isfinite(out), np.isfinite(x))
 
 

@@ -704,17 +704,20 @@ def _workload_resolved(name, tmp_path):
 
 def _spy_held_paths(monkeypatch) -> list:
     """Wrap numerics.attention and numerics.mlp where the model looks them
-    up: each taped call appends (its name, the size of what its record may
-    hold, the weights or h, and whether it holds it)."""
+    up: each taped call appends (its name, the size of the weights or the
+    hidden layer h, and whether its record holds them). An attention record
+    holds its weights when its `held` cell is set; an mlp record holds h
+    when its rule's closure holds an array of the hidden width other than
+    its input and parameters."""
     seen = []
 
-    def spying(name, real, size):
+    def spying(name, real, size, holds):
         def spy(x, *params):
             out = real(x, *params)
             rule = out.tape._records[-1][2]
-            cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
-            seen.append((name, size(x, params),
-                         cells["held"].cell_contents is not None))
+            cells = {k: c.cell_contents
+                     for k, c in zip(rule.__code__.co_freevars, rule.__closure__)}
+            seen.append((name, size(x, params), holds(cells, x, params)))
             return out
         return spy
 
@@ -724,34 +727,44 @@ def _spy_held_paths(monkeypatch) -> list:
     def hidden(x, params):
         return int(np.prod(x.shape[:-1])) * params[2].shape[1]
 
-    monkeypatch.setattr(nm, "attention", spying("attention", nm.attention, weights))
-    monkeypatch.setattr(nm, "mlp", spying("mlp", nm.mlp, hidden))
+    def holds_weights(cells, x, params):
+        return cells["held"] is not None
+
+    def holds_hidden(cells, x, params):
+        own = [t.data for t in (x, *params)]
+        return any(isinstance(c, np.ndarray) and c.shape[-1:] == params[3].shape
+                   and not any(c is a for a in own) for c in cells.values())
+
+    monkeypatch.setattr(nm, "attention",
+                        spying("attention", nm.attention, weights, holds_weights))
+    monkeypatch.setattr(nm, "mlp", spying("mlp", nm.mlp, hidden, holds_hidden))
     return seen
 
 
 @pytest.mark.parametrize("name, pretrain, finetune", [
     ("tiny-pipeline",
      (37, {("attention", 8192, True), ("attention", 65536, True),
-           ("mlp", 8192, True), ("mlp", 16384, True)}),
-     (14, {("attention", 131072, True), ("mlp", 32768, True)})),
+           ("mlp", 8192, False), ("mlp", 16384, False)}),
+     (14, {("attention", 131072, True), ("mlp", 32768, False)})),
     ("tiny-variants",
      (27, {("attention", 2048, True), ("attention", 65536, True),
-           ("mlp", 4096, True), ("mlp", 16384, True)}),
-     (14, {("attention", 131072, True), ("mlp", 32768, True)})),
+           ("mlp", 4096, False), ("mlp", 16384, False)}),
+     (14, {("attention", 131072, True), ("mlp", 32768, False)})),
     ("desk-pipeline",
      (53, {("attention", 65536, True), ("attention", 524288, False),
-           ("mlp", 196608, True), ("mlp", 393216, False)}),
+           ("mlp", 196608, False), ("mlp", 393216, False)}),
      (22, {("attention", 1048576, False), ("mlp", 786432, False)})),
 ])
 def test_workload_attention_records_hold_or_recompute_their_weights(
         monkeypatch, tmp_path, name, pretrain, finetune):
     """One taped pretraining and finetuning step's graph at each benchmark
     workload's shapes: a block is two records, attention and mlp, plus two
-    adds, which pins the records a step takes. Every tiny record (at most
-    131,072 weights, 32,768 hidden values) holds what it may; the desk
-    pretraining encoder holds its 65,536 weights and 196,608 hidden values,
-    while the desk decoder's (524,288 and 393,216) and the finetuning
-    encoder's (1,048,576 and 786,432) are recomputed in the backward."""
+    adds, which pins the records a step takes. Every tiny attention record
+    (at most 131,072 weights) and the desk pretraining encoder's (65,536)
+    hold their weights, while the desk decoder's (524,288) and the
+    finetuning encoder's (1,048,576) are recomputed in the backward. No mlp
+    record holds its hidden layer, at any size: from 4,096 to 786,432
+    hidden values, each is recomputed in the backward."""
     run, (grid, enc, dec, pre_cfg, ft_cfg) = _workload_resolved(name, tmp_path)
     seen = _spy_held_paths(monkeypatch)
     r = np.random.default_rng(0)
@@ -805,31 +818,35 @@ def _desk_step_peak(tmp_path, pretraining: bool, from_init: bool) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 24), (False, 22)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 20.5), (False, 22)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory(tmp_path, pretraining, bound):
     """One desk-pipeline step (forward, backward and AdamW, the parameter
-    arena built beforehand) keeps LayerNorm's xhat and not its output, and
-    the MLP's hidden layer, and attention's q, k, v and mix, only within
-    SCORE_BUDGET: a pretraining step's traced peak is about 22.0 MiB and a
-    finetuning step's 19.3 MiB. Attention records that kept q, k, v and the
-    mix at every size peaked at 27.4 and 31.1 MiB, and records that also
-    kept every LayerNorm output and hidden layer at 34.6 and 43.8 MiB."""
+    arena built beforehand) keeps LayerNorm's xhat and not its output, no
+    MLP hidden layer, and attention's q, k, v and mix only within
+    SCORE_BUDGET: a pretraining step's traced peak is about 19.0 MiB and a
+    finetuning step's 19.3 MiB. MLP records that kept their hidden layer
+    within SCORE_BUDGET peaked at 22.0 MiB in pretraining; attention records
+    that kept q, k, v and the mix at every size at 27.4 and 31.1 MiB, and
+    records that also kept every LayerNorm output and hidden layer at 34.6
+    and 43.8 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=False)
     assert peak < bound, f"peak {peak:.1f} MiB"
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 52), (False, 44)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 47.5), (False, 44)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory_with_its_parameters(tmp_path, pretraining, bound):
     """One desk-pipeline step traced from before init_params, so the
     parameters, their moments and whatever the state keeps between steps
     count too: no gradient arena is resident through the forward, and the
     finetuning encoder's (4, 4, 256, 256) scores run one clip at a time. A
-    pretraining step then peaks at about 48.9 MiB and a finetuning step at
-    40.7 MiB; with attention records that kept q, k, v and the mix at every
-    size they peaked at 54.3 and 52.5 MiB, and with a resident gradient
-    arena and whole score tensors as well at 63.2 and 59.3 MiB."""
+    pretraining step then peaks at about 45.9 MiB and a finetuning step at
+    40.7 MiB; with MLP records that kept their hidden layer within
+    SCORE_BUDGET pretraining peaked at 48.9 MiB, with attention records that
+    kept q, k, v and the mix at every size at 54.3 and 52.5 MiB, and with a
+    resident gradient arena and whole score tensors as well at 63.2 and
+    59.3 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=True)
     assert peak < bound, f"peak {peak:.1f} MiB"
 
