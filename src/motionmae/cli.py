@@ -200,7 +200,7 @@ def load_config(path: str | None) -> tuple[dict, tuple]:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         try:
             user = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -548,7 +548,7 @@ def _primitive_checks():
                 (2, 3, 4))
     yield check("gelu", unary(nm.gelu), (3, 4))
     yield check("mlp", lambda t: nm.sum_all(nm.mul(t[7], nm.mlp(*t[:7]))),
-                (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (2, 3, 5))
+                (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,), (2, 3, 4))
     yield check("layer_norm",
                 lambda t: nm.sum_all(nm.mul(t[0], nm.layer_norm(t[0], t[1], t[2]))),
                 (3, 6), (6,), (6,))
@@ -633,11 +633,14 @@ _ABLATION_FIELDS = {"target_kind": ("targets", "kind"), "gap": ("targets", "gap"
 _ABLATION_AXES = tuple(_ABLATION_FIELDS)
 
 
-def _apply_setting(cfg: dict, axis: str, value) -> dict:
+def _ablation_setting(cfg: dict, axis: str, value) -> tuple[dict, tuple]:
     out = copy.deepcopy(cfg)
     section, key = _ABLATION_FIELDS[axis]
     out[section][key] = value
-    return out
+    try:
+        return out, _resolve(out)
+    except ConfigError as e:
+        raise ConfigError(f"ablate.{axis} value {value}: {e}") from e
 
 
 def cmd_ablate(args) -> int:
@@ -655,15 +658,14 @@ def cmd_ablate(args) -> int:
         "ratio": cfg["ablate"]["ratio"],
         "decoder": cfg["ablate"]["decoder"],
     }[args.axis]
-    settings = [_apply_setting(cfg, args.axis, value) for value in values]
     # reject any setting before the first run
-    resolved = [_resolve(sub) for sub in settings]
+    settings = [_ablation_setting(cfg, args.axis, value) for value in values]
 
     data = _finetune_data(cfg, grid)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, sub, built in zip(values, settings, resolved):
+    for value, (sub, built) in zip(values, settings):
         ckpt = _pretrain(sub, built, data[0], out_dir / f"{args.axis}_{value}")
         top1 = _finetune(built, data, ckpt)["val_top1"]
         rows.append((value, top1))

@@ -81,12 +81,10 @@ def read_ppm(path) -> np.ndarray:
 
 
 def _to_rgb(frames: np.ndarray) -> np.ndarray:
-    c = frames.shape[-1]
-    if c == 3:
+    """3-channel frames as they are, others as the gray of their channel mean."""
+    if frames.shape[-1] == 3:
         return frames
-    if c == 1:
-        return np.repeat(frames, 3, axis=-1)
-    raise ValueError(f"cannot render {c}-channel frames as RGB")
+    return np.repeat(frames.mean(axis=-1, keepdims=True), 3, axis=-1)
 
 
 def _motion_frames(time_preds: np.ndarray, grid: TokenGrid) -> np.ndarray:

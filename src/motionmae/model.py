@@ -228,18 +228,13 @@ _ATTENTION = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.wv",
 _MLP = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
-def _block(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    """One pre-norm block over (..., N, E) rows: self-attention, each leading
-    index (one sample of a batch) attending only within itself, then the
-    MLP, each behind its LayerNorm and with a residual add."""
-    x = nm.add(x, nm.attention(x, *(params[f"{prefix}.{n}"] for n in _ATTENTION),
-                               heads))
-    return nm.add(x, nm.mlp(x, *(params[f"{prefix}.{n}"] for n in _MLP)))
-
-
 def _run_stack(x: Tensor, params, prefix: str, depth: int, heads: int) -> Tensor:
+    """`depth` pre-norm blocks, then LayerNorm. A block is two records, each
+    checking its sum: `attention`, x + Attn(LN(x)), then `mlp`, x + MLP(LN(x))."""
     for i in range(depth):
-        x = _block(x, params, f"{prefix}.block{i}", heads)
+        p = f"{prefix}.block{i}"
+        x = nm.attention(x, *(params[f"{p}.{n}"] for n in _ATTENTION), heads)
+        x = nm.mlp(x, *(params[f"{p}.{n}"] for n in _MLP))
     return nm.layer_norm(x, params[f"{prefix}.ln_out.g"], params[f"{prefix}.ln_out.b"])
 
 

@@ -450,19 +450,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
               wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
               heads: int) -> Tensor:
-    """Pre-norm multi-head self-attention over (..., N, E) rows, each leading
-    index (one sample of a batch) attending only within itself, as one
-    record: LayerNorm with gain g and shift b, the q, k and v projections,
-    split into heads, scaled scores, row softmax, mix and merge, and the
-    output projection; k has no bias, which the softmax would cancel. Values
-    and gradients match the records `layer_norm`, `linear`, `matmul` and
-    `linear` for q, k and v, the attention core and `linear` bit for bit:
-    the backward sums the projections' input gradients as backward() summed
-    them, (v + k) + q.
+    """x + Attn(LN(x)), the attention half of a pre-norm block, over (..., N,
+    E) rows, each leading index (one sample of a batch) attending only within
+    itself, as one record: LayerNorm with gain g and shift b, the q, k and v
+    projections, split into heads, scaled scores, row softmax, mix and merge,
+    the output projection and the residual add; k has no bias, which the
+    softmax would cancel. Values and gradients match the records `layer_norm`,
+    `linear`, `matmul` and `linear` for q, k and v, the attention core,
+    `linear` and `add` bit for bit: the backward sums the projections' input
+    gradients as backward() summed them, (v + k) + q, then adds the residual's.
 
-    Besides the output it checks what those records checked: the LayerNorm
-    output, q, k, v, the scaled scores (the softmax maps a single -inf score
-    to a weight of 0, which would hide it) and the mix.
+    Besides the sum it checks what those records checked: the LayerNorm output,
+    q, k, v, the scaled scores (the softmax maps a single -inf score to a
+    weight of 0, which would hide it) and the mix. x passed the LayerNorm
+    check, so the sum's check catches a non-finite projection or add.
 
     The core walks the leading axis in groups: as many indices at a time as
     keep a group's (group, heads, N, N) scores within SCORE_BUDGET values,
@@ -542,6 +543,7 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         mixed[sl] = _check_finite(merge(w @ vh))
     mixed = mixed.reshape(-1, dim)
     out = _linear_rows(mixed, wod, bo.data).reshape(shape)
+    out += x.data
     held = (qkv, mixed, w) if fits else None
     del qkv, qh, kh, vh, w, mixed
 
@@ -590,8 +592,9 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         del gq, rows
         gln += gx
         del gx
-        return (*_ln_backward(gln, xhat, inv, gd),
-                gwq, gbq, gwk, gwv, gbv, gwo, gbo)
+        gx, gg, gb = _ln_backward(gln, xhat, inv, gd)
+        gx += gout
+        return gx, gg, gb, gwq, gbq, gwk, gwv, gbv, gwo, gbo
 
     return _result(out, (x,) + params, rule)
 
@@ -691,11 +694,12 @@ def gelu(x: Tensor) -> Tensor:
 
 def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         b2: Tensor) -> Tensor:
-    """gelu(LN(x) @ w1 + b1) @ w2 + b2 for (..., D) rows, LayerNorm with gain
-    g and shift b, a (D, H) and an (H, E) weight, as one record: the kernels
-    of `layer_norm`, `linear`, `gelu`, `linear`, so values and gradients
-    match those four records bit for bit. Besides the output it checks the
-    LayerNorm output and the pre-activation h, as they did.
+    """x + gelu(LN(x) @ w1 + b1) @ w2 + b2 for (..., D) rows, LayerNorm with
+    gain g and shift b, a (D, H) and an (H, D) weight, as one record: the
+    kernels of `layer_norm`, `linear`, `gelu`, `linear` and `add`, so values
+    and gradients match those five records bit for bit. Besides the sum it
+    checks the LayerNorm output, which x passed, and the pre-activation h, so
+    the sum's check catches a non-finite product or add.
 
     The record keeps LayerNorm's xhat and inv alone, at every size: the
     forward writes GELU into h in place, and the backward rebuilds the
@@ -712,37 +716,37 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         _check_dtypes(x, p)
     xd, gd, bd, w1d, w2d = x.data, g.data, b.data, w1.data, w2.data
     d = xd.shape[-1] if xd.ndim else 0
-    if (w1d.ndim != 2 or w2d.ndim != 2 or w1d.shape[0] != d
+    if (w1d.ndim != 2 or w1d.shape[0] != d or w2d.shape != w1d.shape[::-1]
             or g.shape != (d,) or b.shape != (d,)
-            or b1.shape != w1d.shape[1:] or w2d.shape[:1] != w1d.shape[1:]
-            or b2.shape != w2d.shape[1:]):
+            or b1.shape != w1d.shape[1:] or b2.shape != (d,)):
         raise ValueError(f"mlp shape mismatch: LN({xd.shape}; {g.shape}, "
                          f"{b.shape}) @ {w1d.shape} + {b1.shape} @ {w2d.shape} "
                          f"+ {b2.shape}")
-    hid, e = w2d.shape
     ln, xhat, inv = _ln_forward(xd, gd, bd)
     h = _linear_rows(_check_finite(ln).reshape(-1, d), w1d, b1.data)
     del ln
     # GELU maps finite values to finite ones (an overflowing x*x*x saturates
     # tanh) and inf or NaN to inf or NaN, so this check covers its output too
     _check_finite(h, "pre-activation")
-    out = _linear_rows(_gelu_forward(h, h), w2d, b2.data)
+    out = _linear_rows(_gelu_forward(h, h), w2d, b2.data).reshape(xd.shape)
     del h
+    out += xd
     lead = tuple(range(xd.ndim - 1))
 
     def rule(gout):
         rows = _ln_affine(xhat, gd, bd).reshape(-1, d)
         h = _linear_rows(rows, w1d, b1.data)
-        g2 = gout.reshape(-1, e)
+        g2 = gout.reshape(-1, d)
         ga = _gelu_backward(h, g2 @ w2d.T, value=True)  # h becomes GELU(h)
         gw2 = h.T @ g2
         del h
-        gln, gw1, gb1 = _linear_grads(ga.reshape(xd.shape[:-1] + (hid,)), rows, w1d)
+        gln, gw1, gb1 = _linear_grads(ga.reshape(xd.shape[:-1] + b1.shape), rows, w1d)
         del ga, rows
-        return (*_ln_backward(gln, xhat, inv, gd),
-                gw1, gb1, gw2, np.add.reduce(gout, axis=lead))
+        gx, gg, gb = _ln_backward(gln, xhat, inv, gd)
+        gx += gout
+        return gx, gg, gb, gw1, gb1, gw2, np.add.reduce(gout, axis=lead)
 
-    return _result(out.reshape(xd.shape[:-1] + (e,)), (x,) + params, rule)
+    return _result(out, (x,) + params, rule)
 
 
 # ---------------------------------------------------------------------------

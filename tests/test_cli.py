@@ -115,10 +115,13 @@ def test_zero_heads_rejected_at_load(tmp_path, key):
 
 
 def test_invalid_json_is_config_error(tmp_path):
+    """Malformed JSON, and an integer past Python's digit limit, which
+    json.loads rejects with a plain ValueError: both name the file."""
     p = tmp_path / "c.json"
-    p.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(str(p))
+    for text in ("{not json", '{"seed": 1' + "0" * 5000 + "}"):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"config {re.escape(str(p))} is not valid JSON"):
+            load_config(str(p))
 
 
 # ---- exit codes through main() ----
@@ -459,12 +462,18 @@ def test_exit_code_frame_too_small_for_the_square(tmp_path, capsys, command, dat
     assert not (tmp_path / "run").exists()
 
 
-def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path):
+def test_exit_code_ablate_rejects_every_setting_up_front(tmp_path, capsys):
+    """A bad setting exits 2 before the first run, naming its ablate list
+    and its value first, then the field the setting overrides."""
     cfg = write_cfg(tmp_path, train={"total_steps": 2, "warmup_steps": 0,
                                      "finetune_steps": 2},
-                    ablate={"ratio": [0.5, 1.0]})
+                    ablate={"ratio": [0.5, 1.0], "decoder": ["parallel", "bogus"]})
     assert main(["gen-data", "--config", cfg]) == 0
-    assert main(["ablate", "--config", cfg, "--axis", "ratio"]) == 2
+    for axis, value in (("ratio", "1.0"), ("decoder", "bogus")):
+        capsys.readouterr()
+        assert main(["ablate", "--config", cfg, "--axis", axis]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: ablate.{axis} value {value}: " in err
     assert not (tmp_path / "run").exists()
 
 
@@ -674,6 +683,19 @@ def test_reconstruct_reads_only_the_first_clip(tmp_path, monkeypatch):
     assert main(["gen-data", "--config", cfg]) == 0
     assert main(["reconstruct", "--config", cfg, "--ratio", "0.5"]) == 0
     assert [p.name for p in reads] == ["00000.mmae"]
+
+
+def test_reconstruct_renders_two_channel_clips(tmp_path):
+    """Clips of a channel count other than 1 or 3, which every other command
+    accepts, render as the gray of their channel mean."""
+    cfg = write_cfg(tmp_path, data={"channels": 2})
+    for command in ("gen-data", "pretrain", "finetune"):
+        assert main([command, "--config", cfg]) == 0
+    assert main(["reconstruct", "--config", cfg, "--ratio", "0.5,0.9"]) == 0
+    for tag in ("50", "90"):
+        img = read_ppm(tmp_path / "run" / f"recon_{tag}.ppm")
+        assert img.shape == (4 * 8, 4 * 8, 3)
+        assert (img[..., 0] == img[..., 1]).all() and (img[..., 1] == img[..., 2]).all()
 
 
 def test_reconstruct_from_dataset_clip(tmp_path):

@@ -220,7 +220,8 @@ def _attention_params(r, dim, dtype=np.float64):
 
 
 def _attention_reference(x, g, b, wq, bq, wk, wv, bv, wo, bo, heads):
-    """Per sample and head, with explicit loops."""
+    """x plus the attention of its LayerNorm, per sample and head, with
+    explicit loops."""
     xc = x - x.mean(axis=-1, keepdims=True)
     ln = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-6) * g + b
     q, k, v = ln @ wq + bq, ln @ wk, ln @ wv + bv
@@ -232,7 +233,7 @@ def _attention_reference(x, g, b, wq, bq, wk, wv, bv, wo, bo, heads):
             s = q[i, :, cols] @ k[i, :, cols].T / np.sqrt(dh)
             p = np.exp(s - s.max(axis=1, keepdims=True))
             mixed[i, :, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[i, :, cols]
-    return mixed @ wo + bo
+    return x + (mixed @ wo + bo)
 
 
 def test_attention_matches_per_head_reference():
@@ -279,15 +280,15 @@ def _numpy_attention_core(q, k, v, heads):
 
 def _unfused_attention(x, g, b, wq, bq, wk, wv, bv, wo, bo, heads):
     """The records attention fuses: layer_norm, linear, matmul and linear
-    for q, k and v, the core and linear."""
+    for q, k and v, the core, linear and the residual add."""
     ln = nm.layer_norm(x, g, b)
     q, k, v = nm.linear(ln, wq, bq), nm.matmul(ln, wk), nm.linear(ln, wv, bv)
-    return nm.linear(_numpy_attention_core(q, k, v, heads), wo, bo)
+    return nm.add(x, nm.linear(_numpy_attention_core(q, k, v, heads), wo, bo))
 
 
 def test_attention_bits_follow_the_unfused_graph():
-    """One record whose value and ten gradients match the unfused graph
-    bit for bit, in both precisions, also where the (b, heads, n, n) scores
+    """One record whose value and eleven gradients, x's included, match the
+    unfused graph with its residual add bit for bit, in both precisions, also where the (b, heads, n, n) scores
     span more than one BLOCK and their rows several softmax-gradient blocks.
     At head width 3
     the scale 1/sqrt(3) is inexact, so scaling q before the score GEMM
@@ -303,7 +304,7 @@ def test_attention_bits_follow_the_unfused_graph():
             g = r.normal(size=(b, n, dim)).astype(dtype)
             want, want_grads, records = _value_and_grads(
                 lambda *t: _unfused_attention(*t, heads), arrays, g)
-            assert records == 6
+            assert records == 7
             got, grads, records = _value_and_grads(
                 lambda *t: nm.attention(*t, heads), arrays, g)
             assert records == 1
@@ -806,29 +807,32 @@ def test_gelu_bits_follow_the_whole_array_expressions(shape, dtype):
 
 
 def _unfused_mlp(x, g, b, w1, b1, w2, b2):
-    """The records mlp fuses: layer_norm, linear, gelu and linear."""
-    return nm.linear(nm.gelu(nm.linear(nm.layer_norm(x, g, b), w1, b1)), w2, b2)
+    """The records mlp fuses: layer_norm, linear, gelu, linear and the
+    residual add."""
+    return nm.add(x, nm.linear(nm.gelu(nm.linear(nm.layer_norm(x, g, b), w1, b1)),
+                               w2, b2))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead, d, hid, e", [((3, 5), 8, 12, 6),
-                                             ((2, 100), 16, 700, 12),
-                                             ((130,), 6, 1024, 5)],
+@pytest.mark.parametrize("lead, d, hid", [((3, 5), 8, 12), ((2, 100), 16, 700),
+                                          ((130,), 6, 1024)],
                          ids=["one-block", "blocks-and-remainder", "whole-blocks"])
-def test_mlp_bits_follow_linear_gelu_linear(lead, d, hid, e, dtype):
-    """One record whose value and seven gradients match the four records
-    layer_norm, linear, gelu, linear bit for bit, also where the hidden
-    activations span several GELU blocks; an untracked x gets no gradient.
+def test_mlp_bits_follow_linear_gelu_linear(lead, d, hid, dtype):
+    """One record whose value and seven gradients, x's included, match the
+    five records layer_norm, linear, gelu, linear and add bit for bit, also
+    where the hidden activations span several GELU blocks; an untracked x
+    gets no gradient.
     GELU is written into h in place, and the backward rebuilds h by the
     forward's GEMM and bias add on the same bytes, then overwrites it with
     GELU in the pass that takes GELU's gradient."""
     r = _rng(25)
     arrs = [r.normal(size=lead + (d,)), 1.0 + 0.1 * r.normal(size=d),
             0.1 * r.normal(size=d), 0.5 * r.normal(size=(d, hid)),
-            r.normal(size=hid), 0.3 * r.normal(size=(hid, e)), r.normal(size=e)]
+            r.normal(size=hid), 0.3 * r.normal(size=(hid, d)), r.normal(size=d)]
     arrs = [a.astype(dtype) for a in arrs]
-    g = r.normal(size=lead + (e,)).astype(dtype)
-    want, want_grads, _ = _value_and_grads(_unfused_mlp, arrs, g)
+    g = r.normal(size=lead + (d,)).astype(dtype)
+    want, want_grads, records = _value_and_grads(_unfused_mlp, arrs, g)
+    assert records == 5
     got, grads, records = _value_and_grads(nm.mlp, arrs, g)
     assert records == 1
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
@@ -844,7 +848,7 @@ def test_grad_mlp_with_recomputed_hidden_layer():
     from motionmae.cli import GRADCHECK_TOLERANCE
 
     r = _rng(36)
-    shapes = [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (2, 3, 5)]
+    shapes = [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,), (2, 3, 4)]
     params = [Tensor(r.normal(size=s)) for s in shapes]
     err = finite_diff_check(
         lambda p: nm.sum_all(nm.mul(nm.mlp(*p[:7]), p[7])), params)
@@ -855,11 +859,13 @@ def test_mlp_rejects_misfit_shapes():
     x = Tensor(np.ones((2, 4)))
     g, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
     w1, b1 = Tensor(np.ones((4, 6))), Tensor(np.zeros(6))
-    w2, b2 = Tensor(np.ones((6, 3))), Tensor(np.zeros(3))
-    assert nm.mlp(x, g, b, w1, b1, w2, b2).shape == (2, 3)
-    for args in [(x, g, b, w1, b1, Tensor(np.ones((5, 3))), b2),
+    w2, b2 = Tensor(np.ones((6, 4))), Tensor(np.zeros(4))
+    assert nm.mlp(x, g, b, w1, b1, w2, b2).shape == (2, 4)
+    for args in [(x, g, b, w1, b1, Tensor(np.ones((5, 4))), b2),
+                 # a residual cannot add an (H, E != D) second weight's output
+                 (x, g, b, w1, b1, Tensor(np.ones((6, 3))), Tensor(np.zeros(3))),
                  (x, g, b, w1, Tensor(np.zeros(5)), w2, b2),
-                 (x, g, b, w1, b1, w2, Tensor(np.zeros(4))),
+                 (x, g, b, w1, b1, w2, Tensor(np.zeros(3))),
                  (x, Tensor(np.ones(3)), b, w1, b1, w2, b2),
                  (x, g, Tensor(np.zeros(5)), w1, b1, w2, b2),
                  (Tensor(np.ones((2, 5))), g, b, w1, b1, w2, b2)]:
@@ -885,7 +891,7 @@ def test_mlp_overflowing_pre_activation_raises():
     x = Tensor(np.array([[1.0, -1.0]]))  # LayerNorm rows (t, -t), t near 1
     g, b = Tensor(np.ones(2)), Tensor(np.zeros(2))
     w1, b1 = Tensor(np.array([[big] * 3, [0.0] * 3])), Tensor(np.full(3, big))
-    w2, b2 = Tensor(np.ones((3, 1))), Tensor(np.zeros(1))
+    w2, b2 = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="pre-activation"):
         nm.mlp(x, g, b, w1, b1, w2, b2)
 

@@ -398,8 +398,8 @@ def test_pretrain_step_cuts_tokens_and_targets_once(monkeypatch):
 
 
 def test_tiny_batch_graph_records_fewer_than_100_ops():
-    """Two records per transformer block, attention and mlp, plus its two
-    residual adds keep a tiny batch-8 pretrain graph (2 encoder blocks, two
+    """Two records per transformer block, attention and mlp, each with its
+    residual add, keep a tiny batch-8 pretrain graph (2 encoder blocks, two
     1-block decoder stacks) under 100 tape ops."""
     clips, grid, enc, dec, cfg = _tiny_train_setup(n_clips=8, batch_size=8)
     params = md.init_params(enc, dec, seed=1)
@@ -743,23 +743,23 @@ def _spy_held_paths(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name, pretrain, finetune", [
     ("tiny-pipeline",
-     (37, {("attention", 8192, True), ("attention", 65536, True),
+     (29, {("attention", 8192, True), ("attention", 65536, True),
            ("mlp", 8192, False), ("mlp", 16384, False)}),
-     (14, {("attention", 131072, True), ("mlp", 32768, False)})),
+     (10, {("attention", 131072, True), ("mlp", 32768, False)})),
     ("tiny-variants",
-     (27, {("attention", 2048, True), ("attention", 65536, True),
+     (21, {("attention", 2048, True), ("attention", 65536, True),
            ("mlp", 4096, False), ("mlp", 16384, False)}),
-     (14, {("attention", 131072, True), ("mlp", 32768, False)})),
+     (10, {("attention", 131072, True), ("mlp", 32768, False)})),
     ("desk-pipeline",
-     (53, {("attention", 65536, True), ("attention", 524288, False),
+     (37, {("attention", 65536, True), ("attention", 524288, False),
            ("mlp", 196608, False), ("mlp", 393216, False)}),
-     (22, {("attention", 1048576, False), ("mlp", 786432, False)})),
+     (14, {("attention", 1048576, False), ("mlp", 786432, False)})),
 ])
 def test_workload_attention_records_hold_or_recompute_their_weights(
         monkeypatch, tmp_path, name, pretrain, finetune):
     """One taped pretraining and finetuning step's graph at each benchmark
-    workload's shapes: a block is two records, attention and mlp, plus two
-    adds, which pins the records a step takes. Every tiny attention record
+    workload's shapes: a block is two records, attention and mlp, which
+    pins the records a step takes. Every tiny attention record
     (at most 131,072 weights) and the desk pretraining encoder's (65,536)
     hold their weights, while the desk decoder's (524,288) and the
     finetuning encoder's (1,048,576) are recomputed in the backward. No mlp
