@@ -236,16 +236,16 @@ def _row_count(bits) -> int:
 def scatter_rows(values: Tensor, bits: np.ndarray) -> Tensor:
     """Place (..., M, K) rows at the positions that (..., N) boolean bits
     select, in ascending order, in a zero-filled (..., N, K) tensor; every
-    row of bits selects M."""
+    row of bits selects M. The record keeps the values' shape, not them."""
     vd = values.data
     m, r = _row_count(bits), bits.ndim
     if vd.shape[:r] != bits.shape[:-1] + (m,):
         raise ValueError(f"values {vd.shape} do not fit bits {bits.shape} "
                          f"that select {m} rows each")
-    rest = vd.shape[r:]
+    rest, vshape = vd.shape[r:], vd.shape
     out = np.zeros(bits.shape + rest, dtype=vd.dtype)
     out[bits] = vd.reshape((-1,) + rest)
-    return _result(out, (values,), lambda g: (g[bits].reshape(vd.shape),))
+    return _result(out, (values,), lambda g: (g[bits].reshape(vshape),))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -274,8 +274,8 @@ BLOCK = 2**16
 # `attention` holds its softmax weights, q, k, v and the mix for the
 # backward: at tiny sizes rebuilding them reads slower than keeping them.
 # Above it the record holds LayerNorm's xhat and inv alone, the backward
-# rebuilds the rest, and the scores run in groups of samples that each fit
-# it, so no larger score array is ever built. Evaluation sizes its chunks
+# rebuilds the rest, and the scores run one sample at a time, so no score
+# array larger than one sample's is ever built. Evaluation sizes its chunks
 # so that one block's scores stay within it, and in cache
 # (`training.eval_chunk_clips`). `mlp` does not read it: its hidden layer
 # is rebuilt at every size. Fixed by size, so every host runs the same
@@ -465,28 +465,29 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
     weight of 0, which would hide it) and the mix. x passed the LayerNorm
     check, so the sum's check catches a non-finite projection or add.
 
-    The core walks the leading axis in groups: as many indices at a time as
-    keep a group's (group, heads, N, N) scores within SCORE_BUDGET values,
-    and at least one, the way evaluation chunks its clips. The record keeps
-    LayerNorm's xhat and inv, never its output, which the backward rebuilds
-    by the forward's own multiply and add. Each group's mix is written into
-    one buffer of the output's shape. When all the scores fit, there is one
+    The record keeps LayerNorm's xhat and inv, never its output, which the
+    backward rebuilds by the forward's own multiply and add. When all the
+    (..., heads, N, N) scores fit SCORE_BUDGET values, the core runs as one
     group, and the record also keeps q, k, v, the mix and the softmax
-    weights. Otherwise it keeps xhat and inv alone, and each group's weights
-    are dropped once its output is mixed. The backward then rebuilds q, k
-    and v from the rebuilt rows, each by the forward's one GEMM over all the
-    rows, and, group by group, the weights by the forward's own GEMM, scale
-    and softmax and the mix by its own GEMM and merge, on the same operands,
-    so all come back bit for bit; it frees each group's weights once their
-    gradients are taken, and q, k, v, the mix and its gradient once their
-    last reader is done (attention in chunks, as in Rabe & Staats, arXiv
-    2112.05682, with the selective recomputation of Korthikanti et al.,
-    arXiv 2205.05198, and of FlashAttention's backward, Dao et al., arXiv
-    2205.14135). Each score row lies within one group, so the groups run the
-    very GEMMs and row kernels of one whole pass, and values and gradients
-    do not depend on the grouping. A GEMM's bits may depend on how its rows
-    are blocked, so q, k, v and the output projection's weight gradient are
-    never split by group.
+    weights. Otherwise the core walks the leading axis one index (one
+    sample) at a time, writing each sample's mix into one buffer of the
+    output's shape and dropping its weights once its output is mixed, and
+    the record keeps xhat and inv alone. The backward then rebuilds the
+    LayerNorm rows, q, k and v from them, each by the forward's one GEMM
+    over all the rows, and drops the rows; sample by sample it rebuilds the
+    weights by the forward's own GEMM, scale and softmax and the mix by its
+    own GEMM and merge, on the same operands, so all come back bit for bit,
+    and frees each sample's weights once their gradients are taken. It
+    frees q, k, v, the mix and its gradient once their last reader is done,
+    and rebuilds the rows once more for the projections' gradients
+    (attention in chunks, as in Rabe & Staats, arXiv 2112.05682, with the
+    selective recomputation of Korthikanti et al., arXiv 2205.05198, and of
+    FlashAttention's backward, Dao et al., arXiv 2205.14135). Each score
+    row lies within one sample, so the samples run the very GEMMs and row
+    kernels of one whole pass, and values and gradients do not depend on the
+    grouping. A GEMM's bits may depend on how its rows are blocked, so q, k,
+    v and the output projection's weight gradient are never split by
+    sample.
     """
     params = (g, b, wq, bq, wk, wv, bv, wo, bo)
     for p in params:
@@ -511,13 +512,11 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         t = t.transpose(swap_heads)
         return t.reshape(t.shape[:-2] + (dim,))
 
-    scores = math.prod(lead) * heads * n * n
-    fits = scores <= SCORE_BUDGET
+    fits = math.prod(lead) * heads * n * n <= SCORE_BUDGET
     if fits or not lead:
         groups = [slice(None)]
     else:
-        span = max(1, SCORE_BUDGET // (scores // lead[0]))
-        groups = [slice(i, i + span) for i in range(0, lead[0], span)]
+        groups = [slice(i, i + 1) for i in range(lead[0])]
 
     gd, bd = g.data, b.data
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
@@ -565,16 +564,18 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         return (part, merge(gs @ kh),
                 merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)), gv)
 
+    def ln_rows():  # the LayerNorm rows, rebuilt by the forward's multiply and add
+        return _ln_affine(xhat, gd, bd).reshape(-1, dim)
+
     def rule(gout):
         g2 = gout.reshape(-1, dim)
         gm = split(g2 @ wod.T)
         gbo = np.add.reduce(gout, axis=tuple(range(gout.ndim - 1)))
-        rows = _ln_affine(xhat, gd, bd).reshape(-1, dim)
         if held is not None:
             qkv, mixed, w = held
             _, gq, gk, gv = core_grads(qkv, gm, w)
         else:
-            qkv = [split(t) for t in project(rows)]
+            qkv = [split(t) for t in project(ln_rows())]
             mixed, gq, gk, gv = (np.empty(shape, gout.dtype) for _ in range(4))
             for sl in groups:
                 mixed[sl], gq[sl], gk[sl], gv[sl] = core_grads(
@@ -583,6 +584,7 @@ def attention(x: Tensor, g: Tensor, b: Tensor, wq: Tensor, bq: Tensor,
         del gm
         gwo = mixed.reshape(-1, dim).T @ g2
         del mixed
+        rows = ln_rows()
         gln, gwv, gbv = _linear_grads(gv, rows, wvd)
         del gv
         gx, gwk, _ = _linear_grads(gk, rows, wkd)
@@ -701,15 +703,15 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     checks the LayerNorm output, which x passed, and the pre-activation h, so
     the sum's check catches a non-finite product or add.
 
-    The record keeps LayerNorm's xhat and inv alone, at every size: the
-    forward writes GELU into h in place, and the backward rebuilds the
-    LayerNorm rows by the forward's own multiply and add and h from them by
-    the forward's own GEMM and bias add, so both come back bit for bit. It
-    keeps neither tanh(u) nor the GELU output: the backward first takes the
-    gradient of the GELU output, then one blocked pass computes tanh(u) once
-    per element, multiplies that gradient in place by GELU's derivative and
-    overwrites h with the GELU output, the second weight's input. So at most
-    one (rows, H) array lives beside h.
+    The record keeps LayerNorm's xhat and inv alone, at every size, and of
+    x only its shape: the forward writes GELU into h in place, and the
+    backward rebuilds the LayerNorm rows by the forward's own multiply and
+    add and h from them by the forward's own GEMM and bias add, so both come
+    back bit for bit. It keeps neither tanh(u) nor the GELU output: the
+    backward first takes the gradient of the GELU output, then one blocked
+    pass computes tanh(u) once per element, multiplies that gradient in
+    place by GELU's derivative and overwrites h with the GELU output, the
+    second weight's input. So at most one (rows, H) array lives beside h.
     """
     params = (g, b, w1, b1, w2, b2)
     for p in params:
@@ -732,6 +734,7 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     del h
     out += xd
     lead = tuple(range(xd.ndim - 1))
+    hshape = xd.shape[:-1] + b1.shape
 
     def rule(gout):
         rows = _ln_affine(xhat, gd, bd).reshape(-1, d)
@@ -740,7 +743,7 @@ def mlp(x: Tensor, g: Tensor, b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         ga = _gelu_backward(h, g2 @ w2d.T, value=True)  # h becomes GELU(h)
         gw2 = h.T @ g2
         del h
-        gln, gw1, gb1 = _linear_grads(ga.reshape(xd.shape[:-1] + b1.shape), rows, w1d)
+        gln, gw1, gb1 = _linear_grads(ga.reshape(hshape), rows, w1d)
         del ga, rows
         gx, gg, gb = _ln_backward(gln, xhat, inv, gd)
         gx += gout
@@ -765,10 +768,12 @@ def masked_penalty(pred: Tensor, target: np.ndarray, bits: np.ndarray,
     every row of bits selects the same M >= 1 rows. It runs the float
     operations of gathering, subtracting, penalizing and averaging as
     separate ops, in that order, so value and gradient match them bit for
-    bit."""
+    bit. The record keeps the difference and the bits, and of the
+    predictions only their shape and dtype."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
     pd = pred.data
+    pshape, dtype = pd.shape, pd.dtype
     m, r = _row_count(bits), bits.ndim
     if m == 0:
         raise ValueError("loss undefined with zero masked rows")
@@ -798,7 +803,7 @@ def masked_penalty(pred: Tensor, target: np.ndarray, bits: np.ndarray,
             gd = g * np.sign(diff)
         else:
             gd = g * np.clip(diff, -1.0, 1.0)
-        buf = np.zeros_like(pd)
+        buf = np.zeros(pshape, dtype)
         buf[bits] = gd.reshape((-1,) + rest)
         return (buf,)
 
@@ -859,8 +864,9 @@ class OptimState:
     rebound tensor would leave the arena and stop being trained.
 
     Gradients are not kept here: they live on the tensors' `grad` for one
-    step only, from backward() to the end of `adamw_step`, so between steps
-    the state holds the parameters and their moments and nothing else.
+    step only, from backward() to the end of `adamw_step`, and the update's
+    scratch lives for one call, so between steps the state holds the arena
+    (the parameters and their moments) and `t`, nothing else.
     """
 
     flat_param: np.ndarray
@@ -869,7 +875,6 @@ class OptimState:
     param: dict[str, np.ndarray]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    scratch: np.ndarray  # three chunk-sized rows: two temporaries, the gradient
     t: int = 0
 
     @classmethod
@@ -891,8 +896,7 @@ class OptimState:
             off += p.size
             views[0][name][...] = p.data
             p.data = views[0][name]
-        scratch = np.empty((3, min(BLOCK, total)), dtype)
-        return cls(*flat, *views, scratch=scratch)
+        return cls(*flat, *views)
 
     def check_params(self, params: dict[str, Tensor]) -> None:
         """Reject `params` unless they are the tensors this state was built
@@ -942,13 +946,14 @@ def adamw_step(
     applied. Once the update is done every `grad` is set to None, so no
     gradient outlives its step.
 
-    The pass walks the flat buffers BLOCK elements at a time: each chunk's
-    gradient is copied from the tensors' grads, in arena order, into the
-    state's third scratch row, and every temporary goes into the other two,
-    so the pass allocates nothing of the arena's size. AdamW is
-    elementwise, and each element goes through the same float operations
-    in the same order as in a tensor-by-tensor update, so the result is
-    bit-identical to one and bit-deterministic.
+    The pass walks the flat buffers BLOCK elements at a time, in three
+    chunk-sized scratch rows that the call allocates and frees: each
+    chunk's gradient is copied from the tensors' grads, in arena order,
+    into the third, and every temporary goes into the other two, so the
+    pass allocates nothing of the arena's size and nothing outlives it.
+    AdamW is elementwise, and each element goes through the same float
+    operations in the same order as in a tensor-by-tensor update, so the
+    result is bit-identical to one and bit-deterministic.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("betas must lie in [0, 1)")
@@ -963,11 +968,12 @@ def adamw_step(
     c2 = 1.0 - beta2 ** t
     flat_p, flat_m, flat_v = state.flat_param, state.flat_m, state.flat_v
     runs = _runs((params[name].grad.reshape(-1) for name in state.param), BLOCK)
+    scratch = np.empty((3, min(BLOCK, flat_p.size)), flat_p.dtype)
     for lo, run in zip(range(0, flat_p.size, BLOCK), runs):
         p = flat_p[lo : lo + BLOCK]
         m = flat_m[lo : lo + BLOCK]
         v = flat_v[lo : lo + BLOCK]
-        a, b, g = state.scratch[:, : p.size]
+        a, b, g = scratch[:, : p.size]
         np.concatenate(run, out=g)
         if weight_decay != 0.0:
             p *= 1.0 - lr * weight_decay
@@ -995,12 +1001,24 @@ def adamw_step(
 # ---------------------------------------------------------------------------
 
 
+# Two-point errors above this get a fourth-order reference (see below).
+_REFINE_ABOVE = 1e-6
+
+
 def finite_diff_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
     """Max relative error between backward() gradients and central differences.
 
     `f(params)` must return a scalar Tensor and be deterministic; parameters
     must be float64. The error metric per coordinate is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+
+    The reference is the two-point difference (f(x+h) - f(x-h)) / 2h, whose
+    truncation error grows with h^2. Where it disagrees with the analytic
+    gradient by more than 1e-6, the coordinate takes the fourth-order
+    reference (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h instead, at
+    the cost of two more forwards (Richardson extrapolation; Fornberg, Math.
+    Comp. 51, 1988, gives the weights). Few coordinates reach that line, so
+    the check costs about what the two-point one does.
     """
     if eps <= 0:
         raise ValueError("finite-difference step eps must be positive")
@@ -1018,20 +1036,25 @@ def finite_diff_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
     backward(f(params), tape)
     analytic = [p.grad.copy() for p in params]
 
+    def at(flat, i, x):  # f with one coordinate set to x
+        flat[i] = x
+        return float(f(params).data)
+
     worst = 0.0
     for p, ga in zip(params, analytic):
         flat = p.data.reshape(-1)
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(f(params).data)
-            flat[i] = orig - eps
-            fm = float(f(params).data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
+            near = at(flat, i, orig + eps) - at(flat, i, orig - eps)
+            numeric = near / (2.0 * eps)
             a = gflat[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            if err > _REFINE_ABOVE:
+                far = at(flat, i, orig + 2.0 * eps) - at(flat, i, orig - 2.0 * eps)
+                numeric = (8.0 * near - far) / (12.0 * eps)
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            flat[i] = orig
             if err > worst:
                 worst = err
     return worst

@@ -56,24 +56,19 @@ def make_space_target(
     return (rows - mean) / std
 
 
-def difference_video(clip: np.ndarray, gap: int) -> np.ndarray:
-    """Per-frame absolute temporal difference of (..., T, H, W, C) clips,
-    clamped at the clip end: out[..., t] = |clip[..., min(t + gap, T-1)] -
-    clip[..., t]|."""
-    T = clip.shape[-4]
-    if not 1 <= gap < T:
-        raise ValueError(f"gap must satisfy 1 <= gap < T={T}, got {gap}")
-    ahead = np.minimum(np.arange(T) + gap, T - 1)
-    return np.abs(clip[..., ahead, :, :, :] - clip)
-
-
 def make_motion_target(
     clip: np.ndarray, mask: Mask, grid: TokenGrid, gap: int
 ) -> np.ndarray:
     """Temporal-difference patches at each masked token's anchor frame:
-    (M, cp*cp*C) rows of one clip, or (..., M, cp*cp*C) of clips."""
+    (M, cp*cp*C) rows of one clip, or (..., M, cp*cp*C) of clips. The
+    difference |clip[min(ct*tau + gap, T-1)] - clip[ct*tau]| is taken at the
+    anchor frames only."""
     check_clip(clip, grid)
-    anchors = difference_video(clip, gap)[..., :: grid.ct, :, :, :]  # frame ct*tau
+    T = clip.shape[-4]
+    if not 1 <= gap < T:
+        raise ValueError(f"gap must satisfy 1 <= gap < T={T}, got {gap}")
+    ahead = np.minimum(np.arange(0, T, grid.ct) + gap, T - 1)
+    anchors = np.abs(clip[..., ahead, :, :, :] - clip[..., :: grid.ct, :, :, :])
     maps, _ = patchify(anchors, 1, grid.cp)
     return np.ascontiguousarray(mask.hidden(maps), dtype=np.float32)
 

@@ -896,6 +896,36 @@ def test_mlp_overflowing_pre_activation_raises():
         nm.mlp(x, g, b, w1, b1, w2, b2)
 
 
+@pytest.mark.parametrize("op", ["mlp", "masked_penalty", "scatter_rows"])
+def test_records_free_the_inputs_their_rules_do_not_read(op):
+    """mlp, masked_penalty and scatter_rows rules read their input's shape
+    only, so a record must not keep the input's array alive: once the caller
+    drops the input, the array is freed while the record is still taped, and
+    the backward still runs."""
+    import weakref
+
+    r = _rng(61)
+    x = Tensor(r.normal(size=(2, 4, 6)))
+    tape = Tape()
+    tape.watch(x)
+    y = nm.scale(x, 2.0)  # an intermediate whose array only the caller holds
+    bits = np.array([[True, False, True, False], [False, True, True, False]])
+    if op == "mlp":
+        params = [Tensor(r.normal(size=s)) for s in [(6,), (6,), (6, 8), (8,),
+                                                      (8, 6), (6,)]]
+        loss = nm.sum_all(nm.mlp(y, *params))
+    elif op == "masked_penalty":
+        loss = nm.masked_penalty(y, np.zeros((2, 2, 6)), bits, "mse")
+    else:
+        loss = nm.sum_all(nm.scatter_rows(y, np.repeat(bits, 2, axis=-1)))
+    freed = weakref.ref(y.data)
+    del y
+    assert freed() is None, f"the {op} record keeps its input's array"
+    assert len(tape) >= 2
+    backward(loss, tape)
+    assert x.grad.shape == x.shape and np.abs(x.grad).sum() > 0
+
+
 def _traced_peak(fn):
     """The peak bytes that numpy and Python allocate while fn runs."""
     tracemalloc.start()

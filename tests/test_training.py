@@ -818,33 +818,37 @@ def _desk_step_peak(tmp_path, pretraining: bool, from_init: bool) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 20.5), (False, 22)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 17), (False, 19.5)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory(tmp_path, pretraining, bound):
     """One desk-pipeline step (forward, backward and AdamW, the parameter
     arena built beforehand) keeps LayerNorm's xhat and not its output, no
-    MLP hidden layer, and attention's q, k, v and mix only within
-    SCORE_BUDGET: a pretraining step's traced peak is about 19.0 MiB and a
-    finetuning step's 19.3 MiB. MLP records that kept their hidden layer
-    within SCORE_BUDGET peaked at 22.0 MiB in pretraining; attention records
-    that kept q, k, v and the mix at every size at 27.4 and 31.1 MiB, and
-    records that also kept every LayerNorm output and hidden layer at 34.6
-    and 43.8 MiB."""
+    MLP hidden layer, attention's q, k, v and mix only within SCORE_BUDGET,
+    and no input a rule reads only the shape of; above SCORE_BUDGET the
+    scores run one sample at a time: a pretraining step's traced peak is
+    about 15.3 MiB and a finetuning step's 16.8 MiB. Records that kept those
+    inputs, with scores in groups of two clips, peaked at 19.0 and 19.3 MiB;
+    MLP records that kept their hidden layer within SCORE_BUDGET at 22.0 MiB
+    in pretraining; attention records that kept q, k, v and the mix at every
+    size at 27.4 and 31.1 MiB, and records that also kept every LayerNorm
+    output and hidden layer at 34.6 and 43.8 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=False)
     assert peak < bound, f"peak {peak:.1f} MiB"
 
 
-@pytest.mark.parametrize("pretraining, bound", [(True, 47.5), (False, 44)],
+@pytest.mark.parametrize("pretraining, bound", [(True, 43.2), (False, 40.8)],
                          ids=["pretrain", "finetune"])
 def test_desk_step_peak_memory_with_its_parameters(tmp_path, pretraining, bound):
     """One desk-pipeline step traced from before init_params, so the
     parameters, their moments and whatever the state keeps between steps
-    count too: no gradient arena is resident through the forward, and the
-    finetuning encoder's (4, 4, 256, 256) scores run one clip at a time. A
-    pretraining step then peaks at about 45.9 MiB and a finetuning step at
-    40.7 MiB; with MLP records that kept their hidden layer within
-    SCORE_BUDGET pretraining peaked at 48.9 MiB, with attention records that
-    kept q, k, v and the mix at every size at 54.3 and 52.5 MiB, and with a
+    count too: no gradient arena or AdamW scratch is resident through the
+    forward, and scores above SCORE_BUDGET run one clip at a time. A
+    pretraining step then peaks at about 41.5 MiB and a finetuning step at
+    37.5 MiB; with records that kept the inputs they read only the shape of,
+    a resident AdamW scratch and the decoders' scores in groups of two clips
+    at 45.9 and 40.7 MiB, with MLP records that kept their hidden layer within
+    SCORE_BUDGET pretraining at 48.9 MiB, with attention records that kept
+    q, k, v and the mix at every size at 54.3 and 52.5 MiB, and with a
     resident gradient arena and whole score tensors as well at 63.2 and
     59.3 MiB."""
     peak = _desk_step_peak(tmp_path, pretraining, from_init=True)
